@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race test-race-internal test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-commit bench-read bench-recovery bench-mixed bench-scan bench-shard bench-server bench-smoke ci
+.PHONY: build vet test test-race test-race-internal test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto test-bench bench-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -100,56 +100,23 @@ fuzz-proto:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
 
-# Recovery wall-time sweep (log size x partitions x RecoveryThreads);
-# writes BENCH_recovery.json. Smoke-sized; drop the flags for the
-# committed report's full sweep.
-bench-recovery:
-	$(GO) run ./cmd/recoverybench -rows 20000 -parts 1,8 -threads 1,4 -json BENCH_recovery.json
+# The repo's benchmark lives in its own module under bench/ (root
+# `go test ./...` does not descend into it): its unit tests plus a full
+# smoke of all four workloads including crash/recover/verify.
+test-bench:
+	cd bench && $(GO) test ./...
 
-# Concurrent-commit sweep; writes BENCH_commit.json.
-bench-commit:
-	$(GO) run ./cmd/commitbench
-
-# Point-read sweep (latch-coupled vs tree-wide-lock baseline); writes
-# BENCH_read.json.
-bench-read:
-	$(GO) run ./cmd/readbench
-
-# Mixed-ISUD sweep (striped GC + pooled scratch vs the single-flight /
-# legacy-alloc baseline); writes BENCH_mixed.json.
-bench-mixed:
-	$(GO) run ./cmd/mixedbench
-
-# Cold-store scan sweep (vectorized columnar vs row-at-a-time page
-# store, compression ratio, OLTP interference); writes BENCH_scan.json.
-bench-scan:
-	$(GO) run ./cmd/scanbench
-
-# Sharded-node sweep (shard count x cross-shard ratio under a simulated
-# WAL device, plus the unsharded negative control); writes
-# BENCH_shard.json.
-bench-shard:
-	$(GO) run ./cmd/shardbench
-
-# Front-end tax: the same TPC-C Payment mix over the btrim API, the SQL
-# layer in-process, and btrimd's wire protocol on loopback; writes
-# BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/tpccbench -server -warehouses 2 -duration 8s -workers 4
-
-# Tiny run of every benchmark binary: catches bit-rotted flags, broken
-# sweeps, and report-writing regressions without burning CI minutes on
-# real measurement. Numbers from this target are meaningless.
+# Tiny run of every BENCHMARK.json workload through the real entry
+# point: catches bit-rotted flags and verification failures without
+# burning CI minutes on measurement. Numbers from this target are
+# meaningless.
 bench-smoke:
-	$(GO) run ./cmd/commitbench -duration 200ms -goroutines 1,2 -json ""
-	$(GO) run ./cmd/readbench -duration 200ms -goroutines 1,2 -rows 1000 -json ""
-	$(GO) run ./cmd/recoverybench -rows 2000 -parts 1 -threads 1,2 -json /tmp/bench-smoke-recovery.json
-	$(GO) run ./cmd/tpccbench -duration 200ms -warehouses 1 -workers 2 -customers 10 -items 50
-	$(GO) run ./cmd/tpccbench -server -duration 200ms -warehouses 1 -workers 2 -customers 10 -items 50
-	$(GO) run ./cmd/tpccbench -server -duration 200ms -warehouses 1 -workers 2 -customers 10 -items 50 -nocache -nopipeline
-	$(GO) run ./cmd/mixedbench -duration 200ms -goroutines 1,2 -gcworkers 1,2 -hotrows 1000 -coldrows 500 -json ""
-	$(GO) run ./cmd/scanbench -rows 4000 -duration 150ms -hotrows 1000 -json ""
-	$(GO) run ./cmd/shardbench -duration 200ms -shards 1,2 -goroutines 8 -rows 1000 -json ""
+	bash bench/run.sh -smoke
+
+# Non-test Go lines of the root module (bench/ excluded) — the figure
+# CHANGES.md tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 # What CI runs. Short mode skips the long TPC-C sweeps so the race
 # detector pass stays within runner budgets; drop -short locally for

@@ -119,19 +119,11 @@ type Config struct {
 	// bytes of log are buffered.
 	CommitMaxBatchBytes int
 
-	// CoarseIndexLatch reverts the B+tree indexes to a tree-wide lock
-	// held across buffer-pool fetches (the pre-latch-coupling
-	// behaviour). Benchmark baseline only.
-	CoarseIndexLatch bool
-
 	// DisableColdStore reverts the packer to slotted heap pages: frozen
 	// rows are written row-wise instead of into compressed column
-	// segments. Benchmark baseline only (reads stay cold-store aware so
-	// a database created with the cold store on recovers correctly).
+	// segments, as the paper does (reads stay cold-store aware so a
+	// database created with the cold store on recovers correctly).
 	DisableColdStore bool
-	// ColdCompressionOff stores column segments uncompressed (raw
-	// encodings only). Negative-control baseline for the scan benchmark.
-	ColdCompressionOff bool
 	// ColdSegmentRows caps rows per column segment (0 keeps the default;
 	// values are clamped to the format maximum).
 	ColdSegmentRows int
@@ -142,25 +134,9 @@ type Config struct {
 	// pack loops and health state (DESIGN.md §12). 0 or 1 means one
 	// shard. Ignored by Open.
 	Shards int
-	// LogSyncLatency / LogBandwidthBytesPerSec model the WAL device(s)
-	// for in-memory databases: each log sync sleeps LogSyncLatency plus
-	// bytes-written / LogBandwidthBytesPerSec. The bandwidth term is
-	// what group commit cannot amortize — and what per-shard logs
-	// multiply. Zero disables the model; ignored for Dir-backed
-	// databases.
-	LogSyncLatency          time.Duration
-	LogBandwidthBytesPerSec int64
 
 	// GCWorkers sets the IMRS-GC worker count (0 keeps the default).
 	GCWorkers int
-	// SingleFlightGC reverts the IMRS-GC to one shared retire buffer
-	// and a single-flight reclamation pass (the pre-striping behaviour).
-	// Benchmark baseline only.
-	SingleFlightGC bool
-	// LegacyTxnAlloc disables the pooled transaction scratch and the
-	// encode-into-fragment row path (the pre-pooling behaviour).
-	// Benchmark baseline only.
-	LegacyTxnAlloc bool
 }
 
 // DB is an open database.
@@ -192,20 +168,14 @@ func (cfg Config) coreConfig() core.Config {
 	ec.RecoveryThreads = cfg.RecoveryThreads
 	ec.ReadLatency = cfg.ReadLatency
 	ec.WriteLatency = cfg.WriteLatency
-	ec.LogSyncLatency = cfg.LogSyncLatency
-	ec.LogBandwidthBytesPerSec = cfg.LogBandwidthBytesPerSec
 	ec.DisableGroupCommit = cfg.DisableGroupCommit
 	ec.CommitCoalesceDelay = cfg.CommitCoalesceDelay
 	ec.CommitMaxBatchBytes = cfg.CommitMaxBatchBytes
-	ec.CoarseIndexLatch = cfg.CoarseIndexLatch
 	ec.DisableColdStore = cfg.DisableColdStore
-	ec.ColdForceRaw = cfg.ColdCompressionOff
 	ec.ColdSegmentRows = cfg.ColdSegmentRows
 	if cfg.GCWorkers > 0 {
 		ec.GCWorkers = cfg.GCWorkers
 	}
-	ec.SingleFlightGC = cfg.SingleFlightGC
-	ec.LegacyTxnAlloc = cfg.LegacyTxnAlloc
 	return ec
 }
 

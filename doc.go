@@ -9,7 +9,7 @@
 // B-tree and hash indexes, fragment memory manager, IMRS-GC, ILM tuning
 // and the Pack subsystem) live under internal/.
 //
-// Root-level bench files (bench_test.go) regenerate every table and
-// figure from the paper's evaluation section; see DESIGN.md and
-// EXPERIMENTS.md.
+// cmd/figures regenerates every table and figure from the paper's
+// evaluation section; the repo's benchmark is the separate module under
+// bench/ (BENCHMARK.json). See DESIGN.md and EXPERIMENTS.md.
 package repro

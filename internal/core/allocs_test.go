@@ -16,9 +16,9 @@ import (
 // Measured with the pooled scratch + encode-into-fragment path; the
 // irreducible remainder is the Txn header, the decoded row and its
 // string payloads, closure captures, and the WAL/commit machinery.
-// For reference, the LegacyTxnAlloc baseline measures 6.0 reads and
-// 37.0 updates on the same workload; the pooled path measures 3.0 and
-// 28.0.
+// For reference, the pre-pooling path (deleted with its selector)
+// measured 6.0 reads and 37.0 updates on the same workload; the pooled
+// path measures 3.0 and 28.0.
 const (
 	pointReadAllocBudget = 5
 	updateAllocBudget    = 34

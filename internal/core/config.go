@@ -94,16 +94,6 @@ type Config struct {
 	// modelling disk (see DESIGN.md substitutions).
 	ReadLatency, WriteLatency time.Duration
 
-	// LogSyncLatency and LogBandwidthBytesPerSec model the cost of the
-	// log device(s) when the engine creates its own default in-memory
-	// log backends (explicit SysLogBackend/IMRSLogBackend and Dir-backed
-	// engines are used as-is). Each sync sleeps LogSyncLatency plus
-	// bytes-since-last-sync / LogBandwidthBytesPerSec — the bandwidth
-	// term is what group commit cannot amortize, making one log device
-	// a throughput ceiling that per-shard logs lift (DESIGN.md §12).
-	LogSyncLatency          time.Duration
-	LogBandwidthBytesPerSec int64
-
 	// ShardID identifies this engine inside a sharded node: it is
 	// stamped into RecDecide records so participants and journals can
 	// scope a global transaction id (which is only unique per
@@ -124,23 +114,6 @@ type Config struct {
 	// DisableHashIndex turns off the hash fast path (ablation).
 	DisableHashIndex bool
 
-	// CoarseIndexLatch reverts every B+tree to a tree-wide
-	// reader/writer lock held across buffer-pool fetches — the
-	// pre-latch-coupling behaviour. Benchmark baseline only.
-	CoarseIndexLatch bool
-
-	// SingleFlightGC reverts the IMRS-GC to one shared retire buffer and
-	// a single-flight reclamation pass (the pre-striping behaviour, in
-	// which GCWorkers>1 adds nothing). Benchmark baseline only.
-	SingleFlightGC bool
-
-	// LegacyTxnAlloc disables the pooled per-transaction scratch and the
-	// encode-into-fragment row path: every transaction allocates fresh
-	// record/undo slices and every row image is encoded to a fresh heap
-	// buffer and then copied (the pre-pooling behaviour). Benchmark
-	// baseline only.
-	LegacyTxnAlloc bool
-
 	// DisableColdStore turns off the columnar cold store: the packer
 	// reverts to relocating frozen rows into slotted heap pages
 	// (the pre-colseg behaviour, and the row-at-a-time scan baseline).
@@ -150,10 +123,6 @@ type Config struct {
 	// colseg.DefaultSegmentRows; values above colseg.MaxSegmentRows are
 	// clamped.
 	ColdSegmentRows int
-	// ColdForceRaw disables dictionary/delta encoding inside cold
-	// segments — every column is stored raw. Negative-control baseline
-	// for compression-ratio experiments.
-	ColdForceRaw bool
 
 	// Retry bounds the transient-fault retry loops wrapped around the
 	// data device, WAL flushes, and the background checkpoint. Zero

@@ -127,16 +127,10 @@ func (t *Txn) Insert(table string, rw row.Row) error {
 	return t.insertPage(rt, prt, rw, encSize)
 }
 
-// newEntry creates an IMRS entry holding rw's encoding. The default
-// path encodes straight into the entry's fragment (one allocation, no
-// intermediate buffer); legacy mode keeps the old
-// encode-then-copy-into-Alloc shape for benchmark baselines. rw must
-// already be schema-validated.
+// newEntry creates an IMRS entry holding rw's encoding, encoded
+// straight into the entry's fragment (one allocation, no intermediate
+// buffer). rw must already be schema-validated.
 func (t *Txn) newEntry(r0 rid.RID, part rid.PartitionID, origin imrs.Origin, rw row.Row, encSize int) (*imrs.Entry, error) {
-	if t.e.legacyAlloc {
-		enc := row.AppendEncoded(rw, nil)
-		return t.e.store.CreateEntry(r0, part, origin, enc, t.id)
-	}
 	return t.e.store.CreateEntryFunc(r0, part, origin, encSize, func(dst []byte) []byte {
 		return row.AppendEncoded(rw, dst)
 	}, t.id)
@@ -620,15 +614,9 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 }
 
 func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, rw row.Row, encSize int) error {
-	var v *imrs.Version
-	var err error
-	if t.e.legacyAlloc {
-		v, err = t.e.store.AddVersion(en, row.AppendEncoded(rw, nil), t.id)
-	} else {
-		v, err = t.e.store.AddVersionFunc(en, encSize, func(dst []byte) []byte {
-			return row.AppendEncoded(rw, dst)
-		}, t.id)
-	}
+	v, err := t.e.store.AddVersionFunc(en, encSize, func(dst []byte) []byte {
+		return row.AppendEncoded(rw, dst)
+	}, t.id)
 	if err != nil {
 		return err // cache absolutely full
 	}

@@ -95,10 +95,6 @@ type Engine struct {
 	coldEnabled       bool
 	unfreezes         atomic.Int64 // cold rows pulled back by updates
 
-	// legacyAlloc selects the pre-pooling per-transaction allocation
-	// behaviour (Config.LegacyTxnAlloc). Benchmark baseline only.
-	legacyAlloc bool
-
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 
@@ -220,10 +216,6 @@ func Open(cfg Config) (*Engine, error) {
 		OnReclaimEntry: e.reclaimEntry,
 		OnNewRow:       e.queues.Enqueue,
 	})
-	if cfg.SingleFlightGC {
-		e.gc.SetSingleFlight(true)
-	}
-	e.legacyAlloc = cfg.LegacyTxnAlloc
 	e.packer = pack.New(cfg.ILM, e.store, e.queues, e.ilmReg, e.tsf, e.tuner,
 		e.clock, (*relocator)(e), cfg.PackInterval, cfg.PackThreads)
 	if e.coldEnabled {
@@ -336,20 +328,11 @@ func (e *Engine) openStorage() error {
 		cfg.DataDevice = disk.NewMemDevice(cfg.ReadLatency, cfg.WriteLatency)
 		e.ownsDevices = true
 	}
-	// The log-device cost model applies only to backends the engine
-	// creates itself: explicitly provided backends (tests wiring faulty
-	// or cloned media) and file backends pay their own real costs.
-	slowLog := func(b wal.Backend) wal.Backend {
-		if cfg.LogSyncLatency > 0 || cfg.LogBandwidthBytesPerSec > 0 {
-			return wal.NewSlowBackend(b, cfg.LogSyncLatency, cfg.LogBandwidthBytesPerSec)
-		}
-		return b
-	}
 	if cfg.SysLogBackend == nil {
-		cfg.SysLogBackend = slowLog(wal.NewMemBackend())
+		cfg.SysLogBackend = wal.NewMemBackend()
 	}
 	if cfg.IMRSLogBackend == nil {
-		cfg.IMRSLogBackend = slowLog(wal.NewMemBackend())
+		cfg.IMRSLogBackend = wal.NewMemBackend()
 	}
 	e.dataDev = cfg.DataDevice
 	var err error
@@ -594,7 +577,6 @@ func (e *Engine) mountTable(t *catalog.Table, fresh bool) (*tableRT, error) {
 		} else {
 			tr = btree.Load(e.pool, def.Root)
 		}
-		tr.SetCoarse(e.cfg.CoarseIndexLatch)
 		ix := &indexRT{def: def, tree: tr}
 		if def.Hash && !e.cfg.DisableHashIndex {
 			ix.hash = hash.New(e.cfg.HashIndexBuckets)

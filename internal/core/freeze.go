@@ -49,7 +49,7 @@ func (e *Engine) freezeEntries(rt *tableRT, prt *partRT, part rid.PartitionID, e
 	rows := 0
 	var bytes int64
 
-	w := colseg.NewWriter(rt.cat.ID, part, rt.cat.Schema, e.cfg.ColdForceRaw)
+	w := colseg.NewWriter(rt.cat.ID, part, rt.cat.Schema, false)
 	// cut finishes the in-progress segment: self-validate the blob by
 	// re-opening it, log it, and queue it for post-commit publish.
 	cut := func() error {

@@ -280,7 +280,6 @@ func (e *Engine) mountRecoveredTable(t *catalog.Table) (*tableRT, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree.SetCoarse(e.cfg.CoarseIndexLatch)
 		ix.tree = tree
 		ix.def.Root = tree.Root()
 	}

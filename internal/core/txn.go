@@ -57,13 +57,9 @@ func recycleRecords(s []wal.Record) []wal.Record {
 // Callers append exactly the encoded image and may hand the result to
 // the WAL records and storage layers, all of which copy at use time
 // (wal.Log.Append into its pending buffer, heap/btree into page
-// frames), so recycling at finish() is safe. In legacy mode (or with no
-// scratch) it falls back to a fresh heap slice.
+// frames), so recycling at finish() is safe.
 func (t *Txn) encBuf(n int) []byte {
 	sc := t.sc
-	if sc == nil {
-		return make([]byte, 0, n)
-	}
 	if cap(sc.enc)-sc.encOff < n {
 		sz := 4 << 10
 		if n > sz {
@@ -85,9 +81,6 @@ func (t *Txn) encBuf(n int) []byte {
 // consumer (index search, hash probe, byte comparison) uses it
 // transiently.
 func (t *Txn) pkKey(pk []row.Value) row.Key {
-	if t.sc == nil {
-		return row.EncodeKey(nil, pk...)
-	}
 	k := row.EncodeKey(t.sc.key[:0], pk...)
 	t.sc.key = k
 	return k
@@ -125,7 +118,7 @@ type Txn struct {
 	prepared bool
 	prepTS   uint64
 
-	sc *txnScratch // recycled buffers backing the fields above; nil in legacy mode
+	sc *txnScratch // recycled buffers backing the fields above; nil once finished
 }
 
 // HasWrites reports whether the transaction has buffered any log
@@ -143,19 +136,15 @@ func (e *Engine) Begin() *Txn {
 		id:   e.nextTxnID.Add(1),
 		snap: e.clock.Now(),
 	}
-	if e.legacyAlloc {
-		t.locks = make(map[rid.RID]struct{})
-	} else {
-		sc := scratchPool.Get().(*txnScratch)
-		t.sc = sc
-		t.locks = sc.locks
-		t.sysRecs = sc.sysRecs
-		t.imrsRecs = sc.imrsRecs
-		t.undo = sc.undo
-		t.atCommit = sc.atCommit
-		t.staged = sc.staged
-		t.newEntries = sc.newEntries
-	}
+	sc := scratchPool.Get().(*txnScratch)
+	t.sc = sc
+	t.locks = sc.locks
+	t.sysRecs = sc.sysRecs
+	t.imrsRecs = sc.imrsRecs
+	t.undo = sc.undo
+	t.atCommit = sc.atCommit
+	t.staged = sc.staged
+	t.newEntries = sc.newEntries
 	t.snapRef = e.snaps.Register(t.snap)
 	return t
 }
@@ -194,14 +183,11 @@ func (t *Txn) releaseAll() {
 	for r := range t.locks {
 		t.e.locks.Unlock(t.id, r)
 	}
-	switch {
-	case t.sc == nil:
-		t.locks = nil
-	case len(t.locks) > maxScratchItems:
+	if len(t.locks) > maxScratchItems {
 		// Maps never shrink on clear; don't let one lock-heavy
 		// transaction pin a huge table in the pool.
 		t.sc.locks = make(map[rid.RID]struct{})
-	default:
+	} else {
 		clear(t.locks)
 	}
 }
@@ -222,9 +208,6 @@ func (t *Txn) finish() {
 // owned by a later transaction.
 func (t *Txn) recycle() {
 	sc := t.sc
-	if sc == nil {
-		return
-	}
 	t.sc = nil
 	sc.sysRecs = recycleRecords(t.sysRecs)
 	sc.imrsRecs = recycleRecords(t.imrsRecs)

@@ -338,3 +338,32 @@ func TestTunerSkipsPinned(t *testing.T) {
 		t.Fatal("tuner disabled a pinned partition")
 	}
 }
+
+// BenchmarkAblationUniformPack compares the paper's packability-index
+// byte apportionment against the naive uniform split (§VI-C): the
+// uniform policy taxes the hot tiny partition thousands of times harder.
+func BenchmarkAblationUniformPack(b *testing.B) {
+	samples := []PartSample{
+		{ID: 1, ReuseOps: 200000, MemBytes: 64 << 10, Rows: 100},      // warehouse-like
+		{ID: 2, ReuseOps: 50, MemBytes: 512 << 20, Rows: 2_000_000},   // order_line-like
+		{ID: 3, ReuseOps: 3000, MemBytes: 32 << 20, Rows: 100_000},    // customer-like
+		{ID: 4, ReuseOps: 0, MemBytes: 128 << 20, Rows: 1_000_000},    // history-like
+		{ID: 5, ReuseOps: 15000, MemBytes: 32 << 20, Rows: 1_000_000}, // stock-like
+	}
+	const target = 64 << 20
+	var piHot, uniHot int64
+	b.Run("packability-index", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			shares := Apportion(samples, target)
+			piHot = shares[0].PackBytes
+		}
+		b.ReportMetric(float64(piHot), "hot-partition-bytes")
+	})
+	b.Run("uniform", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			shares := UniformApportion(samples, target)
+			uniHot = shares[0].PackBytes
+		}
+		b.ReportMetric(float64(uniHot), "hot-partition-bytes")
+	})
+}

@@ -55,3 +55,70 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		q.PopHead()
 	}
 }
+
+// BenchmarkAblationSingleQueue contrasts per-partition relaxed-LRU
+// queues with one database-wide queue (§VI-B): with a single queue, a
+// cold partition's rows interleave with hot ones, so the fraction of
+// packable rows found at the head collapses.
+func BenchmarkAblationSingleQueue(b *testing.B) {
+	mkEntry := func(part rid.PartitionID, seq uint64, hot bool) (*Entry, bool) {
+		e := &Entry{RID: rid.NewVirtual(part, seq), Part: part}
+		return e, hot
+	}
+	const n = 10000
+	headCold := func(single bool) float64 {
+		hotness := map[*Entry]bool{}
+		var qs [2]Queue
+		var one Queue
+		// Interleaved arrival: hot partition 1, cold partition 2.
+		for i := uint64(0); i < n; i++ {
+			e1, h1 := mkEntry(1, i, true)
+			e2, h2 := mkEntry(2, i, false)
+			hotness[e1], hotness[e2] = h1, h2
+			if single {
+				one.PushTail(e1)
+				one.PushTail(e2)
+			} else {
+				qs[0].PushTail(e1)
+				qs[1].PushTail(e2)
+			}
+		}
+		// A pack pass wants cold rows: count the cold fraction in the
+		// first 10% it inspects. Per-partition pack reads the cold
+		// partition's queue directly.
+		inspect := n / 5
+		cold := 0
+		if single {
+			seen := 0
+			one.Walk(func(e *Entry) bool {
+				if !hotness[e] {
+					cold++
+				}
+				seen++
+				return seen < inspect
+			})
+		} else {
+			seen := 0
+			qs[1].Walk(func(e *Entry) bool {
+				cold++
+				seen++
+				return seen < inspect
+			})
+		}
+		return float64(cold) / float64(inspect)
+	}
+	b.Run("per-partition", func(b *testing.B) {
+		var frac float64
+		for i := 0; i < b.N; i++ {
+			frac = headCold(false)
+		}
+		b.ReportMetric(frac*100, "cold%-at-head")
+	})
+	b.Run("single-queue", func(b *testing.B) {
+		var frac float64
+		for i := 0; i < b.N; i++ {
+			frac = headCold(true)
+		}
+		b.ReportMetric(frac*100, "cold%-at-head")
+	})
+}

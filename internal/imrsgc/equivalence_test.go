@@ -352,31 +352,3 @@ func TestStopIdempotent(t *testing.T) {
 	g.Stop()
 	g.Stop() // must not panic or hang
 }
-
-// TestSingleFlightMode exercises the benchmark baseline: one retire
-// buffer, reclamation serialized, but the same external semantics.
-func TestSingleFlightMode(t *testing.T) {
-	h := newGCHarness()
-	h.g.SetSingleFlight(true)
-	h.g.Start(2)
-	script := makeScript(rand.New(rand.NewSource(99)), 3, 100)
-	for i, op := range script {
-		h.run(t, op, uint64(i+1)*10)
-	}
-	h.g.Stop()
-	if rows := h.store.Rows(); rows < 0 {
-		t.Fatal("negative rows")
-	}
-	deleted := 0
-	for _, op := range script {
-		if op.delete {
-			deleted++
-		}
-	}
-	if got := int(h.g.EntriesFreed.Load()); got != deleted {
-		t.Fatalf("entries freed = %d, want %d", got, deleted)
-	}
-	if got := h.store.Rows(); got != int64(len(script)-deleted) {
-		t.Fatalf("live rows = %d, want %d", got, len(script)-deleted)
-	}
-}

@@ -120,11 +120,6 @@ type GC struct {
 	snaps *txn.SnapshotRegistry
 	hooks Hooks
 
-	// single selects the pre-striping baseline: one retire buffer and a
-	// single-flight reclamation pass behind reclaimMu, exactly the old
-	// pipeline. Benchmark ablation only (Config.SingleFlightGC).
-	single bool
-
 	shards    []retireShard
 	shardMask uint64
 
@@ -138,9 +133,6 @@ type GC struct {
 	stop    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
-
-	// reclaimMu serializes the reclamation pass in single-flight mode.
-	reclaimMu sync.Mutex
 
 	// Stats
 	VersionsFreed metrics.Counter
@@ -170,17 +162,6 @@ func New(store *imrs.Store, snaps *txn.SnapshotRegistry, hooks Hooks) *GC {
 	g.shardMask = uint64(n - 1)
 	g.partCond = sync.NewCond(&g.partMu)
 	return g
-}
-
-// SetSingleFlight switches the collector to the pre-striping baseline
-// pipeline (one retire buffer, single-flight reclamation). Must be
-// called before Start; benchmark ablations only.
-func (g *GC) SetSingleFlight(on bool) {
-	g.single = on
-	if on {
-		g.shards = g.shards[:1]
-		g.shardMask = 0
-	}
 }
 
 // Start launches n worker goroutines (minimum 1).
@@ -276,10 +257,6 @@ func (g *GC) NewRow(e *imrs.Entry) {
 // Step manually) call it instead of waiting for a worker tick; it is
 // safe alongside the background workers.
 func (g *GC) Drain() {
-	if g.single {
-		g.processSingle(&workerScratch{})
-		return
-	}
 	sc := &workerScratch{}
 	g.collect(sc)
 	g.partMu.Lock()
@@ -350,9 +327,6 @@ func (g *GC) process() { g.processWith(&workerScratch{}) }
 // partition. It reports whether the pass freed or enqueued anything
 // (Stop's drain loop terminates when a full pass does nothing).
 func (g *GC) processWith(sc *workerScratch) bool {
-	if g.single {
-		return g.processSingle(sc)
-	}
 	g.collect(sc)
 	minSnap := g.snaps.MinActive()
 
@@ -541,72 +515,6 @@ func (g *GC) freeEntry(re retiredEntry) {
 	}
 	g.store.RemoveEntry(re.e)
 	g.EntriesFreed.Inc()
-}
-
-// processSingle is the pre-striping baseline pass (Config.SingleFlightGC):
-// queue maintenance then a full filter scan of the single retire buffer,
-// serialized behind reclaimMu no matter how many workers run.
-func (g *GC) processSingle(sc *workerScratch) bool {
-	g.reclaimMu.Lock()
-	defer g.reclaimMu.Unlock()
-	g.Passes.Inc()
-	s := &g.shards[0]
-
-	s.mu.Lock()
-	rows := s.newRows
-	s.newRows = nil
-	s.mu.Unlock()
-	did := false
-	sortNewRows(rows)
-	if g.hooks.OnNewRow != nil {
-		for _, nr := range rows {
-			if !nr.e.Packed() {
-				g.hooks.OnNewRow(nr.e)
-				g.RowsEnqueued.Inc()
-				did = true
-			}
-		}
-	} else {
-		did = did || len(rows) > 0
-	}
-
-	minSnap := g.snaps.MinActive()
-
-	s.mu.Lock()
-	var keepV []retiredVersion
-	freeV := sc.versions[:0]
-	for _, rv := range s.versions {
-		if rv.retireTS <= minSnap {
-			freeV = append(freeV, rv)
-		} else {
-			keepV = append(keepV, rv)
-		}
-	}
-	s.versions = keepV
-	var keepE []retiredEntry
-	freeE := sc.entries[:0]
-	for _, re := range s.entries {
-		if re.retireTS <= minSnap {
-			freeE = append(freeE, re)
-		} else {
-			keepE = append(keepE, re)
-		}
-	}
-	s.entries = keepE
-	s.mu.Unlock()
-
-	sortVersions(freeV)
-	for _, rv := range freeV {
-		g.freeVersion(rv)
-		did = true
-	}
-	sortEntries(freeE)
-	for _, re := range freeE {
-		g.freeEntry(re)
-		did = true
-	}
-	sc.versions, sc.entries = freeV[:0], freeE[:0]
-	return did
 }
 
 // The sorters order retire items by their global seq stamp. Small

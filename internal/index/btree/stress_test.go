@@ -244,47 +244,6 @@ func TestStressConcurrent(t *testing.T) {
 	}
 }
 
-// TestStressCoarseMode runs a smaller mixed load with the tree-wide-lock
-// baseline enabled, so the benchmark fallback path stays correct too.
-func TestStressCoarseMode(t *testing.T) {
-	pool := stressPool(t, 4)
-	tr, err := New(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetCoarse(true)
-
-	const n = 600
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w * n; i < (w+1)*n; i++ {
-				if err := tr.Insert(stressKey(i), rid.RID(i+1)); err != nil {
-					t.Errorf("insert %d: %v", i, err)
-					return
-				}
-				if _, _, err := tr.Search(stressKey(i)); err != nil {
-					t.Errorf("search %d: %v", i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	cnt, err := tr.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt != 3*n {
-		t.Fatalf("Count = %d, want %d", cnt, 3*n)
-	}
-}
-
 // TestStressScanDuringSplitStorm aims a scanner at a key range that is
 // being split as fast as possible, asserting the pre-existing keys are
 // always all observed, in order.

@@ -3,7 +3,6 @@ package btree
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -45,12 +44,6 @@ type Tree struct {
 
 	latchWaits metrics.Counter // contested latches — the ILM contention signal
 	restarts   metrics.Counter // optimistic descents that fell back / root re-checks
-
-	// coarse reproduces the old tree-wide-lock behavior for benchmark
-	// baselines (cmd/readbench): every op wraps itself in coarseMu, held
-	// across all pool fetches, exactly like the pre-crabbing tree.
-	coarse   atomic.Bool
-	coarseMu sync.RWMutex
 }
 
 // New allocates an empty tree (a single leaf root).
@@ -85,12 +78,6 @@ func (t *Tree) LatchWaits() int64 { return t.latchWaits.Load() }
 // inserts that fell back to the pessimistic path plus root re-check
 // retries lost to a concurrent root split.
 func (t *Tree) Restarts() int64 { return t.restarts.Load() }
-
-// SetCoarse switches the tree to a tree-wide reader/writer lock held
-// across buffer-pool fetches — the pre-latch-coupling behavior. It
-// exists so benchmarks can measure the baseline; production trees never
-// enable it. Toggle only while the tree is quiescent.
-func (t *Tree) SetCoarse(v bool) { t.coarse.Store(v) }
 
 // latch acquires f's latch, attributing any wait to the tree level.
 func (t *Tree) latch(f *buffer.Frame, excl bool, level int) {
@@ -209,10 +196,6 @@ func (t *Tree) descendExclusiveLeaf(key []byte) (*buffer.Frame, error) {
 
 // Search returns the RID stored under key.
 func (t *Tree) Search(key []byte) (rid.RID, bool, error) {
-	if t.coarse.Load() {
-		t.coarseMu.RLock()
-		defer t.coarseMu.RUnlock()
-	}
 	f, err := t.descendShared(key)
 	if err != nil {
 		return rid.Zero, false, err
@@ -231,10 +214,6 @@ func (t *Tree) Search(key []byte) (rid.RID, bool, error) {
 func (t *Tree) Insert(key []byte, r rid.RID) error {
 	if len(key) > MaxKeySize {
 		return fmt.Errorf("btree: key of %d bytes exceeds max %d", len(key), MaxKeySize)
-	}
-	if t.coarse.Load() {
-		t.coarseMu.Lock()
-		defer t.coarseMu.Unlock()
 	}
 	done, err := t.insertOptimistic(key, r)
 	if done || err != nil {
@@ -383,10 +362,6 @@ func (t *Tree) insertPessimistic(key []byte, r rid.RID) error {
 // Update rebinds key to r, returning whether the key existed. Pack uses
 // it to repoint index entries from a virtual RID to a page-store RID.
 func (t *Tree) Update(key []byte, r rid.RID) (bool, error) {
-	if t.coarse.Load() {
-		t.coarseMu.Lock()
-		defer t.coarseMu.Unlock()
-	}
 	f, err := t.descendExclusiveLeaf(key)
 	if err != nil {
 		return false, err
@@ -406,10 +381,6 @@ func (t *Tree) Update(key []byte, r rid.RID) (bool, error) {
 // deletes run with a single leaf latch: a delete never changes any
 // node's key range, so no ancestor needs latching.
 func (t *Tree) Delete(key []byte) (rid.RID, bool, error) {
-	if t.coarse.Load() {
-		t.coarseMu.Lock()
-		defer t.coarseMu.Unlock()
-	}
 	f, err := t.descendExclusiveLeaf(key)
 	if err != nil {
 		return rid.Zero, false, err
@@ -576,13 +547,8 @@ func (t *Tree) splitInternal(f *buffer.Frame, csep []byte, cright uint32) ([]byt
 // range only ever splits rightward: keys that existed when a leaf was
 // read were all captured from it, and no later leaf can gain keys at or
 // below the resume bound. Keys inserted concurrently with the scan may
-// or may not be seen — the same non-guarantee the tree-wide lock gave,
-// since it never spanned fn either.
+// or may not be seen.
 func (t *Tree) ScanFrom(start []byte, fn func(key []byte, r rid.RID) bool) error {
-	if t.coarse.Load() {
-		t.coarseMu.RLock()
-		defer t.coarseMu.RUnlock()
-	}
 	f, err := t.descendShared(start)
 	if err != nil {
 		return err

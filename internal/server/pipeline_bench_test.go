@@ -10,7 +10,7 @@ import (
 
 // BenchmarkPipelinedTxn prices one pipelined transaction frame (BEGIN +
 // two binds + COMMIT) end to end over loopback — the unit the
-// tpccbench wire path repeats. Run with -cpuprofile to see where the
+// tpcc_wire workload of bench/ repeats. Run with -cpuprofile to see where the
 // wire machinery spends.
 func BenchmarkPipelinedTxn(b *testing.B) {
 	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 16 << 20})

@@ -107,7 +107,7 @@ type Stats struct {
 	Evictions  atomic.Int64
 	WriteBacks atomic.Int64
 	LatchWaits atomic.Int64
-	Overflows  atomic.Int64 // frames allocated beyond capacity (no-steal)
+	Overflows  atomic.Int64 // frames allocated beyond capacity (nothing evictable)
 
 	// IndexLevelWaits attributes contested index-frame latches to the
 	// tree level they occurred at (0 = root). Latch-coupled traversals
@@ -295,14 +295,13 @@ func (p *Pool) victimLocked() (*Frame, error) {
 		p.stats.Evictions.Add(1)
 		return f, nil
 	}
-	if p.noSteal {
-		// Grow past capacity rather than violate no-steal.
-		f := &Frame{data: make([]byte, disk.PageSize), pool: p}
-		p.frames = append(p.frames, f)
-		p.stats.Overflows.Add(1)
-		return f, nil
-	}
-	return nil, fmt.Errorf("buffer: all %d frames pinned", p.capacity)
+	// Every frame is pinned (or, under no-steal, dirty): grow past
+	// capacity rather than fail the fetch or violate no-steal. The
+	// overflow is bounded by the number of concurrently pinned frames.
+	f := &Frame{data: make([]byte, disk.PageSize), pool: p}
+	p.frames = append(p.frames, f)
+	p.stats.Overflows.Add(1)
+	return f, nil
 }
 
 // flushFrameLocked writes back a dirty frame. The caller must hold

@@ -86,7 +86,7 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 	}
 }
 
-func TestAllPinnedErrors(t *testing.T) {
+func TestAllPinnedOverflows(t *testing.T) {
 	p, _ := newPool(t, 2)
 	var frames []*Frame
 	for i := 0; i < 2; i++ {
@@ -97,14 +97,23 @@ func TestAllPinnedErrors(t *testing.T) {
 		f.Unlatch(true)
 		frames = append(frames, f) // keep pinned
 	}
-	if _, _, err := p.NewPage(page.TypeHeap); err == nil {
-		t.Fatal("NewPage with all frames pinned should fail")
+	_, f, err := p.NewPage(page.TypeHeap)
+	if err != nil {
+		t.Fatalf("NewPage with all frames pinned failed: %v", err)
+	}
+	f.Unlatch(true)
+	p.Unpin(f, true)
+	if got := p.Stats().Overflows.Load(); got != 1 {
+		t.Fatalf("Overflows = %d, want 1", got)
 	}
 	for _, f := range frames {
 		p.Unpin(f, true)
 	}
 	if _, _, err := p.NewPage(page.TypeHeap); err != nil {
 		t.Fatalf("NewPage after unpin failed: %v", err)
+	}
+	if got := p.Stats().Overflows.Load(); got != 1 {
+		t.Fatalf("Overflows = %d after unpin, want still 1", got)
 	}
 }
 

@@ -50,7 +50,7 @@ type Writer struct {
 }
 
 // NewWriter returns a Writer for one (table, partition) pair. forceRaw
-// disables dictionary/delta encoding (the negative-control knob).
+// stores every column raw, the fallback encoding (codec tests only).
 func NewWriter(tableID uint32, part rid.PartitionID, s *row.Schema, forceRaw bool) *Writer {
 	w := &Writer{tableID: tableID, part: part, schema: s, forceRaw: forceRaw}
 	w.cols = make([]colBuilder, s.NumColumns())
