@@ -187,9 +187,8 @@ func (t TableStats) ColdCompressionRatio() float64 {
 }
 
 // IndexStats is one index's observable state: B+tree latch traffic and
-// the IMRS hash fast path's occupancy. The hash table never resizes, so
-// HashLoadFactor (entries per bucket) is the early-warning signal that
-// the sizing chosen at CREATE time is starting to degrade lookups.
+// the IMRS hash fast path's occupancy. The hash table grows with its
+// entries, so HashLoadFactor (entries per bucket) stays ≤ 1.
 type IndexStats struct {
 	Unique bool
 

@@ -109,8 +109,6 @@ type Config struct {
 	// parks the engine ReadOnly if any exist.
 	TwoPCResolver func(gid uint64, coordShard uint32) TwoPCOutcome
 
-	// HashIndexBuckets sizes per-index IMRS hash tables.
-	HashIndexBuckets int
 	// DisableHashIndex turns off the hash fast path (ablation).
 	DisableHashIndex bool
 
@@ -142,15 +140,14 @@ type Config struct {
 // DefaultConfig returns a small-footprint default suitable for tests.
 func DefaultConfig() Config {
 	return Config{
-		BufferPoolPages:  1024,
-		IMRSCacheBytes:   64 << 20,
-		ILM:              ilm.DefaultConfig(),
-		ILMEnabled:       true,
-		PackThreads:      2,
-		PackInterval:     5 * time.Millisecond,
-		GCWorkers:        2,
-		LockTimeout:      5 * time.Second,
-		HashIndexBuckets: 1 << 12,
+		BufferPoolPages: 1024,
+		IMRSCacheBytes:  64 << 20,
+		ILM:             ilm.DefaultConfig(),
+		ILMEnabled:      true,
+		PackThreads:     2,
+		PackInterval:    5 * time.Millisecond,
+		GCWorkers:       2,
+		LockTimeout:     5 * time.Second,
 	}
 }
 
@@ -176,9 +173,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = d.LockTimeout
-	}
-	if c.HashIndexBuckets <= 0 {
-		c.HashIndexBuckets = d.HashIndexBuckets
 	}
 	if c.RecoveryThreads <= 0 {
 		c.RecoveryThreads = runtime.GOMAXPROCS(0)

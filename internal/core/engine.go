@@ -92,8 +92,8 @@ type Engine struct {
 	// packer freezing rows into segments). The read side (e.cold) is
 	// always wired: recovery must be able to rebuild segments logged
 	// before a restart that flipped the knob off.
-	coldEnabled       bool
-	unfreezes         atomic.Int64 // cold rows pulled back by updates
+	coldEnabled bool
+	unfreezes   atomic.Int64 // cold rows pulled back by updates
 
 	ckptStop chan struct{}
 	ckptDone chan struct{}
@@ -579,7 +579,7 @@ func (e *Engine) mountTable(t *catalog.Table, fresh bool) (*tableRT, error) {
 		}
 		ix := &indexRT{def: def, tree: tr}
 		if def.Hash && !e.cfg.DisableHashIndex {
-			ix.hash = hash.New(e.cfg.HashIndexBuckets)
+			ix.hash = hash.New(0)
 		}
 		rt.indexes = append(rt.indexes, ix)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/row"
 )
 
@@ -119,6 +120,31 @@ func TestDisableHashIndexEndToEnd(t *testing.T) {
 		}
 	}
 	mustCommit(t, tx2)
+}
+
+// TestHashIndexGrowsWithTable: the primary index's hash table keeps its
+// load factor at or below 1 with nobody sizing it, as Stats reports it.
+func TestHashIndexGrowsWithTable(t *testing.T) {
+	const n = 200_000
+	e := openEngine(t, func(c *Config) {
+		c.IMRSCacheBytes = 256 << 20 // every row stays resident
+		c.ILMEnabled = false
+	})
+	if _, err := e.CreateTable("items", testSchema(), []string{"id"}, catalog.PartitionSpec{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	for i := int64(0); i < n; i++ {
+		if err := tx.Insert("items", itemRow(i, "h", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+	ix := e.Stats().Indexes[0]
+	if ix.HashEntries != n || ix.HashBuckets < n || ix.HashLoadFactor > 1 {
+		t.Fatalf("after %d inserts: HashEntries = %d HashBuckets = %d HashLoadFactor = %v, want factor <= 1",
+			n, ix.HashEntries, ix.HashBuckets, ix.HashLoadFactor)
+	}
 }
 
 // TestFinishedTxnRejectsEverything.

@@ -116,8 +116,8 @@ func (c ColdStoreSnapshot) Ratio() float64 {
 }
 
 // IndexSnapshot is one index's observable state: B+tree latch traffic
-// and, when the IMRS hash fast path is mounted, its occupancy — the
-// signal that the fixed "no resize" sizing is starting to degrade.
+// and, when the IMRS hash fast path is mounted, its occupancy. The
+// hash table grows with its entries, so HashLoadFactor stays ≤ 1.
 type IndexSnapshot struct {
 	Table  string
 	Name   string
@@ -167,9 +167,9 @@ type RecoverySnapshot struct {
 	Total  time.Duration
 	Phases []RecoveryPhase
 
-	SyslogRecords    int64 // syslogs records scanned by analysis
-	IMRSRecords      int64 // committed IMRS operations replayed
-	RedoConflicts    int64 // physical slot conflicts reconciled by redo
+	SyslogRecords int64 // syslogs records scanned by analysis
+	IMRSRecords   int64 // committed IMRS operations replayed
+	RedoConflicts int64 // physical slot conflicts reconciled by redo
 	//                        (a failed-sync commit's records survived on
 	//                        disk while the live engine rolled it back;
 	//                        later committed work disagreed on the slot)

@@ -30,16 +30,11 @@ func AppendEncoded(r Row, dst []byte) []byte {
 		dst = append(dst, byte(v.kind))
 		switch v.kind {
 		case 0: // NULL: kind byte only
-		case KindInt64:
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v.i))
-		case KindFloat64:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-			dst = append(dst, v.s...)
-		case KindBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
+		case KindInt64, KindFloat64:
+			dst = binary.BigEndian.AppendUint64(dst, v.num)
+		case KindString, KindBytes:
+			dst = binary.AppendUvarint(dst, uint64(len(v.str)))
+			dst = append(dst, v.str...)
 		}
 	}
 	return dst
@@ -53,10 +48,8 @@ func EncodedSize(r Row) int {
 		switch v.kind {
 		case KindInt64, KindFloat64:
 			n += 8
-		case KindString:
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
-		case KindBytes:
-			n += uvarintLen(uint64(len(v.b))) + len(v.b)
+		case KindString, KindBytes:
+			n += uvarintLen(uint64(len(v.str))) + len(v.str)
 		}
 	}
 	return n

@@ -3,6 +3,7 @@ package row
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -162,5 +163,13 @@ func TestNewSchemaRejectsDuplicates(t *testing.T) {
 	_, err = NewSchema(Column{Name: "a", Kind: Kind(99)})
 	if err == nil {
 		t.Fatal("want bad-kind error")
+	}
+}
+
+// Decode makes one []Value per row read; the size of Value is most of
+// what that costs.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Fatalf("Value is %d bytes, want <= 32", n)
 	}
 }

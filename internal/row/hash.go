@@ -1,7 +1,5 @@
 package row
 
-import "math"
-
 // FNV-1a 64-bit constants. The offset basis doubles as the fixed router
 // seed: shard assignment must be a pure function of the key so it is
 // stable across process restarts (a row logged to shard k must recover
@@ -25,24 +23,13 @@ const HashSeed uint64 = fnvOffset64
 func (v Value) Hash64(h uint64) uint64 {
 	h = (h ^ uint64(v.kind)) * fnvPrime64
 	switch v.kind {
-	case KindInt64:
-		u := uint64(v.i)
+	case KindInt64, KindFloat64:
 		for s := uint(0); s < 64; s += 8 {
-			h = (h ^ (u >> s & 0xFF)) * fnvPrime64
+			h = (h ^ (v.num >> s & 0xFF)) * fnvPrime64
 		}
-	case KindFloat64:
-		u := math.Float64bits(v.f)
-		for s := uint(0); s < 64; s += 8 {
-			h = (h ^ (u >> s & 0xFF)) * fnvPrime64
-		}
-	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			h = (h ^ uint64(v.s[i])) * fnvPrime64
-		}
-		h = (h ^ 0xFF) * fnvPrime64
-	case KindBytes:
-		for i := 0; i < len(v.b); i++ {
-			h = (h ^ uint64(v.b[i])) * fnvPrime64
+	case KindString, KindBytes:
+		for i := 0; i < len(v.str); i++ {
+			h = (h ^ uint64(v.str[i])) * fnvPrime64
 		}
 		h = (h ^ 0xFF) * fnvPrime64
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Key is an order-preserving binary encoding of one or more values:
@@ -32,10 +31,10 @@ func EncodeKey(dst []byte, vals ...Value) Key {
 		case KindInt64:
 			dst = append(dst, keyTagInt)
 			// Flip the sign bit so unsigned byte order matches signed order.
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v.i)^(1<<63))
+			dst = binary.BigEndian.AppendUint64(dst, v.num^(1<<63))
 		case KindFloat64:
 			dst = append(dst, keyTagFloat)
-			bits := math.Float64bits(v.f)
+			bits := v.num
 			if bits&(1<<63) != 0 {
 				bits = ^bits // negative floats: invert everything
 			} else {
@@ -44,10 +43,10 @@ func EncodeKey(dst []byte, vals ...Value) Key {
 			dst = binary.BigEndian.AppendUint64(dst, bits)
 		case KindString:
 			dst = append(dst, keyTagString)
-			dst = appendEscaped(dst, []byte(v.s))
+			dst = appendEscaped(dst, v.bytes())
 		case KindBytes:
 			dst = append(dst, keyTagBytes)
-			dst = appendEscaped(dst, v.b)
+			dst = appendEscaped(dst, v.bytes())
 		}
 	}
 	return dst

@@ -6,6 +6,7 @@ package row
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Kind enumerates column types.
@@ -35,26 +36,35 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single typed column value. The zero Value is NULL.
+// Value is a single typed column value. The zero Value is NULL. It is
+// 32 bytes: rows are decoded into a fresh []Value per read, so the two
+// numeric kinds share one word and the two variable-length kinds share
+// one string header.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    []byte
+	num  uint64 // KindInt64: the value; KindFloat64: its IEEE 754 bits
+	str  string // KindString: the value; KindBytes: the slice's memory
 }
 
 // Int64 returns an int64 value.
-func Int64(v int64) Value { return Value{kind: KindInt64, i: v} }
+func Int64(v int64) Value { return Value{kind: KindInt64, num: uint64(v)} }
 
 // Float64 returns a float64 value.
-func Float64(v float64) Value { return Value{kind: KindFloat64, f: v} }
+func Float64(v float64) Value { return Value{kind: KindFloat64, num: math.Float64bits(v)} }
 
 // String returns a string value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+func String(v string) Value { return Value{kind: KindString, str: v} }
 
 // Bytes returns a raw bytes value. The slice is referenced, not copied.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, b: v} }
+func Bytes(v []byte) Value {
+	return Value{kind: KindBytes, str: unsafe.String(unsafe.SliceData(v), len(v))}
+}
+
+// bytes returns the memory behind v.str as a slice: the slice a KindBytes
+// value was made from, or a read-only view of a KindString value.
+func (v Value) bytes() []byte { return unsafe.Slice(unsafe.StringData(v.str), len(v.str)) }
+
+func (v Value) float() float64 { return math.Float64frombits(v.num) }
 
 // Null is the NULL value.
 var Null = Value{}
@@ -70,7 +80,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt64 {
 		panic(fmt.Sprintf("row: Int() on %v value", v.kind))
 	}
-	return v.i
+	return int64(v.num)
 }
 
 // Float returns the float64 payload; it panics on kind mismatch.
@@ -78,7 +88,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat64 {
 		panic(fmt.Sprintf("row: Float() on %v value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload; it panics on kind mismatch.
@@ -86,7 +96,7 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("row: Str() on %v value", v.kind))
 	}
-	return v.s
+	return v.str
 }
 
 // Raw returns the bytes payload; it panics on kind mismatch.
@@ -94,7 +104,7 @@ func (v Value) Raw() []byte {
 	if v.kind != KindBytes {
 		panic(fmt.Sprintf("row: Raw() on %v value", v.kind))
 	}
-	return v.b
+	return v.bytes()
 }
 
 // Equal reports deep equality of two values.
@@ -106,13 +116,11 @@ func (v Value) Equal(o Value) bool {
 	case 0:
 		return true
 	case KindInt64:
-		return v.i == o.i
+		return v.num == o.num
 	case KindFloat64:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
-	case KindString:
-		return v.s == o.s
-	case KindBytes:
-		return string(v.b) == string(o.b)
+		return v.float() == o.float() || (math.IsNaN(v.float()) && math.IsNaN(o.float()))
+	case KindString, KindBytes:
+		return v.str == o.str
 	}
 	return false
 }
@@ -123,13 +131,13 @@ func (v Value) String() string {
 	case 0:
 		return "NULL"
 	case KindInt64:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", int64(v.num))
 	case KindFloat64:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.float())
 	case KindString:
-		return fmt.Sprintf("%q", v.s)
+		return fmt.Sprintf("%q", v.str)
 	case KindBytes:
-		return fmt.Sprintf("0x%x", v.b)
+		return fmt.Sprintf("0x%x", v.str)
 	}
 	return "?"
 }
@@ -142,9 +150,7 @@ func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	for i, v := range r {
 		if v.kind == KindBytes {
-			b := make([]byte, len(v.b))
-			copy(b, v.b)
-			v.b = b
+			v = Bytes([]byte(v.str))
 		}
 		out[i] = v
 	}

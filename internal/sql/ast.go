@@ -125,9 +125,9 @@ type Pred struct {
 // the executor evaluates against the locked current row image so that
 // concurrent `SET v = v + 1` sessions never lose increments.
 type Assign struct {
-	Col    string
-	Lit    Literal
-	RefCol string
+	Col     string
+	Lit     Literal
+	RefCol  string
 	ArithOp byte // '+' or '-' when RefCol is set
 }
 

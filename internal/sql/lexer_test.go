@@ -9,11 +9,11 @@ import (
 // construction) with the CLI shell: its tokenizer delegates to
 // ScanQuoted, so these cases define the behaviour of both front ends.
 var QuotedCases = []struct {
-	Name  string
-	In    string // full token starting at offset 0
-	Val   string
-	Rest  string // what follows the closing quote
-	Err   bool
+	Name string
+	In   string // full token starting at offset 0
+	Val  string
+	Rest string // what follows the closing quote
+	Err  bool
 }{
 	{Name: "simple", In: `"ada"`, Val: "ada"},
 	{Name: "single-quoted", In: `'ada'`, Val: "ada"},

@@ -155,23 +155,23 @@ func TestParseErrors(t *testing.T) {
 		`SELECT a FROM t LIMIT -1`,
 		`SELECT a FROM t extra`,
 		`CREATE TABLE t ()`,
-		`CREATE TABLE t (a int)`,                            // no primary key
-		`CREATE TABLE t (a wibble, PRIMARY KEY (a))`,        // bad type
-		`CREATE TABLE t (a int, PRIMARY KEY (a)) KEY (a)`,   // duplicate pk clause
-		`INSERT t VALUES (1)`,                               // missing INTO
-		`INSERT INTO t VALUES 1`,                            // missing parens
-		`INSERT INTO t VALUES (-'x')`,                       // negated string
-		`UPDATE t SET v WHERE id = 1`,                       // missing =
-		`UPDATE t SET v = v * 2`,                            // unsupported operator
-		`DELETE t WHERE id = 1`,                             // missing FROM
-		`DROP t`,                                            // missing TABLE
-		`PREPARE p SELECT 1`,                                // missing AS
-		`PREPARE p AS BEGIN`,                                // only DML is preparable
-		`EXECUTE p (?)`,                                     // placeholder as argument
-		`DEALLOCATE`,                                        // missing name
-		`SELECT a FROM t WHERE id IN ()`,                    // empty IN list
-		`SELECT a FROM t LIMIT ?`,                           // LIMIT is not bindable
-		`SELECT a FROM t; SELECT b FROM t`,                  // one statement at a time
+		`CREATE TABLE t (a int)`, // no primary key
+		`CREATE TABLE t (a wibble, PRIMARY KEY (a))`,      // bad type
+		`CREATE TABLE t (a int, PRIMARY KEY (a)) KEY (a)`, // duplicate pk clause
+		`INSERT t VALUES (1)`,                             // missing INTO
+		`INSERT INTO t VALUES 1`,                          // missing parens
+		`INSERT INTO t VALUES (-'x')`,                     // negated string
+		`UPDATE t SET v WHERE id = 1`,                     // missing =
+		`UPDATE t SET v = v * 2`,                          // unsupported operator
+		`DELETE t WHERE id = 1`,                           // missing FROM
+		`DROP t`,                                          // missing TABLE
+		`PREPARE p SELECT 1`,                              // missing AS
+		`PREPARE p AS BEGIN`,                              // only DML is preparable
+		`EXECUTE p (?)`,                                   // placeholder as argument
+		`DEALLOCATE`,                                      // missing name
+		`SELECT a FROM t WHERE id IN ()`,                  // empty IN list
+		`SELECT a FROM t LIMIT ?`,                         // LIMIT is not bindable
+		`SELECT a FROM t; SELECT b FROM t`,                // one statement at a time
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) should fail", in)

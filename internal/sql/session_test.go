@@ -132,7 +132,7 @@ func testCRUD(t *testing.T, eng Engine) {
 	}
 }
 
-func TestExecCRUD(t *testing.T)       { testCRUD(t, openEngine(t)) }
+func TestExecCRUD(t *testing.T)        { testCRUD(t, openEngine(t)) }
 func TestExecCRUDSharded(t *testing.T) { testCRUD(t, openShardedEngine(t, 3)) }
 
 func TestExecCompositeKeyRouting(t *testing.T) {
@@ -183,15 +183,15 @@ func TestExecTypeChecking(t *testing.T) {
 	defer s.Close()
 	mustExec(t, s, `CREATE TABLE t (a INT, b STRING, PRIMARY KEY (a))`)
 	for _, bad := range []string{
-		`INSERT INTO t VALUES ('x', 'y')`,     // string into int
-		`INSERT INTO t VALUES (1.5, 'y')`,     // float into int
-		`INSERT INTO t VALUES (1, 2)`,         // int into string
-		`SELECT * FROM t WHERE a = 'x'`,       // string pred on int col
-		`SELECT * FROM t WHERE missing = 1`,   // unknown column
-		`SELECT missing FROM t`,               // unknown projection
-		`SELECT * FROM missing`,               // unknown table
-		`UPDATE t SET a = 9 WHERE a = 1`,      // PK column update
-		`UPDATE t SET b = b + 1 WHERE a = 1`,  // arithmetic on string
+		`INSERT INTO t VALUES ('x', 'y')`,    // string into int
+		`INSERT INTO t VALUES (1.5, 'y')`,    // float into int
+		`INSERT INTO t VALUES (1, 2)`,        // int into string
+		`SELECT * FROM t WHERE a = 'x'`,      // string pred on int col
+		`SELECT * FROM t WHERE missing = 1`,  // unknown column
+		`SELECT missing FROM t`,              // unknown projection
+		`SELECT * FROM missing`,              // unknown table
+		`UPDATE t SET a = 9 WHERE a = 1`,     // PK column update
+		`UPDATE t SET b = b + 1 WHERE a = 1`, // arithmetic on string
 	} {
 		if _, err := s.Exec(bad); err == nil {
 			t.Errorf("%q should fail", bad)
