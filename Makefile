@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto test-bench bench-smoke loc ci
+.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -47,12 +47,12 @@ test-gc:
 	$(GO) test -race ./internal/core/ -run 'AllocBudget'
 
 # Columnar cold-store tests under the race detector: segment codec
-# round-trips, freeze/un-freeze/delete visibility, the vectorized-scan
-# equivalence checks, and the freeze -> scan -> un-freeze -> crash-recover
+# round-trips, freeze/un-freeze/delete visibility, the scan-against-
+# point-read checks, and the freeze -> scan -> un-freeze -> crash-recover
 # property test.
 test-cold:
 	$(GO) test -race ./internal/storage/colseg/
-	$(GO) test -race ./internal/core/ -run 'TestCold|TestScanBatches'
+	$(GO) test -race ./internal/core/ -run 'TestCold|TestScan'
 
 # Randomized fault-injection soak (internal/chaos) under the race
 # detector: transient device/WAL glitches, hard log deaths, and
@@ -72,25 +72,28 @@ test-chaos-server:
 	$(GO) test -race ./internal/shard/ -run 'Resolver|Journal'
 	$(GO) test -race ./internal/server/ -run 'Limits|Deadline|MaxConns|IdleReap|Panic|Oversized|GoroutineLeak'
 
-# Sharded-node tests under the race detector: the router/2PC/in-doubt
-# recovery suite, the engine-level prepare/decide/resolve tests, and
-# the shard-crash chaos scenario (one shard killed mid-workload;
-# cross-shard atomicity and survivor availability asserted).
+# Node tests under the race detector: the router/2PC/in-doubt recovery
+# and fan-out suite, the public API on one and on three shards (with the
+# directory-layout checks), the engine-level prepare/decide/resolve
+# tests, and the shard-crash chaos scenario (one shard killed
+# mid-workload; cross-shard atomicity and survivor availability
+# asserted).
 test-shard:
-	$(GO) test -race ./internal/shard/
+	$(GO) test -race ./internal/shard/ ./btrim/
 	$(GO) test -race ./internal/core/ -run 'Prepare|InDoubt|TwoPC|LocalOutcome'
 	$(GO) test -race ./internal/chaos/ -run 'ShardCrash'
 
 # SQL front end, wire server, and shell tests under the race detector:
 # lexer/parser/planner/executor suites, the protocol round-trip and
-# drain tests, and the N-TCP-clients mixed-DML isolation stress.
+# drain tests (each on one and on three shards), and the N-TCP-clients
+# mixed-DML isolation stress.
 test-server:
 	$(GO) test -race ./internal/sql/ ./internal/server/ ./internal/cli/
 
 # The prepared-statement and plan-cache front end under the race
 # detector: PREPARE/EXECUTE/DEALLOCATE, transparent-cache hit/miss/
-# invalidation accounting, DDL invalidation on both engine layouts, IN
-# and index-equality access paths, and the pipelined wire batching
+# invalidation accounting, DDL invalidation on one shard and on three,
+# IN and index-equality access paths, and the pipelined wire batching
 # suite (mid-batch failure, concurrent clients).
 test-sql-prepared:
 	$(GO) test -race ./internal/sql/ -run 'Prepare|Prepared|PlanCache|Transparent|INAndIndex|DropTable'
@@ -112,6 +115,12 @@ fuzz: fuzz-proto
 fuzz-proto:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
+
+# bench/ is frozen outside benchmark PRs but compiles against btrim,
+# internal/sql and internal/shard: vet and build it so that a rename
+# there fails the main CI job, not only the bench-smoke one.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build ./...
 
 # The repo's benchmark lives in its own module under bench/ (root
 # `go test ./...` does not descend into it): its unit tests plus a full
@@ -136,6 +145,6 @@ loc:
 # the full suite. The fuzz targets run with a small budget here — the
 # checked-in corpora replay as plain seeds, the extra seconds only probe
 # for fresh crashers.
-ci: build vet fmt-check test-race-internal test-race-readpath test-sql-prepared
+ci: build vet fmt-check bench-build test-race-internal test-race-readpath test-sql-prepared
 	$(GO) test -race -short ./...
 	$(MAKE) fuzz-proto FUZZTIME=10s

@@ -5,6 +5,13 @@
 // operation — where data lives, and a background Pack subsystem
 // relocating cold rows out of memory.
 //
+// A database is a node of one or more shards (Config.Shards): each
+// shard is an independent engine with its own devices, logs and
+// life-cycle loops, and rows route to shards by a hash of their primary
+// key. One shard is the default and costs nothing extra; transactions
+// that write several shards commit with two-phase commit (DESIGN.md
+// §12).
+//
 // Quick start:
 //
 //	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 64 << 20})
@@ -20,11 +27,13 @@
 package btrim
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/row"
+	"repro/internal/shard"
 )
 
 // ColumnType enumerates supported column types.
@@ -128,26 +137,22 @@ type Config struct {
 	// values are clamped to the format maximum).
 	ColdSegmentRows int
 
-	// Shards selects the sharded multi-engine node for OpenSharded: the
-	// database becomes Shards independent engines behind a
+	// Shards is the number of independent engines behind the
 	// hash-partitioned primary-key router, each with its own WALs, GC,
-	// pack loops and health state (DESIGN.md §12). 0 or 1 means one
-	// shard. Ignored by Open.
+	// pack loops and health state (DESIGN.md §12). 0 means whatever Dir
+	// already holds, and one shard for a new or in-memory database; a
+	// positive count that disagrees with Dir fails Open with
+	// ErrLayoutMismatch.
 	Shards int
 
 	// GCWorkers sets the IMRS-GC worker count (0 keeps the default).
 	GCWorkers int
 }
 
-// DB is an open database.
-type DB struct {
-	eng *core.Engine
-}
-
-// coreConfig maps the public configuration onto the engine's.
+// coreConfig maps the public configuration onto one shard's engine
+// configuration (Open fills in the per-shard directory and budgets).
 func (cfg Config) coreConfig() core.Config {
 	ec := core.DefaultConfig()
-	ec.Dir = cfg.Dir
 	if cfg.IMRSCacheBytes > 0 {
 		ec.IMRSCacheBytes = cfg.IMRSCacheBytes
 	}
@@ -179,21 +184,92 @@ func (cfg Config) coreConfig() core.Config {
 	return ec
 }
 
-// Open creates or recovers a database.
+// ErrLayoutMismatch reports a Dir whose contents do not match the
+// configuration: a different shard count than Config.Shards asks for,
+// or the single-engine layout of earlier versions. Open returns it
+// before creating or writing anything.
+var ErrLayoutMismatch = shard.ErrLayoutMismatch
+
+// DB is an open database: a node of NumShards independent engines —
+// each with its own data directory, WAL pair, GC, pack loops and health
+// state — behind a hash-partitioned primary-key router. Transactions
+// that write one shard commit on that shard's own pipeline;
+// transactions spanning shards commit with two-phase commit layered on
+// the per-shard group-commit pipelines (DESIGN.md §12).
+type DB struct {
+	node *shard.Node
+}
+
+// ShardedDB is the former name of DB, which bench/ still spells.
+// Delete with the next benchmark issue.
+type ShardedDB = DB
+
+// Open creates or recovers a database. Explicitly configured memory
+// budgets (IMRSCacheBytes, BufferPoolPages) are the node total and
+// divide across shards; zero values leave each shard on the engine
+// default. With Dir set, shard i lives under Dir/shard-NNN.
 func Open(cfg Config) (*DB, error) {
-	eng, err := core.Open(cfg.coreConfig())
+	nShards, err := shard.ResolveShards(cfg.Dir, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng}, nil
+	base := cfg.coreConfig()
+	if cfg.IMRSCacheBytes > 0 {
+		base.IMRSCacheBytes = max(cfg.IMRSCacheBytes/int64(nShards), 1<<20)
+	}
+	if cfg.BufferPoolPages > 0 {
+		base.BufferPoolPages = max(cfg.BufferPoolPages/nShards, 64)
+	}
+	node, err := shard.Open(shard.Config{Shards: nShards, Dir: cfg.Dir, Base: base})
+	if err != nil {
+		return nil, err
+	}
+	return &DB{node: node}, nil
 }
 
-// Close checkpoints and shuts down.
-func (db *DB) Close() error { return db.eng.Close() }
+// WrapNode adapts an explicitly configured shard node — custom
+// per-shard media, journal backend, resolver cadence — to the public
+// DB surface. The chaos harnesses use it to drive the SQL and wire
+// layers over crash-surviving storage.
+func WrapNode(n *shard.Node) *DB { return &DB{node: n} }
 
-// Engine exposes the underlying engine for advanced instrumentation
-// (stats snapshots, manual checkpoints). Most applications never need it.
-func (db *DB) Engine() *core.Engine { return db.eng }
+// Close checkpoints and shuts down every shard.
+func (db *DB) Close() error { return db.node.Close() }
+
+// Halt crash-stops every shard without checkpointing (testing).
+func (db *DB) Halt() error { return db.node.Halt() }
+
+// HaltShard crash-stops one shard; the others keep serving and
+// operations routed to the dead shard fail with ErrShardDown.
+func (db *DB) HaltShard(i int) error { return db.node.HaltShard(i) }
+
+// RestartShard recovers one halted (or parked) shard in place from its
+// own logs while the rest of the node keeps serving.
+func (db *DB) RestartShard(i int) error { return db.node.RestartShard(i) }
+
+// ResolvePending runs one in-doubt resolver pass synchronously and
+// returns how many transactions it settled (the background resolver
+// does the same on a timer).
+func (db *DB) ResolvePending() int { return db.node.ResolvePending() }
+
+// NumShards returns the shard count.
+func (db *DB) NumShards() int { return db.node.NumShards() }
+
+// Node exposes the underlying shard node, and through Node().Engine(i)
+// each shard's engine, for advanced instrumentation. Most applications
+// never need it.
+func (db *DB) Node() *shard.Node { return db.node }
+
+// eachShard runs fn on every shard's engine in shard order, stopping at
+// the first error.
+func (db *DB) eachShard(fn func(*core.Engine) error) error {
+	for i := 0; i < db.node.NumShards(); i++ {
+		if err := fn(db.node.Engine(i)); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // compile lowers the public table spec to the catalog's vocabulary.
 func (spec TableSpec) compile() (*row.Schema, catalog.PartitionSpec, []catalog.IndexSpec, error) {
@@ -217,56 +293,52 @@ func (spec TableSpec) compile() (*row.Schema, catalog.PartitionSpec, []catalog.I
 	}, ixs, nil
 }
 
-// CreateTable creates a table and checkpoints the DDL.
+// CreateTable creates the table on every shard and checkpoints the DDL.
 func (db *DB) CreateTable(spec TableSpec) error {
 	schema, part, ixs, err := spec.compile()
 	if err != nil {
 		return err
 	}
-	_, err = db.eng.CreateTable(spec.Name, schema, spec.PrimaryKey, part, ixs)
-	return err
+	return db.node.CreateTable(spec.Name, schema, spec.PrimaryKey, part, ixs)
 }
 
-// DropTable removes a table and all its rows, and checkpoints the DDL
-// so the drop survives restart. The table's on-disk pages are not
-// reclaimed (there is no page free list); its log records are skipped
-// at recovery.
-func (db *DB) DropTable(name string) error { return db.eng.DropTable(name) }
+// DropTable removes a table and all its rows from every shard, and
+// checkpoints the DDL so the drop survives restart. The table's on-disk
+// pages are not reclaimed (there is no page free list); its log records
+// are skipped at recovery.
+func (db *DB) DropTable(name string) error { return db.node.DropTable(name) }
 
-// Checkpoint forces a checkpoint (flushes dirty pages, embeds a catalog
-// snapshot in the log).
-func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
+// Checkpoint forces a checkpoint on every shard (flushes dirty pages,
+// embeds a catalog snapshot in the log).
+func (db *DB) Checkpoint() error { return db.eachShard((*core.Engine).Checkpoint) }
 
-// CompactLog rewrites the IMRS redo log to hold exactly the live
-// in-memory rows, bounding its growth (available on file-backed
+// CompactLog rewrites every shard's IMRS redo log to hold exactly the
+// live in-memory rows, bounding its growth (available on file-backed
 // databases; in-memory ones need an explicit log factory).
-func (db *DB) CompactLog() error { return db.eng.CompactIMRSLog() }
+func (db *DB) CompactLog() error { return db.eachShard((*core.Engine).CompactIMRSLog) }
 
-// PinTable overrides ILM for a table: inMemory=true keeps it fully
-// memory-resident (never tuned out, though extreme cache pressure can
-// still spill new rows); inMemory=false keeps it out of the IMRS
-// entirely. This is the "fully in-memory tables" user configuration the
-// paper's conclusion proposes.
+// PinTable overrides ILM for a table on every shard: inMemory=true
+// keeps it fully memory-resident (never tuned out, though extreme cache
+// pressure can still spill new rows); inMemory=false keeps it out of
+// the IMRS entirely. This is the "fully in-memory tables" user
+// configuration the paper's conclusion proposes.
 func (db *DB) PinTable(name string, inMemory bool) error {
-	return db.eng.PinTable(name, inMemory)
+	return db.node.PinTable(name, inMemory)
 }
 
 // UnpinTable returns a pinned table to automatic ILM control.
-func (db *DB) UnpinTable(name string) error { return db.eng.UnpinTable(name) }
+func (db *DB) UnpinTable(name string) error {
+	return db.eachShard(func(e *core.Engine) error { return e.UnpinTable(name) })
+}
 
-// Begin starts a transaction.
-func (db *DB) Begin() *Tx { return &Tx{tx: db.eng.Begin()} }
+// Begin starts a transaction. Shard participants are created lazily on
+// first touch, so a transaction that stays on one shard carries no
+// coordination overhead.
+func (db *DB) Begin() *Tx { return &Tx{tx: db.node.Begin()} }
 
 // View runs fn in a transaction that is always committed (intended for
 // reads; commit of a read-only transaction is free).
-func (db *DB) View(fn func(*Tx) error) error {
-	tx := db.Begin()
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}
+func (db *DB) View(fn func(*Tx) error) error { return db.Update(fn) }
 
 // Update runs fn in a transaction, committing on success and aborting
 // on error.

@@ -94,8 +94,22 @@ type Health struct {
 	CheckpointRetry RetryStats
 }
 
-// Health snapshots the engine health state machine.
-func (db *DB) Health() Health { return healthFromCore(db.eng.Health()) }
+// Health snapshots the health state machine of the shard in the worst
+// state (shard 0's on a fully healthy node).
+func (db *DB) Health() Health {
+	worst := 0
+	for i := 1; i < db.node.NumShards(); i++ {
+		if db.ShardHealth(i) > db.ShardHealth(worst) {
+			worst = i
+		}
+	}
+	return healthFromCore(db.node.Engine(worst).Health())
+}
+
+// ShardHealth returns one shard's health state.
+func (db *DB) ShardHealth(i int) HealthState {
+	return HealthState(db.node.Engine(i).HealthState())
+}
 
 func healthFromCore(h core.HealthSnapshot) Health {
 	out := Health{

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPublicAPIHealth(t *testing.T) {
-	db := openDB(t, btrim.Config{})
+	db := openDB(t, btrim.Config{Shards: 3})
 	if err := db.CreateTable(accountsSpec()); err != nil {
 		t.Fatal(err)
 	}

@@ -95,8 +95,8 @@ type Stats struct {
 	PackRelocErrors int64
 	// ColdStore summarizes the compressed columnar cold store.
 	ColdStore ColdStoreStats
-	// Health is the engine health state machine's snapshot. A sharded
-	// snapshot reports the worst state across shards.
+	// Health is the health state machine's snapshot of the shard in the
+	// worst state.
 	Health Health
 	// Tables maps table/partition name to its per-partition stats.
 	Tables map[string]TableStats
@@ -112,15 +112,16 @@ type Stats struct {
 	PreparedAborts  int64
 	Decisions       int64
 
-	// Sharded-node rollups, set only on ShardedDB.Stats snapshots:
-	// Shards holds each shard's full stats, and the commit counters
-	// classify node-level transactions by how many shards they wrote.
+	// Node rollups, set only on DB.Stats snapshots (not on the per-shard
+	// entries of Shards): Shards holds each shard's full stats, and the
+	// commit counters classify node-level transactions by how many
+	// shards they wrote.
 	Shards                 []ShardStats
 	SingleShardCommits     int64
 	CrossShardCommits      int64
 	CrossShardAborts       int64
 	CrossShardCommitErrors int64
-	// Failure-recovery rollups (sharded nodes only): in-doubt
+	// Failure-recovery rollups: in-doubt
 	// transactions the background resolver settled, recoverable
 	// ReadOnly parks exited in place, shard restarts (operator- or
 	// resolver-driven), and fan-out reads that returned partial results.
@@ -130,7 +131,7 @@ type Stats struct {
 	PartialResults  int64
 }
 
-// ShardStats is one shard's full engine stats within a sharded node.
+// ShardStats is one shard's full engine stats within a node.
 type ShardStats struct {
 	Shard int
 	Stats
@@ -215,8 +216,25 @@ func walStats(l core.LogSnapshot) WALStats {
 	}
 }
 
-// Stats snapshots the engine.
-func (db *DB) Stats() Stats { return statsFromSnapshot(db.eng.Stats()) }
+// Stats aggregates every shard's snapshot into one node view (Shards
+// keeps the per-shard detail) and adds the node commit counters.
+func (db *DB) Stats() Stats {
+	per := make([]Stats, db.node.NumShards())
+	for i := range per {
+		per[i] = statsFromSnapshot(db.node.Engine(i).Stats())
+	}
+	s := aggregateShardStats(per)
+	c := db.node.Counters()
+	s.SingleShardCommits = c.SingleShardCommits
+	s.CrossShardCommits = c.CrossShardCommits
+	s.CrossShardAborts = c.CrossShardAborts
+	s.CrossShardCommitErrors = c.CrossShardCommitErrs
+	s.InDoubtResolved = c.InDoubtResolved
+	s.ReadOnlyExits = c.ReadOnlyExits
+	s.ShardRestarts = c.ShardRestarts
+	s.PartialResults = c.PartialResults
+	return s
+}
 
 // statsFromSnapshot maps one engine's snapshot onto the public stats.
 func statsFromSnapshot(snap core.Snapshot) Stats {
@@ -330,8 +348,9 @@ func mergeWALStats(dst *WALStats, src WALStats) {
 // aggregateShardStats rolls per-shard snapshots up into one node view:
 // counters and footprints sum, table/index maps merge by name, the hit
 // rate is recomputed from the merged operation counts, and Health
-// reports the worst shard. Recovery phases stay per shard (under
-// Shards); the rollup keeps only the summed counters and total time.
+// reports the worst shard. The rollup of one shard equals that shard's
+// stats; with several, recovery phases stay per shard (under Shards) and
+// the rollup keeps only the summed counters and total time.
 func aggregateShardStats(per []Stats) Stats {
 	agg := Stats{
 		Tables:  make(map[string]TableStats),
@@ -427,6 +446,9 @@ func aggregateShardStats(per []Stats) Stats {
 	}
 	if total := imrsOps + pageOps; total > 0 {
 		agg.IMRSHitRate = float64(imrsOps) / float64(total)
+	}
+	if len(per) == 1 {
+		agg.Recovery.Phases = per[0].Recovery.Phases
 	}
 	return agg
 }

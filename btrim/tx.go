@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/storage/colseg"
 	"repro/internal/txn"
 )
@@ -29,25 +30,42 @@ var (
 	// ErrTxnRetry reports a transaction the engine aborted to resolve
 	// a read-write conflict; retry it against a fresh snapshot.
 	ErrTxnRetry = core.ErrRetry
+	// ErrShardDown reports an operation routed to a halted shard. The
+	// rest of the node keeps serving.
+	ErrShardDown = shard.ErrShardDown
+	// ErrPartialResult reports a fan-out read that skipped unavailable
+	// shards: the returned rows cover every healthy shard, and the error
+	// (a *shard.PartialResultError) names the shards that contributed
+	// nothing. errors.Is matches it.
+	ErrPartialResult = shard.ErrPartialResult
 )
 
 // IsDuplicateKey reports whether err is a unique-index violation.
 func IsDuplicateKey(err error) bool { return errors.Is(err, core.ErrDuplicateKey) }
 
-// Tx is a transaction. Reads see a snapshot of IMRS-resident data taken
-// at Begin (timestamp-based snapshot isolation, as in the paper) and
-// read-committed page-store data; writes take exclusive row locks held
-// to commit.
+// Tx is a transaction. Operations route to a shard by primary key;
+// scans and index lookups fan out shard by shard (ordered within a
+// shard, not globally). Within a shard, reads see a snapshot of
+// IMRS-resident data taken at the transaction's first touch of that
+// shard (timestamp-based snapshot isolation, as in the paper) and
+// read-committed page-store data; across shards the snapshots are
+// independent (read committed). Writes take exclusive row locks held to
+// commit.
 //
 // Every Tx must end in exactly one Commit or Abort: a leaked transaction
 // holds its snapshot and blocks checkpoints indefinitely. Prefer
 // DB.View/DB.Update, which guarantee completion.
 type Tx struct {
-	tx *core.Txn
+	tx *shard.Txn
 }
 
-// Insert adds a row; the engine decides per the ILM rules whether it
-// lives in the IMRS or the page store.
+// STx is the former name of Tx, which bench/ still spells. Delete with
+// the next benchmark issue.
+type STx = Tx
+
+// Insert adds a row, routed by its primary-key columns; the shard's
+// engine decides per the ILM rules whether it lives in the IMRS or the
+// page store.
 func (t *Tx) Insert(table string, r Row) error { return t.tx.Insert(table, r) }
 
 // Get returns the row with the given primary key.
@@ -72,15 +90,16 @@ func (t *Tx) Delete(table string, pk ...Value) (bool, error) {
 	return t.tx.Delete(table, pk)
 }
 
-// Scan visits every visible row of the table until fn returns false.
+// Scan is ScanBatches over all columns, row by row: it visits every
+// visible row of the table until fn returns false. Each row is a fresh
+// copy that fn may keep.
 func (t *Tx) Scan(table string, fn func(Row) bool) error {
 	return t.tx.ScanTable(table, fn)
 }
 
-// ScanBatches is the vectorized scan: it visits the same rows as Scan
-// under the same snapshot, but yields them as column batches of up to
-// batchRows rows (0 picks the engine default, one segment's worth).
-// cols selects and orders the projected columns (nil = all columns in
+// ScanBatches is the table scan: it visits every visible row of the
+// table, shard by shard, as column batches of up to batchRows rows (0
+// picks the engine default, one segment's worth). cols selects and orders the projected columns (nil = all columns in
 // schema order); projection is pushed into the cold-store decode, so
 // unprojected columns of frozen rows are never decompressed. The batch
 // is reused across calls — copy out anything fn keeps. fn returns false
@@ -89,19 +108,23 @@ func (t *Tx) ScanBatches(table string, cols []string, batchRows int, fn func(*Ba
 	return t.tx.ScanBatches(table, cols, batchRows, fn)
 }
 
-// IndexScan visits rows in index-key order starting at from (inclusive).
+// IndexScan visits rows in index-key order starting at from
+// (inclusive), shard by shard.
 func (t *Tx) IndexScan(table, index string, from []Value, fn func(Row) bool) error {
 	return t.tx.IndexScan(table, index, from, fn)
 }
 
 // LookupAll returns the rows whose index columns equal vals (prefix
-// equality on non-unique indexes).
+// equality on non-unique indexes), concatenated over shards.
 func (t *Tx) LookupAll(table, index string, vals ...Value) ([]Row, error) {
 	return t.tx.LookupAll(table, index, vals)
 }
 
-// Commit makes the transaction durable and visible.
+// Commit makes the transaction durable and visible: one shard's own
+// commit when at most one shard was written, two-phase commit
+// otherwise. A nil return means durably committed on every shard
+// touched.
 func (t *Tx) Commit() error { return t.tx.Commit() }
 
-// Abort rolls the transaction back.
+// Abort rolls the transaction back on every shard it touched.
 func (t *Tx) Abort() { t.tx.Abort() }

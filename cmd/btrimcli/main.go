@@ -4,9 +4,11 @@
 //	btrimcli [-dir /path/to/db] [-imrs-mb 64]      local, in-process
 //	btrimcli -connect host:4810                    remote, against btrimd
 //
-// The local mode speaks both the SQL subset and the terse command
-// language (`help` inside the shell). The remote mode sends SQL
-// statements over the wire protocol; each btrimcli process is one
+// Both modes speak the SQL subset (`help` inside the local shell lists
+// it); the local mode adds admin meta-commands (tables, stats, pin,
+// unpin, checkpoint) that act on the in-process database. -dir opens
+// whatever shard count the directory already holds. The remote mode
+// sends each line over the wire protocol; each btrimcli process is one
 // server session with its own transaction state.
 package main
 

@@ -2,12 +2,14 @@
 // database and serves the length-prefixed SQL protocol over TCP, one
 // session per connection (DESIGN.md §13).
 //
-//	btrimd [-addr :4810] [-dir /path/to/db] [-imrs-mb 64] [-shards 1]
+//	btrimd [-addr :4810] [-dir /path/to/db] [-imrs-mb 64] [-shards 0]
 //	       [-max-conns 0] [-stmt-timeout 0] [-idle-timeout 0]
 //
-// With -shards > 1 the daemon runs the sharded multi-engine node:
-// statements route by primary-key hash and multi-shard transactions
-// commit via 2PC, all invisible to the SQL client.
+// The database is a node of -shards engines: statements route by
+// primary-key hash and multi-shard transactions commit via 2PC, all
+// invisible to the SQL client. -shards 0 serves whatever -dir already
+// holds (one shard for a new or in-memory database); a count that
+// disagrees with -dir is refused.
 //
 // SIGINT/SIGTERM starts a graceful drain: the listener closes, every
 // live connection is torn down (open transactions abort cleanly), and
@@ -33,34 +35,19 @@ func main() {
 	addr := flag.String("addr", ":4810", "listen address")
 	dir := flag.String("dir", "", "database directory (empty = in-memory)")
 	imrsMB := flag.Int64("imrs-mb", 64, "IMRS cache size (MB)")
-	shards := flag.Int("shards", 1, "engine shards (>1 runs the multi-engine node)")
+	shards := flag.Int("shards", 0, "engine shards (0 = what -dir holds, 1 for a new database)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	maxConns := flag.Int("max-conns", 0, "max concurrent connections (0 = unlimited)")
 	stmtTimeout := flag.Duration("stmt-timeout", 0, "per-statement deadline (0 = none)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "idle-connection reap timeout (0 = never)")
 	flag.Parse()
 
-	cfg := btrim.Config{Dir: *dir, IMRSCacheBytes: *imrsMB << 20}
-	var (
-		eng   sql.Engine
-		close func() error
-	)
-	if *shards > 1 {
-		cfg.Shards = *shards
-		db, err := btrim.OpenSharded(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "open:", err)
-			os.Exit(1)
-		}
-		eng, close = sql.WrapSharded(db), db.Close
-	} else {
-		db, err := btrim.Open(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "open:", err)
-			os.Exit(1)
-		}
-		eng, close = sql.WrapDB(db), db.Close
+	db, err := btrim.Open(btrim.Config{Dir: *dir, IMRSCacheBytes: *imrsMB << 20, Shards: *shards})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "open:", err)
+		os.Exit(1)
 	}
+	eng := sql.Wrap(db)
 
 	srv := server.NewWithConfig(eng, server.Config{
 		MaxConns:         *maxConns,
@@ -72,7 +59,7 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("btrimd listening on %s (shards=%d)\n", *addr, *shards)
+	fmt.Printf("btrimd listening on %s (shards=%d)\n", *addr, db.NumShards())
 
 	select {
 	case s := <-sig:
@@ -89,7 +76,7 @@ func main() {
 	case err := <-errCh:
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
-			_ = close()
+			_ = db.Close()
 			os.Exit(1)
 		}
 	}
@@ -110,7 +97,7 @@ func main() {
 	es := eng.Stats()
 	fmt.Printf("engine: imrs-rows=%d imrs-used=%dB hit-rate=%.2f health=%v\n",
 		es.IMRSRows, es.IMRSUsedBytes, es.IMRSHitRate, es.Health.State)
-	if err := close(); err != nil {
+	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "close:", err)
 		os.Exit(1)
 	}

@@ -4,7 +4,9 @@
 // store plus an In-Memory Row Store (IMRS) with workload-driven ILM
 // (information life-cycle management) of hot and cold rows.
 //
-// The public API lives in package repro/btrim. The engine and all of its
+// The public API lives in package repro/btrim: btrim.Open returns the
+// one database type, a node of one or more shards (one by default),
+// each shard an independent engine. The engine and all of its
 // substrates (buffer cache, slotted pages, two write-ahead logs, RID map,
 // B-tree and hash indexes, fragment memory manager, IMRS-GC, ILM tuning
 // and the Pack subsystem) live under internal/.

@@ -87,7 +87,7 @@ func ServerAvailabilityRun(cfg ServerAvailabilityConfig) (ServerAvailabilityResu
 	if err != nil {
 		return res, err
 	}
-	srv := server.New(sql.WrapSharded(btrim.WrapNode(node)))
+	srv := server.New(sql.Wrap(btrim.WrapNode(node)))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	addr := ln.Addr().String()

@@ -164,7 +164,7 @@ func (h *serverChaos) startServer() (chan error, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.srv = server.NewWithConfig(sql.WrapSharded(btrim.WrapNode(h.node)), server.Config{
+	h.srv = server.NewWithConfig(sql.Wrap(btrim.WrapNode(h.node)), server.Config{
 		MaxConns:         h.cfg.Workers + 4,
 		StatementTimeout: 10 * time.Second,
 	})

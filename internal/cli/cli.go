@@ -1,17 +1,16 @@
 // Package cli implements the command language of the btrimcli shell: a
 // tiny, testable interpreter over the public btrim API. The shell
-// speaks two dialects through one session: the SQL subset from
-// internal/sql (SELECT/INSERT/UPDATE/DELETE/BEGIN/COMMIT/...) and the
-// original terse commands (get/set/insert/scan/...). Both run through
-// the same sql.Session, so terse commands participate in explicit
-// transaction blocks exactly like SQL statements.
+// speaks the SQL subset from internal/sql (SELECT/INSERT/UPDATE/DELETE/
+// BEGIN/COMMIT/...) through one sql.Session — the same language
+// btrimcli -connect sends to a server — plus a handful of admin
+// meta-commands (tables, stats, pin, unpin, checkpoint) that act on the
+// local database directly.
 package cli
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -19,56 +18,29 @@ import (
 	"repro/internal/sql"
 )
 
-// Shell interprets commands against one database. Column layouts are
-// always resolved from the live engine catalog — the shell keeps no
-// schema cache of its own, so tables created by other sessions (or by
-// another shell over the same database) are visible immediately.
+// Shell interprets commands against one database.
 type Shell struct {
 	db   *btrim.DB
-	eng  sql.Engine
 	sess *sql.Session
 	out  io.Writer
 }
 
 // New builds a shell over db writing to out.
 func New(db *btrim.DB, out io.Writer) *Shell {
-	eng := sql.WrapDB(db)
-	return &Shell{db: db, eng: eng, sess: sql.NewSession(eng), out: out}
+	return &Shell{db: db, sess: sql.NewSession(sql.Wrap(db)), out: out}
 }
 
 // Close rolls back any open transaction block.
 func (s *Shell) Close() { s.sess.Close() }
 
-// sqlVerbs are statements routed to the SQL front end unconditionally.
-var sqlVerbs = map[string]bool{
-	"select": true, "update": true, "begin": true, "start": true,
-	"commit": true, "rollback": true, "abort": true, "show": true,
-	"create": true,
-}
-
-// Exec runs one command line.
+// Exec runs one command line: a meta-command if the first word names
+// one, otherwise a SQL statement.
 func (s *Shell) Exec(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return nil
 	}
-	cmd := strings.ToLower(fields[0])
-	second := ""
-	if len(fields) > 1 {
-		second = strings.ToLower(fields[1])
-	}
-	switch {
-	case sqlVerbs[cmd],
-		cmd == "insert" && second == "into",
-		cmd == "delete" && second == "from":
-		res, err := s.sess.Exec(line)
-		if err != nil {
-			return err
-		}
-		PrintResult(s.out, res)
-		return nil
-	}
-	switch cmd {
+	switch strings.ToLower(fields[0]) {
 	case "help":
 		s.help()
 		return nil
@@ -85,54 +57,25 @@ func (s *Shell) Exec(line string) error {
 		return s.db.UnpinTable(fields[1])
 	case "checkpoint":
 		return s.db.Checkpoint()
-	case "insert", "get", "set", "delete", "scan":
-		// Terse DML runs through the session's transaction scope, so a
-		// failure inside an explicit BEGIN block aborts it just like a
-		// failed SQL statement would.
-		return s.sess.Do(func(tx sql.Txn) error {
-			toks, err := tokenize(line)
-			if err != nil {
-				return err
-			}
-			return s.terse(tx, cmd, toks[1:])
-		})
-	default:
-		return fmt.Errorf("unknown command %q (try `help`)", cmd)
 	}
-}
-
-func (s *Shell) terse(tx sql.Txn, cmd string, args []string) error {
-	switch cmd {
-	case "insert":
-		return s.insert(tx, args)
-	case "get":
-		return s.get(tx, args)
-	case "set":
-		return s.set(tx, args)
-	case "delete":
-		return s.del(tx, args)
-	case "scan":
-		return s.scan(tx, args)
+	res, err := s.sess.Exec(line)
+	if err != nil {
+		return err
 	}
-	panic("unreachable")
+	PrintResult(s.out, res)
+	return nil
 }
 
 func (s *Shell) help() {
 	fmt.Fprint(s.out, `SQL statements:
-  create table <t> (<col> <type>, ..., primary key (<cols>))
+  create table <t> (<col> <int|float|string|bytes>, ..., primary key (<cols>))
   insert into <t> [(cols)] values (...), (...)
   select <cols|*> from <t> [where <col> <op> <lit> [and ...]] [limit n]
   update <t> set <col> = <lit | col +|- lit> [where ...]
   delete from <t> [where ...]
   begin / commit / rollback          explicit transaction block
   show tables
-terse commands (share the SQL session's transaction):
-  create table <t> (<col> <int|float|string|bytes>, ...) key (<cols>)
-  insert <t> <values...>          e.g. insert users 1 "ada" 99.5
-  get <t> <pk values...>
-  set <t> <values...>             full-row replace by primary key
-  delete <t> <pk values...>
-  scan <t> [limit]
+admin commands (local database only):
   tables                          list tables and where their rows live
   stats                           engine-wide IMRS/pack statistics
   pin <t> in|out                  force a table fully in/out of memory
@@ -140,234 +83,6 @@ terse commands (share the SQL session's transaction):
   checkpoint
   quit
 `)
-}
-
-// tokenize splits a command into words, honouring single and double
-// quotes with the SQL lexer's escape rules (backslash escapes and
-// doubled quotes), so `insert t 1 "say \"hi\""` and empty strings like
-// `""` round-trip. Quoted tokens carry a "\x00" marker so the value
-// parser can tell the string literal "1" from the number 1.
-func tokenize(line string) ([]string, error) {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case c == '"' || c == '\'':
-			flush()
-			val, next, err := sql.ScanQuoted(line, i)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, "\x00"+val) // marked as string literal
-			i = next - 1
-		case c == ' ' || c == '\t' || c == ',':
-			flush()
-		case c == '(' || c == ')':
-			flush()
-			out = append(out, string(c))
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	flush()
-	return out, nil
-}
-
-// parseValue converts a token to a btrim.Value given the column type.
-// Quoted string literals are rejected for numeric columns rather than
-// silently reparsed, so `insert t "1" ...` fails instead of storing
-// int 1.
-func parseValue(tok string, typ btrim.ColumnType) (btrim.Value, error) {
-	isLiteral := strings.HasPrefix(tok, "\x00")
-	raw := strings.TrimPrefix(tok, "\x00")
-	switch typ {
-	case btrim.Int64Type:
-		if isLiteral {
-			return btrim.Null, fmt.Errorf("string literal %q for int column", raw)
-		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return btrim.Null, fmt.Errorf("%q is not an int", raw)
-		}
-		return btrim.Int64(v), nil
-	case btrim.Float64Type:
-		if isLiteral {
-			return btrim.Null, fmt.Errorf("string literal %q for float column", raw)
-		}
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return btrim.Null, fmt.Errorf("%q is not a float", raw)
-		}
-		return btrim.Float64(v), nil
-	case btrim.StringType:
-		return btrim.String(raw), nil
-	case btrim.BytesType:
-		return btrim.Bytes([]byte(raw)), nil
-	default:
-		return btrim.Null, fmt.Errorf("unsupported column type %d", typ)
-	}
-}
-
-// schemaOf resolves a table's column layout from the live catalog.
-func (s *Shell) schemaOf(table string) ([]btrim.Column, error) {
-	return sql.Columns(s.eng.Catalog(), table)
-}
-
-func (s *Shell) pkOrds(table string) ([]int, error) {
-	t := s.eng.Catalog().Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("no such table %q", table)
-	}
-	return t.PKOrds, nil
-}
-
-func (s *Shell) parseRow(table string, toks []string) (btrim.Row, error) {
-	cols, err := s.schemaOf(table)
-	if err != nil {
-		return nil, err
-	}
-	if len(toks) != len(cols) {
-		return nil, fmt.Errorf("table %s has %d columns, got %d values", table, len(cols), len(toks))
-	}
-	r := make(btrim.Row, len(cols))
-	for i, tok := range toks {
-		v, err := parseValue(tok, cols[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", cols[i].Name, err)
-		}
-		r[i] = v
-	}
-	return r, nil
-}
-
-func (s *Shell) parsePK(table string, toks []string) ([]btrim.Value, error) {
-	cols, err := s.schemaOf(table)
-	if err != nil {
-		return nil, err
-	}
-	ords, err := s.pkOrds(table)
-	if err != nil {
-		return nil, err
-	}
-	if len(toks) != len(ords) {
-		return nil, fmt.Errorf("primary key of %s has %d columns, got %d values", table, len(ords), len(toks))
-	}
-	vals := make([]btrim.Value, len(toks))
-	for i, tok := range toks {
-		v, err := parseValue(tok, cols[ords[i]].Type)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
-func (s *Shell) insert(tx sql.Txn, toks []string) error {
-	if len(toks) < 2 {
-		return fmt.Errorf("usage: insert <table> <values...>")
-	}
-	r, err := s.parseRow(toks[0], toks[1:])
-	if err != nil {
-		return err
-	}
-	return tx.Insert(toks[0], r)
-}
-
-func (s *Shell) get(tx sql.Txn, toks []string) error {
-	if len(toks) < 2 {
-		return fmt.Errorf("usage: get <table> <pk values...>")
-	}
-	pk, err := s.parsePK(toks[0], toks[1:])
-	if err != nil {
-		return err
-	}
-	r, ok, err := tx.Get(toks[0], pk...)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		fmt.Fprintln(s.out, "(not found)")
-		return nil
-	}
-	s.printRows(toks[0], []btrim.Row{r})
-	return nil
-}
-
-func (s *Shell) set(tx sql.Txn, toks []string) error {
-	if len(toks) < 2 {
-		return fmt.Errorf("usage: set <table> <values...>")
-	}
-	r, err := s.parseRow(toks[0], toks[1:])
-	if err != nil {
-		return err
-	}
-	ords, err := s.pkOrds(toks[0])
-	if err != nil {
-		return err
-	}
-	pk := make([]btrim.Value, len(ords))
-	for i, o := range ords {
-		pk[i] = r[o]
-	}
-	ok, err := tx.Set(toks[0], pk, r)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		fmt.Fprintln(s.out, "(not found)")
-	}
-	return nil
-}
-
-func (s *Shell) del(tx sql.Txn, toks []string) error {
-	if len(toks) < 2 {
-		return fmt.Errorf("usage: delete <table> <pk values...>")
-	}
-	pk, err := s.parsePK(toks[0], toks[1:])
-	if err != nil {
-		return err
-	}
-	ok, err := tx.Delete(toks[0], pk...)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		fmt.Fprintln(s.out, "(not found)")
-	}
-	return nil
-}
-
-func (s *Shell) scan(tx sql.Txn, toks []string) error {
-	if len(toks) < 1 {
-		return fmt.Errorf("usage: scan <table> [limit]")
-	}
-	limit := 50
-	if len(toks) >= 2 {
-		n, err := strconv.Atoi(toks[1])
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad limit %q", toks[1])
-		}
-		limit = n
-	}
-	var rows []btrim.Row
-	err := tx.Scan(toks[0], func(r btrim.Row) bool {
-		rows = append(rows, r.Clone())
-		return len(rows) < limit
-	})
-	if err != nil {
-		return err
-	}
-	s.printRows(toks[0], rows)
-	fmt.Fprintf(s.out, "(%d rows)\n", len(rows))
-	return nil
 }
 
 // PrintResult renders one SQL statement result; shared by the local
@@ -393,27 +108,6 @@ func PrintResult(w io.Writer, res *sql.Result) {
 	default:
 		fmt.Fprintln(w, res.Msg)
 	}
-}
-
-func (s *Shell) printRows(table string, rows []btrim.Row) {
-	cols, err := s.schemaOf(table)
-	if err != nil {
-		return
-	}
-	hdr := make([]string, len(cols))
-	for i, c := range cols {
-		hdr[i] = c.Name
-	}
-	tw := tabwriter.NewWriter(s.out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, strings.Join(hdr, "\t"))
-	for _, r := range rows {
-		parts := make([]string, len(r))
-		for i, v := range r {
-			parts[i] = v.String()
-		}
-		fmt.Fprintln(tw, strings.Join(parts, "\t"))
-	}
-	tw.Flush()
 }
 
 func (s *Shell) tables() error {

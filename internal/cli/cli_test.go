@@ -30,62 +30,44 @@ func mustExec(t *testing.T, s *Shell, lines ...string) {
 	}
 }
 
-func TestTokenize(t *testing.T) {
-	toks, err := tokenize(`insert users 1 "ada lovelace" 99.5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"insert", "users", "1", "\x00ada lovelace", "99.5"}
-	if len(toks) != len(want) {
-		t.Fatalf("toks = %q", toks)
-	}
-	for i := range want {
-		if toks[i] != want[i] {
-			t.Fatalf("tok %d = %q, want %q", i, toks[i], want[i])
-		}
-	}
-	if _, err := tokenize(`bad "unterminated`); err == nil {
-		t.Fatal("unterminated quote accepted")
-	}
-	toks, _ = tokenize("create table t (a int, b string) key (a)")
-	joined := strings.Join(toks, "|")
-	if joined != "create|table|t|(|a|int|b|string|)|key|(|a|)" {
-		t.Fatalf("paren tokenization: %s", joined)
-	}
-}
-
 func TestShellEndToEnd(t *testing.T) {
 	s, buf := newShell(t)
 	mustExec(t, s,
 		`create table users (id int, name string, score float) key (id)`,
-		`insert users 1 "ada" 99.5`,
-		`insert users 2 "grace" 88`,
-		`get users 1`,
+		`insert into users values (1, "ada", 99.5)`,
+		`insert into users values (2, "grace", 88)`,
+		`select * from users where id = 1`,
 	)
 	if !strings.Contains(buf.String(), `"ada"`) {
-		t.Fatalf("get output missing row: %s", buf.String())
+		t.Fatalf("select output missing row: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `set users 1 "ada lovelace" 100`, `get users 1`)
+	mustExec(t, s, `update users set name = "ada lovelace", score = 100 where id = 1`, `select * from users where id = 1`)
 	if !strings.Contains(buf.String(), "ada lovelace") || !strings.Contains(buf.String(), "100") {
-		t.Fatalf("set not applied: %s", buf.String())
+		t.Fatalf("update not applied: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `scan users`)
+	mustExec(t, s, `select * from users`)
 	if !strings.Contains(buf.String(), "(2 rows)") {
 		t.Fatalf("scan output: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `delete users 2`, `scan users`)
-	if !strings.Contains(buf.String(), "(1 rows)") {
+	mustExec(t, s, `delete from users where id = 2`, `select * from users`)
+	if !strings.Contains(buf.String(), "DELETE 1") || !strings.Contains(buf.String(), "(1 rows)") {
 		t.Fatalf("delete not applied: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `get users 2`)
-	if !strings.Contains(buf.String(), "not found") {
-		t.Fatalf("missing-row get: %s", buf.String())
+	mustExec(t, s, `select * from users where id = 2`)
+	if !strings.Contains(buf.String(), "(0 rows)") {
+		t.Fatalf("missing-row select: %s", buf.String())
 	}
+	buf.Reset()
 	mustExec(t, s, `tables`, `stats`, `checkpoint`, `pin users in`, `unpin users`, `help`)
+	for _, want := range []string{"users", "IMRS:", "pack:", "admin commands"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("meta-command output lacks %q: %s", want, buf.String())
+		}
+	}
 }
 
 func TestShellErrors(t *testing.T) {
@@ -95,11 +77,18 @@ func TestShellErrors(t *testing.T) {
 		`create table`,
 		`create table t (a unknown) key (a)`,
 		`create table t (a int) key ()`,
-		`insert missing 1`,
-		`get missing 1`,
-		`scan missing`,
+		`insert into missing values (1)`,
+		`select * from missing`,
 		`pin users sideways`,
+		`unpin`,
+		`unpin missing`,
 		`insert`,
+		// The terse DML dialect is gone: SQL is the one language.
+		`insert t 1 "x"`,
+		`get t 1`,
+		`set t 1 "x"`,
+		`delete t 1`,
+		`scan t`,
 	}
 	for _, c := range cases {
 		if err := s.Exec(c); err == nil {
@@ -107,17 +96,17 @@ func TestShellErrors(t *testing.T) {
 		}
 	}
 	mustExec(t, s, `create table t (a int, b string) key (a)`)
-	if err := s.Exec(`insert t 1`); err == nil {
+	if err := s.Exec(`insert into t values (1)`); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if err := s.Exec(`insert t "x" "y"`); err == nil {
+	if err := s.Exec(`insert into t values ("x", "y")`); err == nil {
 		t.Error("type mismatch accepted")
 	}
-	if err := s.Exec(`insert t 1 "ok"`); err != nil {
+	if err := s.Exec(`insert into t values (1, "ok")`); err != nil {
 		t.Errorf("valid insert after errors failed: %v", err)
 	}
-	if err := s.Exec(`insert t 1 "dup"`); err == nil {
-		t.Error("duplicate key accepted")
+	if err := s.Exec(`insert into t values (1, "dup")`); !errors.Is(err, btrim.ErrDuplicateKey) {
+		t.Errorf("duplicate key: %v", err)
 	}
 }
 
@@ -125,69 +114,50 @@ func TestShellCompositeKeys(t *testing.T) {
 	s, buf := newShell(t)
 	mustExec(t, s,
 		`create table kv (region string, id int, v string) key (region, id)`,
-		`insert kv "eu" 1 "one"`,
-		`insert kv "us" 1 "uno"`,
-		`get kv "eu" 1`,
+		`insert into kv values ("eu", 1, "one")`,
+		`insert into kv values ("us", 1, "uno")`,
+		`select v from kv where region = "eu" and id = 1`,
 	)
 	if !strings.Contains(buf.String(), "one") || strings.Contains(buf.String(), "uno") {
-		t.Fatalf("composite get wrong: %s", buf.String())
+		t.Fatalf("composite point select wrong: %s", buf.String())
 	}
-	if err := s.Exec(`get kv "eu"`); err == nil {
-		t.Fatal("short PK accepted")
-	}
-}
-
-// TestTokenizeEdgeCases covers the quoting fixes: escaped quotes,
-// empty strings, single quotes, and negative numbers.
-func TestTokenizeEdgeCases(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{`insert t 1 "say \"hi\""`, []string{"insert", "t", "1", "\x00say \"hi\""}},
-		{`insert t 1 ""`, []string{"insert", "t", "1", "\x00"}},
-		{`insert t 1 'single'`, []string{"insert", "t", "1", "\x00single"}},
-		{`insert t 1 "a""b"`, []string{"insert", "t", "1", "\x00a\"b"}},
-		{`insert t -5 "x" -1.5`, []string{"insert", "t", "-5", "\x00x", "-1.5"}},
-		{`insert t 1 "tab\there"`, []string{"insert", "t", "1", "\x00tab\there"}},
-	}
-	for _, c := range cases {
-		toks, err := tokenize(c.in)
-		if err != nil {
-			t.Fatalf("tokenize(%q): %v", c.in, err)
-		}
-		if len(toks) != len(c.want) {
-			t.Fatalf("tokenize(%q) = %q, want %q", c.in, toks, c.want)
-		}
-		for i := range c.want {
-			if toks[i] != c.want[i] {
-				t.Fatalf("tokenize(%q)[%d] = %q, want %q", c.in, i, toks[i], c.want[i])
-			}
-		}
+	// Half the key is a prefix scan, not a point read.
+	buf.Reset()
+	mustExec(t, s, `insert into kv values ("eu", 2, "two")`, `select v from kv where region = "eu"`)
+	if !strings.Contains(buf.String(), "(2 rows)") || strings.Contains(buf.String(), "uno") {
+		t.Fatalf("key-prefix select wrong: %s", buf.String())
 	}
 }
 
+// TestShellValueEdgeCases: negative numbers, empty strings, both quote
+// styles and escaped quotes survive the trip through the shell, and a
+// quoted literal is never coerced into a numeric column.
 func TestShellValueEdgeCases(t *testing.T) {
 	s, buf := newShell(t)
 	mustExec(t, s,
 		`create table t (a int, f float, v string) key (a)`,
-		`insert t -5 -1.5 ""`,
-		`insert t 2 2.5 "say \"hi\""`,
-		`get t -5`,
+		`insert into t values (-5, -1.5, "")`,
+		`insert into t values (2, 2.5, "say \"hi\"")`,
+		`insert into t values (3, 0, 'it''s')`,
+		`select * from t where a = -5`,
 	)
-	if !strings.Contains(buf.String(), "-1.5") {
-		t.Fatalf("negative values lost: %s", buf.String())
+	if !strings.Contains(buf.String(), "-1.5") || !strings.Contains(buf.String(), `""`) {
+		t.Fatalf("negative values or empty string lost: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `get t 2`)
+	mustExec(t, s, `select v from t where a = 2`)
 	if !strings.Contains(buf.String(), `say \"hi\"`) && !strings.Contains(buf.String(), `say "hi"`) {
 		t.Fatalf("escaped quote lost: %s", buf.String())
 	}
-	// Quoted literals are not silently coerced into numeric columns.
-	if err := s.Exec(`insert t "3" 1.0 "x"`); err == nil {
+	buf.Reset()
+	mustExec(t, s, `select a from t where v = 'it''s'`)
+	if !strings.Contains(buf.String(), "(1 rows)") {
+		t.Fatalf("doubled single quote lost: %s", buf.String())
+	}
+	if err := s.Exec(`insert into t values ("4", 1.0, "x")`); err == nil {
 		t.Fatal("string literal accepted for int column")
 	}
-	if err := s.Exec(`insert t 3 "1.0" "x"`); err == nil {
+	if err := s.Exec(`insert into t values (4, "1.0", "x")`); err == nil {
 		t.Fatal("string literal accepted for float column")
 	}
 }
@@ -207,13 +177,13 @@ func TestShellLiveSchema(t *testing.T) {
 	if err := a.Exec(`create table t (a int, b string) key (a)`); err != nil {
 		t.Fatal(err)
 	}
-	// Shell B never saw the create; it must still parse values with the
+	// Shell B never saw the create; it must still bind values to the
 	// right layout.
-	if err := b.Exec(`insert t 1 "from-b"`); err != nil {
+	if err := b.Exec(`insert into t values (1, "from-b")`); err != nil {
 		t.Fatalf("shell B blind to shell A's table: %v", err)
 	}
 	bufA.Reset()
-	if err := a.Exec(`get t 1`); err != nil {
+	if err := a.Exec(`select * from t where a = 1`); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(bufA.String(), "from-b") {
@@ -244,61 +214,61 @@ func TestShellSQLDialect(t *testing.T) {
 	}
 }
 
-// TestShellTxnStateMachine: terse commands and SQL share one session,
-// a failed statement inside BEGIN aborts the block, and later
-// statements are rejected with the typed error until ROLLBACK.
+// TestShellTxnStateMachine: the shell is one session — a failed
+// statement inside BEGIN aborts the block, and later statements are
+// rejected with the typed error until the block ends.
 func TestShellTxnStateMachine(t *testing.T) {
 	s, buf := newShell(t)
 	mustExec(t, s,
 		`create table t (a int, b string) key (a)`,
-		`insert t 1 "committed"`,
+		`insert into t values (1, "committed")`,
 		`begin`,
-		`insert t 2 "in-txn"`,
+		`insert into t values (2, "in-txn")`,
 	)
-	// Terse get sees the uncommitted write inside its own block.
+	// A read inside the block sees its own uncommitted write.
 	buf.Reset()
-	mustExec(t, s, `get t 2`)
+	mustExec(t, s, `select b from t where a = 2`)
 	if !strings.Contains(buf.String(), "in-txn") {
 		t.Fatalf("own write invisible in txn: %s", buf.String())
 	}
-	// A duplicate-key failure (terse form) aborts the block...
-	if err := s.Exec(`insert t 1 "dup"`); !errors.Is(err, btrim.ErrDuplicateKey) {
+	// A duplicate-key failure aborts the block...
+	if err := s.Exec(`insert into t values (1, "dup")`); !errors.Is(err, btrim.ErrDuplicateKey) {
 		t.Fatalf("dup insert: %v", err)
 	}
-	// ...so both terse and SQL statements now fail typed.
-	if err := s.Exec(`get t 1`); !errors.Is(err, sql.ErrTxnAborted) {
-		t.Fatalf("terse after abort: %v", err)
+	// ...so every later statement fails typed.
+	if err := s.Exec(`select * from t where a = 1`); !errors.Is(err, sql.ErrTxnAborted) {
+		t.Fatalf("point read after abort: %v", err)
 	}
 	if err := s.Exec(`SELECT * FROM t`); !errors.Is(err, sql.ErrTxnAborted) {
-		t.Fatalf("sql after abort: %v", err)
+		t.Fatalf("scan after abort: %v", err)
 	}
 	if err := s.Exec(`commit`); !errors.Is(err, sql.ErrTxnAborted) {
 		t.Fatalf("commit of aborted block: %v", err)
 	}
 	// The block is gone: its insert rolled back, the session is usable.
 	buf.Reset()
-	mustExec(t, s, `scan t`)
+	mustExec(t, s, `select * from t`)
 	if !strings.Contains(buf.String(), "(1 rows)") {
 		t.Fatalf("rolled-back write leaked: %s", buf.String())
 	}
-	// And a clean BEGIN...COMMIT of mixed dialects applies atomically.
+	// And a clean BEGIN...COMMIT applies atomically.
 	mustExec(t, s,
 		`begin`,
-		`insert t 2 "terse"`,
-		`INSERT INTO t VALUES (3, 'sql')`,
+		`insert into t values (2, "two")`,
+		`INSERT INTO t VALUES (3, 'three')`,
 		`commit`,
 	)
 	buf.Reset()
-	mustExec(t, s, `scan t`)
+	mustExec(t, s, `select * from t`)
 	if !strings.Contains(buf.String(), "(3 rows)") {
-		t.Fatalf("mixed txn lost rows: %s", buf.String())
+		t.Fatalf("committed block lost rows: %s", buf.String())
 	}
 	// DDL inside a block is refused and aborts it (defined state).
 	mustExec(t, s, `begin`)
 	if err := s.Exec(`create table u (x int) key (x)`); !errors.Is(err, sql.ErrDDLInTxn) {
 		t.Fatalf("DDL in txn: %v", err)
 	}
-	if err := s.Exec(`get t 2`); !errors.Is(err, sql.ErrTxnAborted) {
+	if err := s.Exec(`select * from t where a = 2`); !errors.Is(err, sql.ErrTxnAborted) {
 		t.Fatalf("block not aborted after DDL: %v", err)
 	}
 	mustExec(t, s, `rollback`)
@@ -313,7 +283,7 @@ func TestShellRecoveredSchema(t *testing.T) {
 	s := New(db, new(bytes.Buffer))
 	mustExec(t, s,
 		`create table t (a int, b string) key (a)`,
-		`insert t 1 "persisted"`,
+		`insert into t values (1, "persisted")`,
 	)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -327,8 +297,8 @@ func TestShellRecoveredSchema(t *testing.T) {
 	var buf bytes.Buffer
 	s2 := New(db2, &buf)
 	// Schema learned from the recovered catalog, not the session.
-	mustExec(t, s2, `get t 1`)
+	mustExec(t, s2, `select * from t where a = 1`)
 	if !strings.Contains(buf.String(), "persisted") {
-		t.Fatalf("recovered get: %s", buf.String())
+		t.Fatalf("recovered select: %s", buf.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/row"
 	"repro/internal/storage/colseg"
 )
@@ -40,7 +41,48 @@ func freezeRows(t *testing.T, e *Engine, want int) {
 	}
 }
 
-// scanSet collects a table scan into "id|name|qty" strings, sorted.
+// idRange returns lo..hi inclusive.
+func idRange(lo, hi int64) []int64 {
+	out := make([]int64, 0, hi-lo+1)
+	for id := lo; id <= hi; id++ {
+		out = append(out, id)
+	}
+	return out
+}
+
+// getSet is the oracle the scans are checked against: it point-reads
+// every id (through the index and the RID map — a read path that shares
+// nothing with ScanBatches) and collects the rows found as sorted
+// "id|name|qty" strings. Pass every id the test ever inserted: deleted
+// ones must come back not-found, which the callers' row counts pin down.
+func getSet(t *testing.T, tx *Txn, ids []int64) []string {
+	t.Helper()
+	var rows []string
+	for _, id := range ids {
+		rw, ok, err := tx.Get("items", pk(id))
+		if err != nil {
+			t.Fatalf("get %d: %v", id, err)
+		}
+		if ok {
+			rows = append(rows, fmt.Sprintf("%d|%s|%d", rw[0].Int(), rw[1].Str(), rw[2].Int()))
+		}
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// checkScans compares both scan entry points — ScanTable and
+// ScanBatches at the given batch size — with the point-read oracle over
+// ids, and returns the oracle's rows.
+func checkScans(t *testing.T, label string, tx *Txn, ids []int64, batchRows int) []string {
+	t.Helper()
+	want := getSet(t, tx, ids)
+	equalSets(t, label+" scan", scanSet(t, tx), want)
+	equalSets(t, label+" batches", batchSet(t, tx, batchRows), want)
+	return want
+}
+
+// scanSet collects a table scan into the same representation.
 func scanSet(t *testing.T, tx *Txn) []string {
 	t.Helper()
 	var rows []string
@@ -131,12 +173,10 @@ func TestColdFreezeAndRead(t *testing.T) {
 		t.Fatalf("index lookup over frozen rows: %d rows, err %v", len(rows), err)
 	}
 
-	want := scanSet(t, tx)
-	if len(want) != n {
-		t.Fatalf("scan saw %d rows, want %d", len(want), n)
-	}
 	for _, br := range []int{1, 7, 64, 1024} {
-		equalSets(t, fmt.Sprintf("batch=%d", br), batchSet(t, tx, br), want)
+		if want := checkScans(t, fmt.Sprintf("batch=%d", br), tx, idRange(1, n), br); len(want) != n {
+			t.Fatalf("point reads found %d rows, want %d", len(want), n)
+		}
 	}
 
 	// Projection pushdown: only the requested column comes back.
@@ -190,11 +230,10 @@ func TestColdUnfreezeMigrate(t *testing.T) {
 	if err != nil || !ok || rw[2].Int() != 7 {
 		t.Fatalf("old snapshot after unfreeze: %v %v %v", rw, ok, err)
 	}
-	oldRows := scanSet(t, old)
+	oldRows := checkScans(t, "old snapshot", old, idRange(1, 100), 16)
 	if len(oldRows) != 100 || oldRows[sort.SearchStrings(oldRows, "7|")] != "7|w|7" {
-		t.Fatalf("old snapshot scan wrong: %d rows", len(oldRows))
+		t.Fatalf("old snapshot wrong: %d rows", len(oldRows))
 	}
-	equalSets(t, "old snapshot batches", batchSet(t, old, 16), oldRows)
 	mustCommit(t, old)
 
 	// New snapshot reads the IMRS image, exactly once.
@@ -203,11 +242,9 @@ func TestColdUnfreezeMigrate(t *testing.T) {
 	if err != nil || !ok || rw[2].Int() != -7 {
 		t.Fatalf("new snapshot after unfreeze: %v %v %v", rw, ok, err)
 	}
-	newRows := scanSet(t, tx)
-	if len(newRows) != 100 {
-		t.Fatalf("new snapshot scan saw %d rows", len(newRows))
+	if newRows := checkScans(t, "new snapshot", tx, idRange(1, 100), 16); len(newRows) != 100 {
+		t.Fatalf("new snapshot saw %d rows", len(newRows))
 	}
-	equalSets(t, "new snapshot batches", batchSet(t, tx, 16), newRows)
 	mustCommit(t, tx)
 
 	cs := e.Stats().ColdStore
@@ -261,11 +298,9 @@ func TestColdUnfreezeToHeap(t *testing.T) {
 	if err != nil || len(moved) != 3 {
 		t.Fatalf("index after unfreeze-to-heap: %d rows, err %v", len(moved), err)
 	}
-	rows := scanSet(t, tx)
-	if len(rows) != 100 {
-		t.Fatalf("scan saw %d rows after heap unfreeze", len(rows))
+	if rows := checkScans(t, "after heap unfreeze", tx, idRange(1, 100), 32); len(rows) != 100 {
+		t.Fatalf("%d rows after heap unfreeze", len(rows))
 	}
-	equalSets(t, "batches after heap unfreeze", batchSet(t, tx, 32), rows)
 	mustCommit(t, tx)
 
 	if cs := e.Stats().ColdStore; cs.Unfreezes != 3 || cs.RowsLive != 97 {
@@ -276,7 +311,7 @@ func TestColdUnfreezeToHeap(t *testing.T) {
 // TestColdDeleteFrozen: deleting a frozen row kills its segment copy.
 // Deletes are read-committed (as for every page-store-resident row):
 // the row disappears from old snapshots too, consistently across point
-// reads (whose index entry is gone) and both scan paths.
+// reads (whose index entry is gone) and scans.
 func TestColdDeleteFrozen(t *testing.T) {
 	e := openEngine(t, coldConfig)
 	createItems(t, e)
@@ -299,14 +334,13 @@ func TestColdDeleteFrozen(t *testing.T) {
 	mustCommit(t, tx)
 
 	// Read-committed: the delete is visible to the older snapshot too,
-	// and point reads agree with both scan paths.
+	// and point reads agree with the scans.
 	if _, ok, err := old.Get("items", pk(42)); err != nil || ok {
 		t.Fatalf("deleted frozen row still visible to old snapshot: %v %v", ok, err)
 	}
-	if got := scanSet(t, old); len(got) != 79 {
-		t.Fatalf("old snapshot scan saw %d rows, want 79", len(got))
+	if got := checkScans(t, "old snapshot", old, idRange(1, 80), 16); len(got) != 79 {
+		t.Fatalf("old snapshot saw %d rows, want 79", len(got))
 	}
-	equalSets(t, "old snapshot batches", batchSet(t, old, 16), scanSet(t, old))
 	mustCommit(t, old)
 
 	tx = e.Begin()
@@ -316,10 +350,9 @@ func TestColdDeleteFrozen(t *testing.T) {
 	if ok, err := tx.Delete("items", pk(42)); err != nil || ok {
 		t.Fatalf("second delete: %v %v", ok, err)
 	}
-	if got := scanSet(t, tx); len(got) != 79 {
-		t.Fatalf("scan saw %d rows, want 79", len(got))
+	if got := checkScans(t, "after delete", tx, idRange(1, 80), 16); len(got) != 79 {
+		t.Fatalf("%d rows after delete, want 79", len(got))
 	}
-	equalSets(t, "batches after delete", batchSet(t, tx, 16), scanSet(t, tx))
 	mustCommit(t, tx)
 }
 
@@ -327,7 +360,7 @@ func TestColdDeleteFrozen(t *testing.T) {
 // recover property test: a model map tracks the expected contents while
 // rows are frozen, un-frozen by updates, deleted, and re-inserted; a
 // crash (Halt without checkpoint) followed by recovery must reproduce
-// the model exactly through both scan paths and point reads.
+// the model exactly through both scan entry points and point reads.
 func TestColdCrashRecovery(t *testing.T) {
 	for _, seed := range []int64{1, 3} {
 		seed := seed
@@ -415,8 +448,9 @@ func TestColdCrashRecovery(t *testing.T) {
 
 			check := func(e *Engine, label string) {
 				tx := e.Begin()
-				equalSets(t, label+" scan", scanSet(t, tx), wantRows)
-				equalSets(t, label+" batches", batchSet(t, tx, 32), wantRows)
+				// Every id ever inserted goes to the oracle, so deleted
+				// ones are checked absent.
+				equalSets(t, label+" point reads", checkScans(t, label, tx, idRange(1, nextID-1), 32), wantRows)
 				for _, id := range ids() {
 					m := model[id]
 					rw, ok, err := tx.Get("items", pk(id))
@@ -491,10 +525,9 @@ func TestColdStoreDisabled(t *testing.T) {
 		t.Fatalf("segments written with cold store disabled: %+v", cs)
 	}
 	tx = e.Begin()
-	if got := scanSet(t, tx); len(got) != 100 {
-		t.Fatalf("scan saw %d rows", len(got))
+	if got := checkScans(t, "cold store disabled", tx, idRange(1, 100), 16); len(got) != 100 {
+		t.Fatalf("%d rows", len(got))
 	}
-	equalSets(t, "disabled batches", batchSet(t, tx, 16), scanSet(t, tx))
 	mustCommit(t, tx)
 }
 
@@ -642,10 +675,10 @@ func TestColdFrozenSlotNotReused(t *testing.T) {
 				t.Fatalf("%s: new row %d: %v %v %v", label, i, rw, ok, err)
 			}
 		}
-		if got := scanSet(t, tx); len(got) != frozen+fresh {
-			t.Fatalf("%s: scan saw %d rows, want %d", label, len(got), frozen+fresh)
+		ids := append(idRange(1, frozen), idRange(1001, 1000+fresh)...)
+		if got := checkScans(t, label, tx, ids, 32); len(got) != frozen+fresh {
+			t.Fatalf("%s: %d rows, want %d", label, len(got), frozen+fresh)
 		}
-		equalSets(t, label+" batches", batchSet(t, tx, 32), scanSet(t, tx))
 		mustCommit(t, tx)
 	}
 	check(e, "live")
@@ -658,4 +691,49 @@ func TestColdFrozenSlotNotReused(t *testing.T) {
 	}
 	defer e2.Halt()
 	check(e2, "post-recovery")
+}
+
+// TestScanTableRowsOutliveTheBatch: ScanTable hands fn rows it may keep.
+// The batches underneath reuse their vectors and arena, so a kept row
+// whose strings or bytes still pointed into them would change when the
+// next batch is filled.
+func TestScanTableRowsOutliveTheBatch(t *testing.T) {
+	e := openEngine(t, nil)
+	schema := row.MustSchema(
+		row.Column{Name: "id", Kind: row.KindInt64},
+		row.Column{Name: "s", Kind: row.KindString},
+		row.Column{Name: "b", Kind: row.KindBytes},
+	)
+	if _, err := e.CreateTable("blobs", schema, []string{"id"}, catalog.PartitionSpec{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Several batches' worth of IMRS rows, every value distinct.
+	const n = 3*colseg.DefaultSegmentRows + 17
+	tx := e.Begin()
+	for i := int64(1); i <= n; i++ {
+		v := fmt.Sprintf("value-%06d", i)
+		if err := tx.Insert("blobs", row.Row{row.Int64(i), row.String(v), row.Bytes([]byte(v))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+
+	tx = e.Begin()
+	var kept []row.Row
+	if err := tx.ScanTable("blobs", func(rw row.Row) bool {
+		kept = append(kept, rw)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if len(kept) != n {
+		t.Fatalf("scan saw %d rows, want %d", len(kept), n)
+	}
+	for _, rw := range kept {
+		want := fmt.Sprintf("value-%06d", rw[0].Int())
+		if rw[1].Str() != want || string(rw[2].Raw()) != want {
+			t.Fatalf("row %d kept across batches now reads %q / %q", rw[0].Int(), rw[1].Str(), rw[2].Raw())
+		}
+	}
 }

@@ -3,232 +3,29 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 
-	"repro/internal/imrs"
 	"repro/internal/rid"
 	"repro/internal/row"
 	"repro/internal/storage/colseg"
 )
 
-// scanYieldRows is how many rows a scan emits between cooperative
-// scheduler yields. Segment decode is pure CPU work: without a yield, a
-// scan on a small-GOMAXPROCS host keeps its P for the runtime's full
-// async-preemption quantum (~10ms), and every OLTP commit in that
-// window stalls waiting for the group-commit flusher to be scheduled.
-// Yielding every couple thousand rows (~hundreds of microseconds of
-// decode) bounds that wakeup latency at negligible cost to the scan.
-const scanYieldRows = 2048
-
-// ScanTable visits every visible row of a table (all partitions): first
-// the cold-store segments, then the page-store heaps (skipping rows
-// shadowed by IMRS entries or live segment copies), then the
-// IMRS-resident rows. Order is unspecified. fn returns false to stop.
-// Page rows are re-read under their row lock (read committed).
+// ScanTable is ScanBatches over all columns, row by row: each batch row
+// is copied out into a fresh row.Row (Vec.Value takes strings and bytes
+// out of the batch arena and the segment blob), so fn may keep what it
+// is given. Order is unspecified. fn returns false to stop.
 func (t *Txn) ScanTable(table string, fn func(row.Row) bool) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	rt, err := t.e.table(table)
-	if err != nil {
-		return err
-	}
-	partSet := make(map[rid.PartitionID]*partRT, len(rt.parts))
-	for _, p := range rt.parts {
-		partSet[p.cat.ID] = p
-	}
-	sinceYield := 0
-	emit := func(rw row.Row) bool {
-		if sinceYield++; sinceYield >= scanYieldRows {
-			sinceYield = 0
-			runtime.Gosched()
-		}
-		return fn(rw)
-	}
-
-	// seen tracks the segments this scan's segment passes visited, so
-	// the IMRS pass can tell "frozen before the scan, already emitted"
-	// from "frozen mid-scan into a segment we never saw".
-	var seen []*colseg.Segment
-	for _, prt := range rt.parts {
-		// Segment pass: frozen rows, row-at-a-time (ScanBatches is the
-		// vectorized path over the same visibility rule).
-		for _, seg := range t.e.cold.Segments(prt.cat.ID) {
-			if seg.TableID() != rt.cat.ID {
-				continue
+	return t.ScanBatches(table, nil, 0, func(b *colseg.Batch) bool {
+		for i := 0; i < b.Len(); i++ {
+			rw := make(row.Row, len(b.Cols))
+			for j := range b.Cols {
+				rw[j] = b.Cols[j].Value(i)
 			}
-			seen = append(seen, seg)
-			for i := 0; i < seg.Rows(); i++ {
-				r0 := seg.RIDAt(i)
-				if !t.segRowVisible(seg, i, r0) {
-					continue
-				}
-				enc, err := seg.EncodeRowAt(i, nil)
-				if err != nil {
-					return err
-				}
-				rw, err := t.e.decode(rt, enc)
-				if err != nil {
-					return err
-				}
-				prt.ilm.PageOps.Inc()
-				if !emit(rw) {
-					return nil
-				}
+			if !fn(rw) {
+				return false
 			}
-		}
-
-		var rids []rid.RID
-		if err := prt.heap.Scan(func(r rid.RID, _ []byte) bool {
-			rids = append(rids, r)
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, r0 := range rids {
-			if t.e.rmap.Get(r0) != nil {
-				continue // visited via the IMRS pass
-			}
-			if _, _, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
-				// Live cold copy: the segment pass emitted it; any heap
-				// copy is a stale shadow. Killed copies mean the heap
-				// image — written by the un-freeze — is the current one
-				// (read-committed, like every page-store row).
-				continue
-			}
-			rw, ok, _, err := t.readRowAt(rt, r0, nil, false)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if !emit(rw) {
-				return nil
-			}
-		}
-	}
-
-	// IMRS pass: collect this table's entries, then resolve outside the
-	// map's shard locks.
-	var imrsRIDs []rid.RID
-	t.e.rmap.Range(func(r0 rid.RID, _ *imrs.Entry) bool {
-		if partSet[r0.Partition()] != nil {
-			imrsRIDs = append(imrsRIDs, r0)
 		}
 		return true
 	})
-	for _, r0 := range imrsRIDs {
-		if skip, resolved, rw, err := t.imrsScanResolve(rt, r0, seen); err != nil {
-			return err
-		} else if skip {
-			continue
-		} else if resolved {
-			if !emit(rw) {
-				return nil
-			}
-			continue
-		}
-		rw, ok, _, err := t.readRowAt(rt, r0, nil, false)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if !emit(rw) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// segRowVisible decides whether row i of seg belongs in this snapshot's
-// scan: the copy must still be the newest cold copy of its RID, not be
-// shadowed by a visible IMRS entry (the IMRS pass emits those), and be
-// live — or killed after our snapshot by an un-freeze-by-update whose
-// RID-map entry is still published, in which case the killed image is
-// the committed state this snapshot should see. A kill WITHOUT an entry
-// (delete, un-freeze to the heap) is read-committed and hides the copy
-// from every snapshot — matching point reads, whose index entry or heap
-// image already reflects the change. The kill timestamp is read BEFORE
-// the RID map: a concurrent un-freeze publishes its IMRS entry first and
-// kills second, so reading in the opposite order could miss both copies.
-func (t *Txn) segRowVisible(seg *colseg.Segment, i int, r0 rid.RID) bool {
-	k := seg.KillTS(i)
-	en := t.e.rmap.Get(r0)
-	if en != nil && en.Visible(t.snap, t.id) != nil {
-		return false
-	}
-	if !t.e.cold.IsNewest(r0, seg, i) {
-		return false
-	}
-	return k == 0 || (k > t.snap && en != nil)
-}
-
-func segSeen(seen []*colseg.Segment, seg *colseg.Segment) bool {
-	for _, s := range seen {
-		if s == seg {
-			return true
-		}
-	}
-	return false
-}
-
-// imrsScanResolve pre-filters one RID-map entry for the scan's IMRS
-// pass, resolving the overlap with the segment pass. A visible entry is
-// emitted here (segRowVisible suppressed any cold copy); an invisible
-// or vanished entry defers to the cold copy the segment pass emitted —
-// unless the row was frozen mid-scan into a segment this scan never
-// visited (not in seen), in which case the frozen image is emitted here
-// so a scan racing the packer does not lose the row. skip=true drops
-// the RID; emit=true yields rw; both false fall back to the generic
-// readRowAt path.
-func (t *Txn) imrsScanResolve(rt *tableRT, r0 rid.RID, seen []*colseg.Segment) (skip, emit bool, rw row.Row, err error) {
-	seg, idx, k, ok := t.e.cold.Lookup(r0)
-	en := t.e.rmap.Get(r0)
-	if en != nil {
-		if v := en.Visible(t.snap, t.id); v != nil {
-			prt := t.e.partByID(en.Part)
-			en.Touch(t.e.clock.Now())
-			prt.ilm.IMRSSelects.Inc()
-			rw, err = t.e.decode(rt, v.Data())
-			if err != nil {
-				return false, false, nil, err
-			}
-			return false, true, rw, nil
-		}
-		if ok && (k == 0 || k > t.snap) {
-			return true, false, nil, nil // segment pass emitted the cold copy
-		}
-		if r0.IsVirtual() {
-			return true, false, nil, nil // nothing visible to this snapshot
-		}
-		return false, false, nil, nil // physical: heap holds the committed image
-	}
-	if ok && k == 0 && !segSeen(seen, seg) {
-		// Frozen mid-scan into a segment published after our segment
-		// pass: emit the frozen image directly.
-		enc, err := seg.EncodeRowAt(idx, nil)
-		if err != nil {
-			return false, false, nil, err
-		}
-		rw, err = t.e.decode(rt, enc)
-		if err != nil {
-			return false, false, nil, err
-		}
-		if prt := t.e.partByID(r0.Partition()); prt != nil {
-			prt.ilm.PageOps.Inc()
-		}
-		return false, true, rw, nil
-	}
-	if ok && k == 0 {
-		return true, false, nil, nil // segment pass emitted it
-	}
-	if r0.IsVirtual() {
-		return true, false, nil, nil // deleted or moved (read-committed)
-	}
-	return false, false, nil, nil // physical: fall back to the heap
 }
 
 func (rt *tableRT) findIndex(name string) *indexRT {

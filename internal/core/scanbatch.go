@@ -11,6 +11,15 @@ import (
 	"repro/internal/storage/colseg"
 )
 
+// scanYieldRows is how many rows a scan emits between cooperative
+// scheduler yields. Segment decode is pure CPU work: without a yield, a
+// scan on a small-GOMAXPROCS host keeps its P for the runtime's full
+// async-preemption quantum (~10ms), and every OLTP commit in that
+// window stalls waiting for the group-commit flusher to be scheduled.
+// Yielding every couple thousand rows (~hundreds of microseconds of
+// decode) bounds that wakeup latency at negligible cost to the scan.
+const scanYieldRows = 2048
+
 // scanScratch is the reusable working set of one ScanBatches call: the
 // output batch, the full-segment column decodes, the selection vector,
 // and the projection maps. Pooled so a steady scan workload allocates
@@ -28,9 +37,12 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// ScanBatches is the vectorized table scan: it visits the same rows as
-// ScanTable under the same snapshot rules, but yields them in column
-// batches of up to batchRows rows (0 = colseg.DefaultSegmentRows).
+// ScanBatches is the table scan: it visits every visible row of a table
+// (all partitions) — first the cold-store segments, then the page-store
+// heaps (skipping rows shadowed by IMRS entries or live segment copies,
+// re-reading the rest under their row lock: read committed), then the
+// IMRS-resident rows — and yields them in column batches of up to
+// batchRows rows (0 = colseg.DefaultSegmentRows). Order is unspecified.
 // cols selects and orders the projected columns (nil = all, schema
 // order); projection is pushed into the segment decode — unprojected
 // columns are never decompressed. Frozen rows decode straight from
@@ -153,8 +165,7 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 			}
 		}
 
-		// Heap pass: same skip rules as ScanTable, rows appended
-		// one at a time under their row locks.
+		// Heap pass: rows appended one at a time under their row locks.
 		sc.rids = sc.rids[:0]
 		if err := prt.heap.Scan(func(r rid.RID, _ []byte) bool {
 			sc.rids = append(sc.rids, r)
@@ -164,10 +175,14 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 		}
 		for _, r0 := range sc.rids {
 			if t.e.rmap.Get(r0) != nil {
-				continue
+				continue // visited via the IMRS pass
 			}
 			if _, _, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
-				continue // live cold copy: the segment pass emitted it
+				// Live cold copy: the segment pass emitted it; any heap
+				// copy is a stale shadow. Killed copies mean the heap
+				// image — written by the un-freeze — is the current one
+				// (read-committed, like every page-store row).
+				continue
 			}
 			data, found, err := t.lockedPageFetch(prt, r0)
 			if err != nil {
@@ -187,7 +202,8 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 		}
 	}
 
-	// IMRS pass.
+	// IMRS pass: collect this table's entries, then resolve outside the
+	// map's shard locks.
 	partSet := make(map[rid.PartitionID]bool, len(rt.parts))
 	for _, p := range rt.parts {
 		partSet[p.cat.ID] = true
@@ -218,6 +234,38 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 		flush()
 	}
 	return nil
+}
+
+// segRowVisible decides whether row i of seg belongs in this snapshot's
+// scan: the copy must still be the newest cold copy of its RID, not be
+// shadowed by a visible IMRS entry (the IMRS pass emits those), and be
+// live — or killed after our snapshot by an un-freeze-by-update whose
+// RID-map entry is still published, in which case the killed image is
+// the committed state this snapshot should see. A kill WITHOUT an entry
+// (delete, un-freeze to the heap) is read-committed and hides the copy
+// from every snapshot — matching point reads, whose index entry or heap
+// image already reflects the change. The kill timestamp is read BEFORE
+// the RID map: a concurrent un-freeze publishes its IMRS entry first and
+// kills second, so reading in the opposite order could miss both copies.
+func (t *Txn) segRowVisible(seg *colseg.Segment, i int, r0 rid.RID) bool {
+	k := seg.KillTS(i)
+	en := t.e.rmap.Get(r0)
+	if en != nil && en.Visible(t.snap, t.id) != nil {
+		return false
+	}
+	if !t.e.cold.IsNewest(r0, seg, i) {
+		return false
+	}
+	return k == 0 || (k > t.snap && en != nil)
+}
+
+func segSeen(seen []*colseg.Segment, seg *colseg.Segment) bool {
+	for _, s := range seen {
+		if s == seg {
+			return true
+		}
+	}
+	return false
 }
 
 // appendRowWise decodes one encoded row image into the scratch batch,
@@ -251,9 +299,14 @@ func (t *Txn) appendRowWise(sc *scanScratch, sch *row.Schema, r0 rid.RID, data [
 	return nil
 }
 
-// imrsBatchImage resolves one RID-map entry for the batch scan's IMRS
-// pass — the same overlap rules as ScanTable's imrsScanResolve,
-// returning the visible encoded image instead of a decoded row.
+// imrsBatchImage resolves one RID-map entry for the scan's IMRS pass,
+// settling the overlap with the segment pass, and returns the visible
+// encoded image if this pass is the one to emit the row. A visible
+// entry is emitted here (segRowVisible suppressed any cold copy); an
+// invisible or vanished entry defers to the cold copy the segment pass
+// emitted — unless the row was frozen mid-scan into a segment this scan
+// never visited (not in seen), in which case the frozen image is
+// emitted here so a scan racing the packer does not lose the row.
 func (t *Txn) imrsBatchImage(rt *tableRT, r0 rid.RID, seen []*colseg.Segment) ([]byte, bool, error) {
 	seg, idx, k, coldOK := t.e.cold.Lookup(r0)
 	en := t.e.rmap.Get(r0)

@@ -300,7 +300,7 @@ type Fig8Band struct {
 func Fig8(w io.Writer, opts Options) ([]Fig8Band, error) {
 	var bands []Fig8Band
 	_, err := RunWithEngine(opts, true, func(db *btrim.DB, res *Result) error {
-		eng := db.Engine()
+		eng := db.Node().Engine(0)
 		// The background packer keeps harvesting; retry until the walk
 		// catches populated queues.
 		for attempt := 0; attempt < 20 && len(bands) == 0; attempt++ {

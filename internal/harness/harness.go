@@ -168,7 +168,7 @@ func RunMode(opts Options, mode Mode) (*Result, error) {
 		return nil, err
 	}
 	driver := tpcc.NewDriver(bench, opts.Workers)
-	eng := db.Engine()
+	eng := db.Node().Engine(0)
 
 	res := &Result{ILMOn: mode == ModeILMOn, Capacity: cacheBytesFor(opts, mode)}
 	stopSampling := make(chan struct{})
@@ -307,7 +307,7 @@ func RunWithEngine(opts Options, ilmOn bool, fn func(*btrim.DB, *Result) error) 
 		Capacity:  cacheBytesFor(opts, mode),
 		Duration:  time.Since(start),
 		Committed: driver.Stats().TotalCommitted(),
-		Final:     db.Engine().Stats(),
+		Final:     db.Node().Engine(0).Stats(),
 	}
 	res.TPM = float64(res.Committed) / res.Duration.Minutes()
 	if fn != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPipelineRoundTrip(t *testing.T) {
-	srv, addr := startServer(t)
+	srv, addr := startServer(t, 1)
 	c := dial(t, addr)
 
 	// Everything from CREATE to the final SELECT in one frame.
@@ -50,7 +50,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 }
 
 func TestPipelinePreparedOverWire(t *testing.T) {
-	srv, addr := startServer(t)
+	srv, addr := startServer(t, 1)
 	c := dial(t, addr)
 	clientExec(t, c,
 		`CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))`,
@@ -114,7 +114,7 @@ func TestPipelinePreparedOverWire(t *testing.T) {
 // open transaction is aborted at the failure point, and the connection
 // stays frame-aligned for the next request.
 func TestPipelineMidBatchFailure(t *testing.T) {
-	srv, addr := startServer(t)
+	srv, addr := startServer(t, 1)
 	c := dial(t, addr)
 	clientExec(t, c,
 		`CREATE TABLE t (a INT, PRIMARY KEY (a))`,
@@ -166,7 +166,7 @@ func TestPipelineMidBatchFailure(t *testing.T) {
 // connection the frames must stay aligned and every client sees exactly
 // its own results.
 func TestPipelineConcurrentClients(t *testing.T) {
-	srv, addr := startServer(t)
+	srv, addr := startServer(t, 1)
 	setup := dial(t, addr)
 	clientExec(t, setup, `CREATE TABLE t (a INT, b INT, PRIMARY KEY (a))`)
 
@@ -235,7 +235,7 @@ func TestPipelineConcurrentClients(t *testing.T) {
 // TestBatchMalformedFrame: a corrupt batch gets one clean error
 // response and the connection survives.
 func TestBatchMalformedFrame(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, 1)
 	c := dial(t, addr)
 	clientExec(t, c, `CREATE TABLE t (a INT, PRIMARY KEY (a))`)
 

@@ -18,7 +18,7 @@ import (
 // snapshot isolation. Run under -race this also checks the server's
 // per-connection state for data races.
 func TestConcurrentSessionsMixedDML(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, 1)
 	setup := dial(t, addr)
 	clientExec(t, setup,
 		`CREATE TABLE acct (id INT, owner STRING, bal INT, PRIMARY KEY (id))`,
@@ -145,7 +145,7 @@ func TestShutdownWithOpenTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	eng := sql.WrapDB(db)
+	eng := sql.Wrap(db)
 	srv := New(eng)
 	go func() {
 		if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {

@@ -20,16 +20,6 @@ import (
 // frames — each must degrade one statement or one connection, never
 // the server.
 
-func memEngine(t *testing.T) sql.Engine {
-	t.Helper()
-	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = db.Close() })
-	return sql.WrapDB(db)
-}
-
 func startServerWith(t *testing.T, eng sql.Engine, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := NewWithConfig(eng, cfg)
@@ -78,7 +68,7 @@ func (t slowTxn) ScanBatches(table string, cols []string, batchRows int, fn func
 }
 
 func TestServerStatementDeadline(t *testing.T) {
-	eng := slowEngine{memEngine(t), 80 * time.Millisecond}
+	eng := slowEngine{memEngine(t, 1), 80 * time.Millisecond}
 	_, addr := startServerWith(t, eng, Config{StatementTimeout: 25 * time.Millisecond})
 	c := dial(t, addr)
 	clientExec(t, c,
@@ -113,7 +103,7 @@ func TestServerStatementDeadline(t *testing.T) {
 }
 
 func TestServerMaxConns(t *testing.T) {
-	srv, addr := startServerWith(t, memEngine(t), Config{MaxConns: 1})
+	srv, addr := startServerWith(t, memEngine(t, 1), Config{MaxConns: 1})
 	c1 := dial(t, addr)
 	clientExec(t, c1, `CREATE TABLE t (a INT, PRIMARY KEY (a))`) // ensures c1 is registered
 
@@ -149,7 +139,7 @@ func TestServerMaxConns(t *testing.T) {
 }
 
 func TestServerIdleReap(t *testing.T) {
-	srv, addr := startServerWith(t, memEngine(t), Config{IdleTimeout: 50 * time.Millisecond})
+	srv, addr := startServerWith(t, memEngine(t, 1), Config{IdleTimeout: 50 * time.Millisecond})
 	c := dial(t, addr)
 	clientExec(t, c,
 		`CREATE TABLE t (a INT, PRIMARY KEY (a))`,
@@ -194,7 +184,7 @@ func (t panicTxn) Insert(table string, r btrim.Row) error {
 }
 
 func TestServerPanicIsolation(t *testing.T) {
-	srv, addr := startServerWith(t, panicEngine{memEngine(t)}, Config{})
+	srv, addr := startServerWith(t, panicEngine{memEngine(t, 1)}, Config{})
 	c := dial(t, addr)
 	clientExec(t, c,
 		`CREATE TABLE t (a INT, PRIMARY KEY (a))`,
@@ -232,7 +222,7 @@ func TestServerPanicIsolation(t *testing.T) {
 }
 
 func TestServerOversizedFrameSurvival(t *testing.T) {
-	srv, addr := startServerWith(t, memEngine(t), Config{})
+	srv, addr := startServerWith(t, memEngine(t, 1), Config{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +284,7 @@ func TestServerOversizedFrameSurvival(t *testing.T) {
 // rejections, reaps, normal closes — then shuts down and requires the
 // goroutine count to return to its baseline.
 func TestServerNoGoroutineLeak(t *testing.T) {
-	eng := memEngine(t)
+	eng := memEngine(t, 1)
 	baseline := runtime.NumGoroutine()
 
 	srv := NewWithConfig(eng, Config{

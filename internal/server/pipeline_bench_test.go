@@ -18,7 +18,7 @@ func BenchmarkPipelinedTxn(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	srv := New(sql.WrapDB(db))
+	srv := New(sql.Wrap(db))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

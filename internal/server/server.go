@@ -129,8 +129,7 @@ func (s *Server) rollup(c *session) {
 	c.lastSQL = st
 }
 
-// New builds an unlimited server over eng (sql.WrapDB or
-// sql.WrapSharded).
+// New builds an unlimited server over eng (sql.Wrap).
 func New(eng sql.Engine) *Server { return NewWithConfig(eng, Config{}) }
 
 // NewWithConfig builds a server with admission control and deadlines.

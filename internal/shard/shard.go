@@ -40,9 +40,17 @@ import (
 // fail.
 var ErrShardDown = errors.New("shard: target shard is halted")
 
+// ErrLayoutMismatch reports a data directory whose contents do not
+// match the configuration: a different number of shard-NNN directories
+// than Config.Shards asks for, or a single engine's files at the top
+// level.
+var ErrLayoutMismatch = errors.New("shard: data directory layout does not match the configuration")
+
 // Config configures a Node.
 type Config struct {
-	// Shards is the engine count; <=0 means 1.
+	// Shards is the engine count. 0 adopts the count Dir already holds,
+	// and means 1 for an empty, missing or unset Dir; a positive count
+	// that disagrees with Dir fails Open with ErrLayoutMismatch.
 	Shards int
 
 	// Dir, when set, stores each shard under Dir/shard-NNN and the
@@ -237,6 +245,41 @@ func scanDecisions(cfg *core.Config) decisionSet {
 	}
 }
 
+// shardDir is shard i's directory name under Config.Dir.
+func shardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
+
+// ResolveShards returns the shard count a node over dir opens with,
+// reading dir without changing it: the number of shard-NNN directories
+// it holds, or max(want, 1) when it holds none (or dir is empty or
+// missing). It fails with ErrLayoutMismatch when want is positive and
+// disagrees with the directories found, and when dir holds a single
+// engine's files at the top level — opening either would route keys to
+// the wrong shard.
+func ResolveShards(dir string, want int) (int, error) {
+	found := 0
+	if dir != "" {
+		for _, name := range []string{"data.db", "syslogs.log"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				return 0, fmt.Errorf("%w: %s holds a single engine's %s, not shard directories", ErrLayoutMismatch, dir, name)
+			}
+		}
+		for {
+			st, err := os.Stat(filepath.Join(dir, shardDir(found)))
+			if err != nil || !st.IsDir() {
+				break
+			}
+			found++
+		}
+	}
+	switch {
+	case found == 0:
+		return max(want, 1), nil
+	case want > 0 && want != found:
+		return 0, fmt.Errorf("%w: %s holds %d shards, configuration asks for %d", ErrLayoutMismatch, dir, found, want)
+	}
+	return found, nil
+}
+
 // Open opens (or recovers) a sharded node. Recovery order matters: all
 // shards' decision records and the node journal are indexed first, then
 // each engine recovers with a resolver over that index — an in-doubt
@@ -244,9 +287,9 @@ func scanDecisions(cfg *core.Config) decisionSet {
 // B's log, the write-backs in any peer's log, or the journal, even
 // though no engine is open yet.
 func Open(cfg Config) (*Node, error) {
-	nShards := cfg.Shards
-	if nShards <= 0 {
-		nShards = 1
+	nShards, err := ResolveShards(cfg.Dir, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
 	confs := make([]core.Config, nShards)
 	for i := range confs {
@@ -257,7 +300,7 @@ func Open(cfg Config) (*Node, error) {
 		}
 		confs[i].ShardID = uint32(i)
 		if cfg.Dir != "" {
-			d := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%03d", i))
+			d := filepath.Join(cfg.Dir, shardDir(i))
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/row"
+	"repro/internal/storage/colseg"
 	"repro/internal/storage/disk"
 	"repro/internal/wal"
 )
@@ -355,5 +356,65 @@ func TestShardDownFailsCleanly(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFanOutStopsWhenCallbackStops: once fn returns false, a fan-out
+// read is over — the remaining shards are not scanned and fn is never
+// called again.
+func TestFanOutStopsWhenCallbackStops(t *testing.T) {
+	n := openNode(t, newMedia(3))
+	defer n.Close()
+	if err := n.CreateTable("items", testSchema(), []string{"id"}, catalog.PartitionSpec{},
+		[]catalog.IndexSpec{{Name: "items_qty", Cols: []string{"qty"}}}); err != nil {
+		t.Fatal(err)
+	}
+	tx := n.Begin()
+	for i := int64(1); i <= 60; i++ {
+		if err := tx.Insert("items", itemRow(i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if n.Engine(i).Stats().IMRSRows == 0 {
+			t.Fatalf("shard %d holds no rows; the test needs every shard populated", i)
+		}
+	}
+
+	// stopAt returns a callback that returns false on call number k;
+	// calls beyond k were made after it stopped the read.
+	var calls int
+	stopAt := func(k int) func() bool {
+		calls = 0
+		return func() bool {
+			calls++
+			return calls < k
+		}
+	}
+	scans := map[string]func(tx *Txn, fn func() bool) error{
+		"ScanTable": func(tx *Txn, fn func() bool) error {
+			return tx.ScanTable("items", func(row.Row) bool { return fn() })
+		},
+		"ScanBatches": func(tx *Txn, fn func() bool) error {
+			return tx.ScanBatches("items", nil, 4, func(*colseg.Batch) bool { return fn() })
+		},
+		"IndexScan": func(tx *Txn, fn func() bool) error {
+			return tx.IndexScan("items", "items_qty", nil, func(row.Row) bool { return fn() })
+		},
+	}
+	for name, scan := range scans {
+		for _, k := range []int{1, 3} {
+			tx := n.Begin()
+			if err := scan(tx, stopAt(k)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tx.Abort()
+			if calls != k {
+				t.Errorf("%s: fn returned false on call %d and was called %d more times", name, k, calls-k)
+			}
+		}
 	}
 }

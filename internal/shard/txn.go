@@ -160,9 +160,31 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 	return found, err
 }
 
-// finishFanOut converts an accumulated partial-result record into the
-// typed error (or nil when every shard served).
-func (t *Txn) finishFanOut(pe *PartialResultError) error {
+// fanOut runs visit on each shard's participant in shard order (no
+// global ordering) until one reports that the caller's callback
+// stopped the read. Unavailable shards are skipped and reported through
+// a *PartialResultError alongside what the healthy shards produced; any
+// other error fails the read outright.
+func (t *Txn) fanOut(visit func(s *core.Txn) (more bool, err error)) error {
+	var pe *PartialResultError
+	for i := 0; i < t.n.nShards; i++ {
+		s, err := t.sub(i)
+		if err != nil {
+			pe = pe.add(i, err)
+			continue
+		}
+		more, err := visit(s)
+		if err != nil {
+			if !isUnavailable(err) {
+				return err
+			}
+			pe = pe.add(i, err)
+			continue
+		}
+		if !more {
+			break
+		}
+	}
 	if pe == nil {
 		return nil
 	}
@@ -170,71 +192,36 @@ func (t *Txn) finishFanOut(pe *PartialResultError) error {
 	return pe
 }
 
-// ScanTable scans every shard in shard order (no global ordering).
-// Unavailable shards are skipped and reported through a
-// *PartialResultError alongside the rows the healthy shards produced;
-// any other error fails the scan outright.
+// ScanTable scans every shard until fn returns false (fanOut gives the
+// order and the partial-result contract).
 func (t *Txn) ScanTable(table string, fn func(row.Row) bool) error {
-	var pe *PartialResultError
-	for i := 0; i < t.n.nShards; i++ {
-		s, err := t.sub(i)
-		if err != nil {
-			pe = pe.add(i, err)
-			continue
-		}
-		if err := s.ScanTable(table, fn); err != nil {
-			if isUnavailable(err) {
-				pe = pe.add(i, err)
-				continue
-			}
-			return err
-		}
-	}
-	return t.finishFanOut(pe)
+	return t.fanOut(func(s *core.Txn) (bool, error) {
+		more := true
+		err := s.ScanTable(table, func(r row.Row) bool { more = fn(r); return more })
+		return more, err
+	})
 }
 
-// ScanBatches runs the vectorized scan shard by shard, with the same
-// partial-result contract as ScanTable.
+// ScanBatches runs the vectorized scan shard by shard until fn returns
+// false.
 func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*colseg.Batch) bool) error {
-	var pe *PartialResultError
-	for i := 0; i < t.n.nShards; i++ {
-		s, err := t.sub(i)
-		if err != nil {
-			pe = pe.add(i, err)
-			continue
-		}
-		if err := s.ScanBatches(table, cols, batchRows, fn); err != nil {
-			if isUnavailable(err) {
-				pe = pe.add(i, err)
-				continue
-			}
-			return err
-		}
-	}
-	return t.finishFanOut(pe)
+	return t.fanOut(func(s *core.Txn) (bool, error) {
+		more := true
+		err := s.ScanBatches(table, cols, batchRows, func(b *colseg.Batch) bool { more = fn(b); return more })
+		return more, err
+	})
 }
 
-// IndexScan scans each shard's index in key order, shard by shard: the
-// result is ordered within a shard but not globally (a global merge
-// would force materializing every shard's stream; callers needing
-// total order sort the result). Partial-result contract as ScanTable.
+// IndexScan scans each shard's index in key order until fn returns
+// false: the result is ordered within a shard but not globally (a
+// global merge would force materializing every shard's stream; callers
+// needing total order sort the result).
 func (t *Txn) IndexScan(table, index string, from []row.Value, fn func(row.Row) bool) error {
-	var pe *PartialResultError
-	for i := 0; i < t.n.nShards; i++ {
-		s, err := t.sub(i)
-		if err != nil {
-			pe = pe.add(i, err)
-			continue
-		}
-		if err := s.IndexScan(table, index, from, fn); err != nil {
-			if isUnavailable(err) {
-				pe = pe.add(i, err)
-				continue
-			}
-			return err
-		}
-	}
-	return t.finishFanOut(pe)
+	return t.fanOut(func(s *core.Txn) (bool, error) {
+		more := true
+		err := s.IndexScan(table, index, from, func(r row.Row) bool { more = fn(r); return more })
+		return more, err
+	})
 }
 
 // LookupAll concatenates every shard's matches (secondary indexes are
@@ -243,24 +230,15 @@ func (t *Txn) IndexScan(table, index string, from []row.Value, fn func(row.Row) 
 // down, alongside the typed partial-result error.
 func (t *Txn) LookupAll(table, index string, vals []row.Value) ([]row.Row, error) {
 	var out []row.Row
-	var pe *PartialResultError
-	for i := 0; i < t.n.nShards; i++ {
-		s, err := t.sub(i)
-		if err != nil {
-			pe = pe.add(i, err)
-			continue
-		}
+	err := t.fanOut(func(s *core.Txn) (bool, error) {
 		rows, err := s.LookupAll(table, index, vals)
-		if err != nil {
-			if isUnavailable(err) {
-				pe = pe.add(i, err)
-				continue
-			}
-			return nil, err
-		}
 		out = append(out, rows...)
+		return true, err
+	})
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return nil, err
 	}
-	return out, t.finishFanOut(pe)
+	return out, err
 }
 
 // Commit commits the transaction. With at most one writing shard this

@@ -10,7 +10,7 @@ import (
 type Statement interface{ stmtNode() }
 
 // CreateTable is CREATE TABLE name (col type, ..., PRIMARY KEY (cols)).
-// The shell's terse `... ) key (cols)` suffix parses to the same node.
+// The short `... ) key (cols)` suffix parses to the same node.
 type CreateTable struct {
 	Name       string
 	Columns    []btrim.Column

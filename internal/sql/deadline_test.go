@@ -18,7 +18,7 @@ func tickClock(base time.Time, step time.Duration) func() time.Time {
 }
 
 func TestDeadlineExpiresMidStatement(t *testing.T) {
-	eng := openEngine(t)
+	eng := openEngine(t, 1)
 	s := NewSession(eng)
 	defer s.Close()
 	mustExec(t, s,
@@ -51,7 +51,7 @@ func TestDeadlineExpiresMidStatement(t *testing.T) {
 }
 
 func TestDeadlineAbortsExplicitTxn(t *testing.T) {
-	eng := openEngine(t)
+	eng := openEngine(t, 1)
 	s := NewSession(eng)
 	defer s.Close()
 	mustExec(t, s,

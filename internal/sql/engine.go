@@ -5,9 +5,9 @@ import (
 	"repro/internal/catalog"
 )
 
-// Txn is the transaction surface the executor needs. Both *btrim.Tx and
-// *btrim.STx (the sharded node's transaction) satisfy it directly, so
-// one executor serves the single-engine and the sharded paths.
+// Txn is the transaction surface the executor needs; *btrim.Tx
+// satisfies it directly. It is an interface so that the statement
+// deadline, tests and the benchmark can wrap a transaction.
 type Txn interface {
 	Insert(table string, r btrim.Row) error
 	Get(table string, pk ...btrim.Value) (btrim.Row, bool, error)
@@ -24,8 +24,8 @@ type Txn interface {
 	Abort()
 }
 
-// Engine abstracts the database a session executes against: a plain
-// *btrim.DB (WrapDB) or a sharded node (WrapSharded).
+// Engine is the database a session executes against: a *btrim.DB behind
+// Wrap, or a decorator around one.
 type Engine interface {
 	CreateTable(spec btrim.TableSpec) error
 	DropTable(name string) error
@@ -37,41 +37,20 @@ type Engine interface {
 	Stats() btrim.Stats
 }
 
-type dbEngine struct{ db *btrim.DB }
+type engine struct{ db *btrim.DB }
 
-// WrapDB adapts a plain database to the executor's Engine interface.
-func WrapDB(db *btrim.DB) Engine { return dbEngine{db} }
+// Wrap adapts a database to the executor's Engine interface.
+func Wrap(db *btrim.DB) Engine { return engine{db} }
 
-func (e dbEngine) CreateTable(spec btrim.TableSpec) error { return e.db.CreateTable(spec) }
-func (e dbEngine) DropTable(name string) error            { return e.db.DropTable(name) }
-func (e dbEngine) Begin() Txn                             { return e.db.Begin() }
-func (e dbEngine) Catalog() *catalog.Catalog              { return e.db.Engine().Catalog() }
-func (e dbEngine) Stats() btrim.Stats                     { return e.db.Stats() }
+// WrapSharded is the former name of Wrap, which bench/ still spells.
+// Delete with the next benchmark issue.
+func WrapSharded(db *btrim.DB) Engine { return Wrap(db) }
 
-type shardEngine struct{ db *btrim.ShardedDB }
+func (e engine) CreateTable(spec btrim.TableSpec) error { return e.db.CreateTable(spec) }
+func (e engine) DropTable(name string) error            { return e.db.DropTable(name) }
+func (e engine) Begin() Txn                             { return e.db.Begin() }
+func (e engine) Stats() btrim.Stats                     { return e.db.Stats() }
 
-// WrapSharded adapts a sharded node. DDL applies to every shard, so any
-// shard's catalog describes the node; shard 0 is the canonical copy.
-func WrapSharded(db *btrim.ShardedDB) Engine { return shardEngine{db} }
-
-func (e shardEngine) CreateTable(spec btrim.TableSpec) error { return e.db.CreateTable(spec) }
-func (e shardEngine) DropTable(name string) error            { return e.db.DropTable(name) }
-func (e shardEngine) Begin() Txn                             { return e.db.Begin() }
-func (e shardEngine) Catalog() *catalog.Catalog              { return e.db.Node().Engine(0).Catalog() }
-func (e shardEngine) Stats() btrim.Stats                     { return e.db.Stats() }
-
-// Columns resolves a table's column layout from the live catalog. The
-// CLI shell uses this instead of a per-shell schema cache, so a table
-// created or changed by another session is always seen current.
-func Columns(cat *catalog.Catalog, table string) ([]btrim.Column, error) {
-	t := cat.Table(table)
-	if t == nil {
-		return nil, &TableError{Table: table}
-	}
-	cols := make([]btrim.Column, t.Schema.NumColumns())
-	for i := range cols {
-		c := t.Schema.Column(i)
-		cols[i] = btrim.Column{Name: c.Name, Type: btrim.ColumnType(c.Kind)}
-	}
-	return cols, nil
-}
+// Catalog returns shard 0's catalog: DDL applies to every shard, so any
+// shard's catalog describes the node.
+func (e engine) Catalog() *catalog.Catalog { return e.db.Node().Engine(0).Catalog() }

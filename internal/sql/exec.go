@@ -276,13 +276,6 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		sc.preds = rps[:0]
 		stop := false
 		err = tx.ScanBatches(p.meta.name, p.scanCols, 0, func(b *btrim.Batch) bool {
-			// The sharded node's scan fans out shard by shard and a false
-			// return only ends the current shard — re-check the limit here
-			// so later shards stop contributing rows too.
-			if atLimit() {
-				stop = true
-				return false
-			}
 		rows:
 			for i := 0; i < b.Len(); i++ {
 				for j := range rps {
@@ -292,7 +285,7 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 				}
 				out := make(btrim.Row, len(p.scanOutOrds))
 				for j, o := range p.scanOutOrds {
-					out[j] = vecValue(&b.Cols[o], i)
+					out[j] = b.Cols[o].Value(i) // owned: the batch is reused
 				}
 				res.Rows = append(res.Rows, out)
 				if atLimit() {

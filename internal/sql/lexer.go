@@ -48,9 +48,7 @@ func (t token) String() string {
 // ' or ") and returns the unquoted value and the index just past the
 // closing quote. Inside the quotes a backslash escapes the next
 // character (\" \' \\ \n \t), and a doubled quote character is the
-// SQL-style escape for one literal quote. The CLI shell's tokenizer
-// shares this scanner so the two command languages agree on every
-// quoting edge case.
+// SQL-style escape for one literal quote.
 func ScanQuoted(s string, start int) (val string, next int, err error) {
 	q := s[start]
 	var b strings.Builder

@@ -5,9 +5,7 @@ import (
 	"testing"
 )
 
-// QuotedCases is the table of quoting edge cases shared (by
-// construction) with the CLI shell: its tokenizer delegates to
-// ScanQuoted, so these cases define the behaviour of both front ends.
+// QuotedCases is the table of quoting edge cases ScanQuoted is held to.
 var QuotedCases = []struct {
 	Name string
 	In   string // full token starting at offset 0

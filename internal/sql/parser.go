@@ -176,7 +176,7 @@ var typeNames = map[string]btrim.ColumnType{
 //
 //	CREATE TABLE t (a INT, b STRING, PRIMARY KEY (a))
 //
-// and the shell's terse form
+// and the short form
 //
 //	create table t (a int, b string) key (a)
 func (p *parser) createTable() (Statement, error) {
@@ -234,7 +234,7 @@ func (p *parser) createTable() (Statement, error) {
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	if p.acceptKw("key") { // terse trailing form
+	if p.acceptKw("key") { // short trailing form
 		if stmt.PrimaryKey != nil {
 			return nil, p.errf("duplicate primary key clause")
 		}

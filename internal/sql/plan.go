@@ -421,26 +421,6 @@ func vecCmp(v *btrim.Vec, i int, pv btrim.Value) (int, bool) {
 	}
 }
 
-// vecValue materializes batch row i of vector v as an owned Value (the
-// batch's buffers are reused across callbacks, so strings and bytes are
-// copied out).
-func vecValue(v *btrim.Vec, i int) btrim.Value {
-	if v.IsNull(i) {
-		return btrim.Null
-	}
-	switch v.Kind {
-	case row.KindInt64:
-		return btrim.Int64(v.I64[i])
-	case row.KindFloat64:
-		return btrim.Float64(v.F64[i])
-	case row.KindString:
-		return btrim.String(string(v.Str[i]))
-	case row.KindBytes:
-		return btrim.Bytes(append([]byte(nil), v.Str[i]...))
-	}
-	return btrim.Null
-}
-
 // dedupValues removes duplicate values in place (IN lists are sets:
 // `pk IN (1, 1)` must not return the row twice). Lists are small, so
 // the quadratic scan beats building a hash set.

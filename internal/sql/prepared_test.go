@@ -16,7 +16,7 @@ func seedUsers(t *testing.T, s *Session) {
 }
 
 func TestPrepareExecuteDeallocate(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	seedUsers(t, s)
 
@@ -59,7 +59,7 @@ func TestPrepareExecuteDeallocate(t *testing.T) {
 }
 
 func TestPreparedErrors(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	seedUsers(t, s)
 	mustExec(t, s, `PREPARE p AS SELECT name FROM users WHERE id = ?`)
@@ -107,7 +107,7 @@ func TestPreparedErrors(t *testing.T) {
 }
 
 func TestPreparedParamInArithmeticSet(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s,
 		`CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))`,
@@ -126,7 +126,7 @@ func TestPreparedParamInArithmeticSet(t *testing.T) {
 }
 
 func TestRePrepareUnderOpenTxn(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	seedUsers(t, s)
 	mustExec(t, s, `BEGIN`)
@@ -197,16 +197,10 @@ func testPlanCacheDDLInvalidation(t *testing.T, eng Engine) {
 	}
 }
 
-func TestPlanCacheDDLInvalidation(t *testing.T) {
-	testPlanCacheDDLInvalidation(t, openEngine(t))
-}
-
-func TestPlanCacheDDLInvalidationSharded(t *testing.T) {
-	testPlanCacheDDLInvalidation(t, openShardedEngine(t, 3))
-}
+func TestPlanCacheDDLInvalidation(t *testing.T) { forShards(t, testPlanCacheDDLInvalidation) }
 
 func TestTransparentPlanCache(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	seedUsers(t, s)
 	base := s.Stats()
@@ -251,7 +245,7 @@ func TestTransparentPlanCache(t *testing.T) {
 }
 
 func TestPlanCacheEviction(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s, `CREATE TABLE t0 (a INT, PRIMARY KEY (a))`)
 	// planCacheSize distinct shapes fill the cache; one more evicts.
@@ -314,11 +308,10 @@ func testINAndIndexLookup(t *testing.T, eng Engine) {
 	}
 }
 
-func TestINAndIndexLookup(t *testing.T)        { testINAndIndexLookup(t, openEngine(t)) }
-func TestINAndIndexLookupSharded(t *testing.T) { testINAndIndexLookup(t, openShardedEngine(t, 3)) }
+func TestINAndIndexLookup(t *testing.T) { forShards(t, testINAndIndexLookup) }
 
 func TestDropTableStatement(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	seedUsers(t, s)
 	mustExec(t, s, `DROP TABLE users`)

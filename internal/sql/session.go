@@ -103,7 +103,7 @@ type Session struct {
 	argBuf   []btrim.Value // scratch for literal→value conversion
 }
 
-// NewSession builds a session over eng (WrapDB or WrapSharded).
+// NewSession builds a session over eng (Wrap, or a decorator over it).
 func NewSession(eng Engine) *Session {
 	return &Session{eng: eng, now: time.Now, cache: newPlanCache(planCacheSize)}
 }
@@ -289,7 +289,7 @@ func litValue(l Literal) btrim.Value {
 // scope.
 func (s *Session) execCompiled(c *compiled, args []btrim.Value) (*Result, error) {
 	var res *Result
-	err := s.Do(func(tx Txn) error {
+	err := s.do(func(tx Txn) error {
 		if len(args) != c.numParams {
 			return fmt.Errorf("sql: statement wants %d parameters, got %d", c.numParams, len(args))
 		}
@@ -511,12 +511,10 @@ func countParams(stmt Statement) int {
 	return max
 }
 
-// Do runs fn inside the session's transaction scope: the open explicit
+// do runs fn inside the session's transaction scope: the open explicit
 // transaction when one exists (a failure aborts it and parks the
 // session in the aborted state), otherwise one autocommit transaction.
-// The CLI shell routes its terse commands through Do so they observe
-// and respect explicit BEGIN blocks exactly like SQL statements.
-func (s *Session) Do(fn func(Txn) error) error {
+func (s *Session) do(fn func(Txn) error) error {
 	if s.aborted {
 		return ErrTxnAborted
 	}

@@ -8,24 +8,24 @@ import (
 	"repro/btrim"
 )
 
-func openEngine(t *testing.T) Engine {
+// openEngine opens an in-memory database of the given shard count.
+func openEngine(t *testing.T, shards int) Engine {
 	t.Helper()
-	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 8 << 20})
+	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 16 << 20, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = db.Close() })
-	return WrapDB(db)
+	return Wrap(db)
 }
 
-func openShardedEngine(t *testing.T, shards int) Engine {
-	t.Helper()
-	db, err := btrim.OpenSharded(btrim.Config{IMRSCacheBytes: 16 << 20, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
+// forShards runs fn over a one-shard and a three-shard database: the
+// executor must behave the same whether a statement touches one engine
+// or fans out over several.
+func forShards(t *testing.T, fn func(t *testing.T, eng Engine)) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, openEngine(t, n)) })
 	}
-	t.Cleanup(func() { _ = db.Close() })
-	return WrapSharded(db)
 }
 
 func mustExec(t *testing.T, s *Session, stmts ...string) *Result {
@@ -41,8 +41,7 @@ func mustExec(t *testing.T, s *Session, stmts ...string) *Result {
 	return last
 }
 
-// testCRUD runs the full statement suite against an engine; it is the
-// "executor works over both Open and OpenSharded" check.
+// testCRUD runs the full statement suite against an engine.
 func testCRUD(t *testing.T, eng Engine) {
 	s := NewSession(eng)
 	defer s.Close()
@@ -132,11 +131,10 @@ func testCRUD(t *testing.T, eng Engine) {
 	}
 }
 
-func TestExecCRUD(t *testing.T)        { testCRUD(t, openEngine(t)) }
-func TestExecCRUDSharded(t *testing.T) { testCRUD(t, openShardedEngine(t, 3)) }
+func TestExecCRUD(t *testing.T) { forShards(t, testCRUD) }
 
 func TestExecCompositeKeyRouting(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s,
 		`CREATE TABLE kv (region STRING, id INT, v STRING, PRIMARY KEY (region, id))`,
@@ -160,7 +158,7 @@ func TestExecCompositeKeyRouting(t *testing.T) {
 }
 
 func TestExecInsertColumnList(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s,
 		`CREATE TABLE t (a INT, b STRING, PRIMARY KEY (a))`,
@@ -179,7 +177,7 @@ func TestExecInsertColumnList(t *testing.T) {
 }
 
 func TestExecTypeChecking(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s, `CREATE TABLE t (a INT, b STRING, PRIMARY KEY (a))`)
 	for _, bad := range []string{
@@ -205,7 +203,7 @@ func TestExecTypeChecking(t *testing.T) {
 }
 
 func TestSessionTxnStateMachine(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s, `CREATE TABLE t (a INT, b INT, PRIMARY KEY (a))`)
 
@@ -252,7 +250,7 @@ func TestSessionTxnStateMachine(t *testing.T) {
 // aborted state — earlier statements rolled back, later statements
 // rejected with the typed ErrTxnAborted — never half-applied.
 func TestSessionAbortedState(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s,
 		`CREATE TABLE t (a INT, b INT, PRIMARY KEY (a))`,
@@ -310,7 +308,7 @@ func TestSessionAbortedState(t *testing.T) {
 }
 
 func TestAutocommitFailureRollsBackWholeStatement(t *testing.T) {
-	s := NewSession(openEngine(t))
+	s := NewSession(openEngine(t, 1))
 	defer s.Close()
 	mustExec(t, s,
 		`CREATE TABLE t (a INT, PRIMARY KEY (a))`,
@@ -331,7 +329,7 @@ func TestAutocommitFailureRollsBackWholeStatement(t *testing.T) {
 }
 
 func TestSnapshotAcrossSessions(t *testing.T) {
-	eng := openEngine(t)
+	eng := openEngine(t, 1)
 	a, b := NewSession(eng), NewSession(eng)
 	defer a.Close()
 	defer b.Close()
@@ -354,7 +352,7 @@ func TestSnapshotAcrossSessions(t *testing.T) {
 }
 
 func TestConcurrentIncrementsViaSQL(t *testing.T) {
-	eng := openEngine(t)
+	eng := openEngine(t, 1)
 	s := NewSession(eng)
 	mustExec(t, s, `CREATE TABLE c (id INT, v INT, PRIMARY KEY (id))`, `INSERT INTO c VALUES (1, 0)`)
 	s.Close()

@@ -1,6 +1,8 @@
 package colseg
 
 import (
+	"bytes"
+
 	"repro/internal/rid"
 	"repro/internal/row"
 )
@@ -31,6 +33,24 @@ func (v *Vec) Len() int { return len(v.Nulls) }
 
 // IsNull reports whether row i is NULL.
 func (v *Vec) IsNull(i int) bool { return v.Nulls[i] }
+
+// Value returns row i as a row.Value the caller owns: strings and bytes
+// are copied out of the vector's storage (segment blob or batch arena),
+// which a scan reuses for its next batch.
+func (v *Vec) Value(i int) row.Value {
+	switch {
+	case v.Nulls[i]:
+		return row.Null
+	case v.Kind == row.KindInt64:
+		return row.Int64(v.I64[i])
+	case v.Kind == row.KindFloat64:
+		return row.Float64(v.F64[i])
+	case v.Kind == row.KindString:
+		return row.String(string(v.Str[i]))
+	default:
+		return row.Bytes(bytes.Clone(v.Str[i]))
+	}
+}
 
 // AppendNull appends a NULL slot.
 func (v *Vec) AppendNull() {
