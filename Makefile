@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke loc ci
+.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ test-race-internal:
 # -cpu 1,2,4 waits for ROADMAP 0a.
 test-race-readpath:
 	$(GO) test -race -cpu 1,2,4 ./internal/index/... ./internal/ridmap/ ./internal/row/
+
+# The commit pipeline under the race detector on one, two and four
+# cores: the group-commit flusher (wal) and every caller of the one
+# dual-log protocol — user commit, 2PC prepare, heap pack, freeze — with
+# the crash-between-the-logs, Halt and log-poisoning tests around it.
+test-commit:
+	$(GO) test -race -cpu 1,2,4 ./internal/wal/
+	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Commit|Prepare|TwoPC|Pack|Freeze|Halt|Poison'
 
 # Recovery pipeline tests (crash injection, parallel==serial
 # equivalence, checkpoint-failure surfacing) under the race detector.
@@ -145,6 +153,6 @@ loc:
 # the full suite. The fuzz targets run with a small budget here — the
 # checked-in corpora replay as plain seeds, the extra seconds only probe
 # for fresh crashers.
-ci: build vet fmt-check bench-build test-race-internal test-race-readpath test-sql-prepared
+ci: build vet fmt-check bench-build test-race-internal test-race-readpath test-commit test-sql-prepared
 	$(GO) test -race -short ./...
 	$(MAKE) fuzz-proto FUZZTIME=10s

@@ -116,18 +116,6 @@ type Config struct {
 	// ReadLatency/WriteLatency model device latency for in-memory devices.
 	ReadLatency, WriteLatency time.Duration
 
-	// DisableGroupCommit turns off the group-commit pipeline: every
-	// committer then syncs the logs itself (higher commit latency under
-	// concurrency; useful as a baseline).
-	DisableGroupCommit bool
-	// CommitCoalesceDelay makes the commit flusher linger this long to
-	// coalesce more committers per log sync. 0 flushes immediately;
-	// batching still arises while a sync is in flight.
-	CommitCoalesceDelay time.Duration
-	// CommitMaxBatchBytes cuts a coalesce delay short once this many
-	// bytes of log are buffered.
-	CommitMaxBatchBytes int
-
 	// DisableColdStore reverts the packer to slotted heap pages: frozen
 	// rows are written row-wise instead of into compressed column
 	// segments, as the paper does (reads stay cold-store aware so a
@@ -173,9 +161,6 @@ func (cfg Config) coreConfig() core.Config {
 	ec.RecoveryThreads = cfg.RecoveryThreads
 	ec.ReadLatency = cfg.ReadLatency
 	ec.WriteLatency = cfg.WriteLatency
-	ec.DisableGroupCommit = cfg.DisableGroupCommit
-	ec.CommitCoalesceDelay = cfg.CommitCoalesceDelay
-	ec.CommitMaxBatchBytes = cfg.CommitMaxBatchBytes
 	ec.DisableColdStore = cfg.DisableColdStore
 	ec.ColdSegmentRows = cfg.ColdSegmentRows
 	if cfg.GCWorkers > 0 {

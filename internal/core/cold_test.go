@@ -547,9 +547,9 @@ func TestScanBatchesAllocBudget(t *testing.T) {
 		coldConfig(c)
 		c.ColdSegmentRows = 256
 		c.CheckpointEvery = 0
-		c.DisableGroupCommit = true
 		c.GCWorkers = 1
 	})
+	stopFlushers(e)
 	createItems(t, e)
 
 	const n = 1024

@@ -11,15 +11,12 @@ import (
 )
 
 // benchEngine opens an engine for the commit benchmark on either
-// in-memory or file-backed storage, with the group-commit pipeline on
-// or off.
-func benchEngine(b *testing.B, backend string, group bool, delay time.Duration) *Engine {
+// in-memory or file-backed storage.
+func benchEngine(b *testing.B, backend string) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.IMRSCacheBytes = 256 << 20
 	cfg.PackInterval = time.Hour // isolate the commit path
-	cfg.DisableGroupCommit = !group
-	cfg.CommitCoalesceDelay = delay
 	if backend == "file" {
 		cfg.Dir = b.TempDir()
 	}
@@ -35,50 +32,47 @@ func benchEngine(b *testing.B, backend string, group bool, delay time.Duration) 
 }
 
 // BenchmarkConcurrentCommit measures committed transactions per second
-// for one-row insert transactions across goroutine counts, storage
-// backends, and commit modes (group = the coalescing pipeline, sync =
-// flush-per-commit baseline). The commits/s metric on the file backend
-// is the headline number: group commit amortizes the fsync.
+// for one-row insert transactions across goroutine counts and storage
+// backends. The commits/s metric on the file backend is the headline
+// number: group commit amortizes the fsync.
 func BenchmarkConcurrentCommit(b *testing.B) {
 	for _, backend := range []string{"mem", "file"} {
-		for _, mode := range []string{"group", "sync"} {
-			for _, workers := range []int{1, 4, 8, 16} {
-				name := fmt.Sprintf("backend=%s/mode=%s/goroutines=%d", backend, mode, workers)
-				b.Run(name, func(b *testing.B) {
-					e := benchEngine(b, backend, mode == "group", 0)
-					var next atomic.Int64
-					next.Store(1)
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per := b.N / workers
-					if per == 0 {
-						per = 1
-					}
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := 0; i < per; i++ {
-								key := next.Add(1)
-								tx := e.Begin()
-								if err := tx.Insert("items", itemRow(key, "bench", key)); err != nil {
-									b.Error(err)
-									tx.Abort()
-									return
-								}
-								if err := tx.Commit(); err != nil {
-									b.Error(err)
-									return
-								}
+		for _, workers := range []int{1, 4, 8, 16} {
+			name := fmt.Sprintf("backend=%s/goroutines=%d", backend, workers)
+			b.Run(name, func(b *testing.B) {
+				e := benchEngine(b, backend)
+				var next atomic.Int64
+				next.Store(1)
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per := b.N / workers
+				if per == 0 {
+					per = 1
+				}
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < per; i++ {
+							key := next.Add(1)
+							tx := e.Begin()
+							if err := tx.Insert("items", itemRow(key, "bench", key)); err != nil {
+								b.Error(err)
+								tx.Abort()
+								return
 							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					commits := float64(per * workers)
-					b.ReportMetric(commits/b.Elapsed().Seconds(), "commits/s")
-				})
-			}
+							if err := tx.Commit(); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				commits := float64(per * workers)
+				b.ReportMetric(commits/b.Elapsed().Seconds(), "commits/s")
+			})
 		}
 	}
 }

@@ -64,20 +64,6 @@ type Config struct {
 	// LockTimeout bounds row-lock waits (deadlock breaker).
 	LockTimeout time.Duration
 
-	// DisableGroupCommit turns off the per-log group-commit flusher
-	// goroutines; every committer then flushes and syncs its own log
-	// tail (the pre-pipeline behaviour, and a useful baseline).
-	DisableGroupCommit bool
-	// CommitCoalesceDelay is how long a group-commit flusher lingers
-	// after waking before it flushes, letting more committers join the
-	// group. 0 (the default) flushes immediately — batching still arises
-	// naturally from committers arriving while a sync is in flight, and
-	// single-threaded commit latency stays at the direct-flush baseline.
-	CommitCoalesceDelay time.Duration
-	// CommitMaxBatchBytes cuts a coalesce delay short once this many
-	// bytes are buffered in a log. 0 means no byte trigger.
-	CommitMaxBatchBytes int
-
 	// CheckpointEvery, when positive, runs background checkpoints at
 	// this period. Checkpoints bound recovery time and, under the
 	// no-steal buffer policy, are what makes dirty pages clean and

@@ -243,8 +243,8 @@ func Open(cfg Config) (*Engine, error) {
 
 	// Start the group-commit pipelines only after recovery, which may
 	// have swapped e.imrslog to a compacted generation.
-	e.startGroupCommit(e.syslog)
-	e.startGroupCommit(e.imrslog)
+	e.syslog.StartGroupCommit()
+	e.imrslog.StartGroupCommit()
 
 	e.gc.Start(cfg.GCWorkers)
 	if cfg.ILMEnabled {
@@ -343,17 +343,6 @@ func (e *Engine) openStorage() error {
 		return err
 	}
 	return nil
-}
-
-// startGroupCommit launches the commit pipeline on l per configuration.
-func (e *Engine) startGroupCommit(l *wal.Log) {
-	if e.cfg.DisableGroupCommit {
-		return
-	}
-	l.StartGroupCommit(wal.GroupCommitConfig{
-		MaxDelay:      e.cfg.CommitCoalesceDelay,
-		MaxBatchBytes: e.cfg.CommitMaxBatchBytes,
-	})
 }
 
 // Halt stops background workers without checkpointing or closing the

@@ -105,48 +105,110 @@ func crashConfig(st *sharedStorage) Config {
 // frame in syslogs: recovery must stop at the tear, discard the
 // affected transactions' page-store halves, and — via the contingent
 // Aux=1 rule — discard their IMRS halves too, even though those are
-// fully intact in sysimrslogs.
+// fully intact in sysimrslogs. The inputs are every kind of mixed
+// transaction the commit pipeline carries: concurrent user commits, a
+// heap pack transaction and a freeze transaction (whose lost halves
+// would otherwise delete rows from the IMRS that never reached the
+// page store).
 func TestConcurrentGroupCommitTornSyslogTail(t *testing.T) {
 	const workers, perWorker = 8, 40
-	st := newSharedStorage()
-	e, err := Open(crashConfig(st))
-	if err != nil {
-		t.Fatal(err)
+	const packed = 20
+	// packOnce commits rows that go cold, packs them in one pack
+	// transaction, and tears syslogs in the middle of that transaction's
+	// records: its RecCommit, the last of them, is lost.
+	packOnce := func(t *testing.T, e *Engine, st *sharedStorage) int64 {
+		createItems(t, e)
+		queueColdItems(t, e, packed)
+		if err := e.syslog.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := st.sys.Size()
+		e.Packer().Step()
+		if n := e.Packer().RowsPacked.Load(); n != packed {
+			t.Fatalf("packed %d rows, want %d", n, packed)
+		}
+		after, _ := st.sys.Size()
+		return before + (after-before)/2
 	}
-	createHotCold(t, e)
-	acked := commitMixed(t, e, workers, perWorker)
-	if len(acked) != workers*perWorker {
-		t.Fatalf("only %d/%d commits acknowledged", len(acked), workers*perWorker)
+	// Both halves of the pack dropped: every row is still an IMRS row.
+	packCheck := func(t *testing.T, e2 *Engine) {
+		if n := e2.store.Part(e2.table0(t, "items").cat.ID).Rows.Load(); n != packed {
+			t.Fatalf("%d rows in the IMRS after recovery, want %d: the pack's IMRS half was applied without its page-store half", n, packed)
+		}
+		tx := e2.Begin()
+		defer tx.Abort()
+		for i := int64(1); i <= packed; i++ {
+			if rw, ok, err := tx.Get("items", pk(i)); err != nil || !ok || rw[2].Int() != i {
+				t.Fatalf("row %d after recovery: %v ok=%v err=%v", i, rw, ok, err)
+			}
+		}
 	}
-	if grouped := e.Stats().IMRSLog.GroupedCommits; grouped == 0 {
-		t.Fatal("group-commit pipeline was not exercised")
-	}
-	e.Halt() // crash
+	for _, tc := range []struct {
+		name     string
+		heapPack bool
+		run      func(*testing.T, *Engine, *sharedStorage) int64 // returns the syslogs length that survives
+		check    func(*testing.T, *Engine)
+	}{
+		{name: "user-commits",
+			run: func(t *testing.T, e *Engine, st *sharedStorage) int64 {
+				acked := commitMixed(t, e, workers, perWorker)
+				if len(acked) != workers*perWorker {
+					t.Fatalf("only %d/%d commits acknowledged", len(acked), workers*perWorker)
+				}
+				if grouped := e.Stats().IMRSLog.GroupedCommits; grouped == 0 {
+					t.Fatal("group-commit pipeline was not exercised")
+				}
+				sysLen, _ := st.sys.Size()
+				return sysLen * 6 / 10
+			},
+			check: func(t *testing.T, e2 *Engine) {
+				recovered := checkPairing(t, e2, workers, perWorker)
+				if len(recovered) == 0 {
+					t.Fatal("truncated log recovered nothing; expected the pre-tear prefix")
+				}
+				if len(recovered) >= workers*perWorker {
+					t.Fatalf("recovered %d pairs from a log missing 40%% of its tail (committed %d)",
+						len(recovered), workers*perWorker)
+				}
+			}},
+		{name: "heap-pack", heapPack: true, run: packOnce, check: packCheck},
+		{name: "freeze", run: packOnce, check: packCheck},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			config := func(st *sharedStorage) Config {
+				cfg := crashConfig(st)
+				coldConfig(&cfg)
+				cfg.PackThreads = 1
+				cfg.DisableColdStore = tc.heapPack
+				return cfg
+			}
+			st := newSharedStorage()
+			e, err := Open(config(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			createHotCold(t, e)
+			keep := tc.run(t, e, st)
+			e.Halt() // crash
 
-	// The crash tore the tail off syslogs mid-frame; sysimrslogs keeps a
-	// torn partial frame appended by an in-flight batch write.
-	sys := st.sys.Clone()
-	sysLen, _ := sys.Size()
-	sys.Truncate(sysLen * 6 / 10)
-	ims := st.ims.Clone()
-	if _, err := ims.Append([]byte{0xAB, 0xCD, 0x01}); err != nil {
-		t.Fatal(err)
-	}
+			// The crash tore the tail off syslogs mid-frame; sysimrslogs
+			// keeps a torn partial frame appended by an in-flight batch
+			// write.
+			sys := st.sys.Clone()
+			sys.Truncate(keep)
+			ims := st.ims.Clone()
+			if _, err := ims.Append([]byte{0xAB, 0xCD, 0x01}); err != nil {
+				t.Fatal(err)
+			}
 
-	st2 := &sharedStorage{dev: st.dev, sys: sys, ims: ims}
-	e2, err := Open(crashConfig(st2))
-	if err != nil {
-		t.Fatalf("recovery over torn logs failed: %v", err)
-	}
-	defer e2.Close()
-
-	recovered := checkPairing(t, e2, workers, perWorker)
-	if len(recovered) == 0 {
-		t.Fatal("truncated log recovered nothing; expected the pre-tear prefix")
-	}
-	if len(recovered) >= len(acked) {
-		t.Fatalf("recovered %d pairs from a log missing 40%% of its tail (committed %d)",
-			len(recovered), len(acked))
+			st2 := &sharedStorage{dev: st.dev, sys: sys, ims: ims}
+			e2, err := Open(config(st2))
+			if err != nil {
+				t.Fatalf("recovery over torn logs failed: %v", err)
+			}
+			defer e2.Close()
+			tc.check(t, e2)
+		})
 	}
 }
 
@@ -275,26 +337,42 @@ func TestGroupFlushFailurePoisonsCommitPath(t *testing.T) {
 // exactly what a crash at that instant would leave.
 func TestHaltDoesNotFlushQueuedCommitters(t *testing.T) {
 	st := newSharedStorage()
+	ims := gateOver(st.ims)
 	cfg := crashConfig(st)
-	cfg.CommitCoalesceDelay = time.Hour // committers stay queued
+	cfg.IMRSLogBackend = ims
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	createHotCold(t, e)
+	commitHot := func(key int64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			tx := e.Begin()
+			if err := tx.Insert("hot", itemRow(key, "h", key)); err != nil {
+				done <- err
+				return
+			}
+			done <- tx.Commit()
+		}()
+		return done
+	}
+	// One flush round is in flight at the crash — its bytes written, its
+	// sync pending — and the committer under test queues behind it.
+	ims.hold()
+	inFlight := commitHot(1)
+	ims.awaitHeld(t)
 	imsBefore, _ := st.ims.Size()
-	done := make(chan error, 1)
-	go func() {
-		tx := e.Begin()
-		if err := tx.Insert("hot", itemRow(1, "h", 1)); err != nil {
-			done <- err
-			return
-		}
-		done <- tx.Commit()
-	}()
+	queued := commitHot(2)
 	time.Sleep(50 * time.Millisecond) // let the committer enqueue
+	// Halt waits for the in-flight round, and nothing outside the wal
+	// package can see its abort begin: let the round go once it long has.
+	time.AfterFunc(250*time.Millisecond, ims.release)
 	e.Halt()
-	if err := <-done; err == nil {
+	if err := <-inFlight; err != nil {
+		t.Fatalf("round already syncing at the crash: %v", err)
+	}
+	if err := <-queued; err == nil {
 		t.Fatal("commit acknowledged during a simulated crash")
 	}
 	if imsAfter, _ := st.ims.Size(); imsAfter != imsBefore {
@@ -307,7 +385,10 @@ func TestHaltDoesNotFlushQueuedCommitters(t *testing.T) {
 	defer e2.Close()
 	tx := e2.Begin()
 	defer tx.Abort()
-	if _, ok, _ := tx.Get("hot", pk(1)); ok {
+	if _, ok, _ := tx.Get("hot", pk(1)); !ok {
+		t.Fatal("acknowledged row lost")
+	}
+	if _, ok, _ := tx.Get("hot", pk(2)); ok {
 		t.Fatal("unacknowledged row survived the simulated crash")
 	}
 }

@@ -398,3 +398,56 @@ func TestPackErrorStreakDegrades(t *testing.T) {
 		t.Fatalf("health after reloc success = %v", got)
 	}
 }
+
+// A pack transaction commits through the same pipeline as a user
+// transaction, so a log failure there must be just as loud: the first
+// failed pack commit poisons the WAL and forces ReadOnly with that root
+// cause — no user write is needed to discover the dead log, and the
+// engine does not sit Degraded("pack-errors") on top of it. Both pack
+// homes are inputs: the heap home and the column-segment home.
+func TestPackCommitFailurePoisonsToReadOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		heapPack bool
+	}{{"heap", true}, {"freeze", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newSharedStorage()
+			faulty := &wal.FaultyBackend{Inner: st.ims}
+			cfg := healthConfig(st)
+			coldConfig(&cfg)
+			cfg.DisableColdStore = tc.heapPack
+			cfg.IMRSLogBackend = faulty
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Halt()
+			createItems(t, e)
+			const n = 20
+			queueColdItems(t, e, n)
+
+			// The sysimrslogs device dies; nobody writes afterwards. One
+			// pack cycle is what finds out.
+			faulty.Kill()
+			e.Packer().Step()
+			if e.Packer().RelocErrors.Load() == 0 {
+				t.Fatal("pack cycle did not fail; fault injection ineffective")
+			}
+			if got := e.HealthState(); got != StateReadOnly {
+				t.Fatalf("health state after a failed pack commit = %v, want read-only", got)
+			}
+			if cause := e.health.readOnlyCause(); !errors.Is(cause, wal.ErrPoisoned) {
+				t.Fatalf("read-only cause = %v, want wal.ErrPoisoned", cause)
+			}
+			// The rows the pack could not move are still served.
+			rtx := e.Begin()
+			defer rtx.Abort()
+			for i := int64(1); i <= n; i++ {
+				rw, ok, err := rtx.Get("items", pk(i))
+				if err != nil || !ok || rw[2].Int() != i {
+					t.Fatalf("row %d after failed pack: %v ok=%v err=%v", i, rw, ok, err)
+				}
+			}
+		})
+	}
+}

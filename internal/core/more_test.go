@@ -168,8 +168,8 @@ func TestFinishedTxnRejectsEverything(t *testing.T) {
 	if err := tx.ScanTable("items", nil); err != ErrTxnDone {
 		t.Fatalf("Scan err = %v", err)
 	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("double commit accepted")
+	if err := tx.Commit(); err != ErrTxnDone {
+		t.Fatalf("double Commit err = %v", err)
 	}
 	tx.Abort() // no-op, must not panic
 }

@@ -13,18 +13,56 @@ import (
 // relocation of cold IMRS rows to the page store (paper Sections VI-VII).
 type relocator Engine
 
+// packHome is where one pack transaction puts the row images it
+// relocates — the only part of a pack that depends on the cold store's
+// layout. place takes one locked row's newest committed image and
+// buffers whatever the move must log; seal runs once before the commit;
+// publish runs once the commit is durable, before the IMRS entries
+// unpublish, so a racing reader always finds the row in one store.
+type packHome interface {
+	place(en *imrs.Entry, data []byte) error
+	seal() error
+	publish(ts uint64)
+}
+
+// packTxn is the log-side state of one pack transaction.
+type packTxn struct {
+	e                 *Engine
+	rt                *tableRT
+	prt               *partRT
+	id                uint64
+	locked            []rid.RID
+	sysRecs, imrsRecs []wal.Record
+}
+
+// tryLock takes the conditional row lock pack runs under.
+func (p *packTxn) tryLock(r rid.RID) bool {
+	if !p.e.locks.TryLock(p.id, r) {
+		return false
+	}
+	p.locked = append(p.locked, r)
+	return true
+}
+
+// logIMRSDelete logs the row's departure from the IMRS (sysimrslogs).
+func (p *packTxn) logIMRSDelete(en *imrs.Entry) {
+	p.imrsRecs = append(p.imrsRecs, wal.Record{
+		Type: wal.RecIMRSDelete, Table: p.rt.cat.ID, RID: en.RID, Aux: uint8(en.Origin),
+	})
+}
+
 // PackEntries relocates a batch of cold entries from one partition in a
-// single pack transaction:
+// single pack transaction, which commits through logCommit like any
+// other:
 //
 //   - rows are taken under conditional locks; locked rows are skipped
 //     and re-tailed (paper Section VII-B);
-//   - inserted rows (virtual RIDs) get a page-store location and their
-//     index entries are repointed (logged insert);
-//   - migrated/updated rows write their newest image back to their
-//     page-store RID (logged update); clean cached rows just drop;
-//   - the IMRS side logs a delete per row in sysimrslogs;
-//   - after the commit flushes, entries unpublish and their memory is
-//     retired to IMRS-GC.
+//   - each row's newest committed image goes to the pack home — a
+//     slotted heap page (heapHome, below) or a column segment (coldHome,
+//     freeze.go) — which logs the move on both sides; clean cached rows
+//     just drop, the heap copy is already authoritative;
+//   - after the commit flushes, the home publishes, entries unpublish
+//     and their memory is retired to IMRS-GC.
 func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (int, int64, error) {
 	e := (*Engine)(r)
 	e.ckptMu.RLock()
@@ -41,34 +79,29 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 		return 0, 0, fmt.Errorf("core: pack of unmounted table %d", prt.cat.Table.ID)
 	}
 
-	if e.coldEnabled {
-		return e.freezeEntries(rt, prt, part, entries)
-	}
-
-	packTxn := e.nextTxnID.Add(1)
-	var lockedRIDs []rid.RID
-	unlockAll := func() {
-		for _, lr := range lockedRIDs {
-			e.locks.Unlock(packTxn, lr)
+	p := &packTxn{e: e, rt: rt, prt: prt, id: e.nextTxnID.Add(1)}
+	defer func() {
+		for _, lr := range p.locked {
+			e.locks.Unlock(p.id, lr)
 		}
+	}()
+	var home packHome = heapHome{p}
+	if e.coldEnabled {
+		home = newColdHome(p, part)
 	}
-	defer unlockAll()
 
-	var sysRecs, imrsRecs []wal.Record
 	var post []func(ts uint64)
 	rows := 0
 	var bytes int64
-
 	for _, en := range entries {
 		if en.Packed() {
 			continue
 		}
 		// Conditional lock: skip rows in active use.
-		if !e.locks.TryLock(packTxn, en.RID) {
+		if !p.tryLock(en.RID) {
 			e.queues.Enqueue(en)
 			continue
 		}
-		lockedRIDs = append(lockedRIDs, en.RID)
 		if en.Packed() {
 			continue
 		}
@@ -77,43 +110,8 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 			// Tombstoned: the delete's commit already retired it.
 			continue
 		}
-		data := v.Data()
-		en := en
-
-		if en.RID.IsVirtual() {
-			newRID, err := prt.heap.Insert(data)
-			if err != nil {
-				return rows, bytes, err
-			}
-			// Lock the new location so concurrent readers resolving the
-			// repointed index wait for the pack commit.
-			if e.locks.TryLock(packTxn, newRID) {
-				lockedRIDs = append(lockedRIDs, newRID)
-			}
-			sysRecs = append(sysRecs, wal.Record{
-				Type: wal.RecHeapInsert, Table: rt.cat.ID, RID: newRID, After: data,
-			})
-			if err := e.repointIndexes(rt, en, data, newRID); err != nil {
-				return rows, bytes, err
-			}
-			imrsRecs = append(imrsRecs, wal.Record{
-				Type: wal.RecIMRSDelete, Table: rt.cat.ID, RID: en.RID, Aux: uint8(en.Origin),
-			})
-		} else {
-			if en.Dirty() {
-				if err := prt.heap.Update(en.RID, data); err != nil {
-					return rows, bytes, err
-				}
-				sysRecs = append(sysRecs, wal.Record{
-					Type: wal.RecHeapUpdate, Table: rt.cat.ID, RID: en.RID, After: data,
-				})
-				imrsRecs = append(imrsRecs, wal.Record{
-					Type: wal.RecIMRSDelete, Table: rt.cat.ID, RID: en.RID, Aux: uint8(en.Origin),
-				})
-			}
-			// Clean cached rows: nothing to log; the row simply leaves
-			// the IMRS.
-			e.dropHashEntries(rt, en, data)
+		if err := home.place(en, v.Data()); err != nil {
+			return rows, bytes, err
 		}
 		rows++
 		bytes += int64(en.LiveBytes())
@@ -124,59 +122,22 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 			e.gc.RetireEntry(en, ts)
 		})
 	}
-
+	if err := home.seal(); err != nil {
+		return rows, bytes, err
+	}
 	if rows == 0 {
 		return 0, 0, nil
 	}
+
 	ts := e.clock.Tick()
-	hasSys := len(sysRecs) > 0
-	// Same pipeline and ordering as Txn.Commit: IMRS half durable (via
-	// the group-commit flusher) before the syslogs RecCommit is appended.
-	if len(imrsRecs) > 0 {
-		aux := uint8(0)
-		if hasSys {
-			aux = 1
-		}
-		for i := range imrsRecs {
-			imrsRecs[i].TxnID = packTxn
-			if _, err := e.imrslog.Append(&imrsRecs[i]); err != nil {
-				return 0, 0, err
-			}
-		}
-		cr := wal.Record{Type: wal.RecIMRSCommit, TxnID: packTxn, CommitTS: ts, Aux: aux}
-		lsn, err := e.imrslog.Append(&cr)
-		if err != nil {
-			return 0, 0, err
-		}
-		if hasSys {
-			for i := range sysRecs {
-				sysRecs[i].TxnID = packTxn
-				if _, err := e.syslog.Append(&sysRecs[i]); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-		if err := e.imrslog.WaitDurable(lsn); err != nil {
-			return 0, 0, err
-		}
-	} else if hasSys {
-		for i := range sysRecs {
-			sysRecs[i].TxnID = packTxn
-			if _, err := e.syslog.Append(&sysRecs[i]); err != nil {
-				return 0, 0, err
-			}
-		}
+	var marker *wal.Record
+	if len(p.sysRecs) > 0 {
+		marker = &wal.Record{Type: wal.RecCommit}
 	}
-	if hasSys {
-		cr := wal.Record{Type: wal.RecCommit, TxnID: packTxn, CommitTS: ts}
-		lsn, err := e.syslog.Append(&cr)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := e.syslog.WaitDurable(lsn); err != nil {
-			return 0, 0, err
-		}
+	if err := e.logCommit(p.id, ts, p.imrsRecs, p.sysRecs, marker); err != nil {
+		return 0, 0, err
 	}
+	home.publish(ts)
 	for _, fn := range post {
 		fn(ts)
 	}
@@ -184,6 +145,50 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 	// cycle's own utilization accounting (and to anyone driving Step).
 	e.gc.Drain()
 	return rows, bytes, nil
+}
+
+// heapHome is the paper's own layout (DisableColdStore): inserted rows
+// (virtual RIDs) get a page-store location and their index entries are
+// repointed (logged insert); migrated/updated rows write their newest
+// image back to their page-store RID (logged update). Nothing is
+// deferred to seal or publish: the heap is written in place under the
+// row locks.
+type heapHome struct{ *packTxn }
+
+func (heapHome) seal() error    { return nil }
+func (heapHome) publish(uint64) {}
+
+func (p heapHome) place(en *imrs.Entry, data []byte) error {
+	e, rt := p.e, p.rt
+	if en.RID.IsVirtual() {
+		newRID, err := p.prt.heap.Insert(data)
+		if err != nil {
+			return err
+		}
+		// Lock the new location so concurrent readers resolving the
+		// repointed index wait for the pack commit.
+		p.tryLock(newRID)
+		p.sysRecs = append(p.sysRecs, wal.Record{
+			Type: wal.RecHeapInsert, Table: rt.cat.ID, RID: newRID, After: data,
+		})
+		if err := e.repointIndexes(rt, en, data, newRID); err != nil {
+			return err
+		}
+		p.logIMRSDelete(en)
+		return nil
+	}
+	if en.Dirty() {
+		if err := p.prt.heap.Update(en.RID, data); err != nil {
+			return err
+		}
+		p.sysRecs = append(p.sysRecs, wal.Record{
+			Type: wal.RecHeapUpdate, Table: rt.cat.ID, RID: en.RID, After: data,
+		})
+		p.logIMRSDelete(en)
+	}
+	// Clean cached rows: nothing to log; the row simply leaves the IMRS.
+	e.dropHashEntries(rt, en, data)
+	return nil
 }
 
 // repointIndexes rewrites a packed inserted row's index entries from its

@@ -26,6 +26,25 @@ func fillPastThreshold(t *testing.T, e *Engine, frac float64) int64 {
 	return id
 }
 
+// queueColdItems commits rows 1..n into "items" (IMRS rows), ages them
+// past the TSF so they count as cold, waits for GC to queue them, and
+// arms aggressive pack: the next Packer().Step packs them.
+func queueColdItems(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	tx := e.Begin()
+	for i := int64(1); i <= int64(n); i++ {
+		if err := tx.Insert("items", itemRow(i, "cold", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+	for i := 0; i < 200; i++ {
+		e.Clock().Tick()
+	}
+	waitQueueLen(t, e, n)
+	e.Packer().SetForceAggressive(true)
+}
+
 func TestPackEndToEnd(t *testing.T) {
 	e := openEngine(t, func(c *Config) {
 		c.IMRSCacheBytes = 1 << 20

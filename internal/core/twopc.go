@@ -88,55 +88,13 @@ func (t *Txn) Prepare(gid uint64, coordShard uint32) error {
 		return fmt.Errorf("core: transaction %d already prepared", t.id)
 	}
 	ts := t.e.clock.Tick()
-
-	// Same append-then-wait pipeline as Commit. The IMRS half is always
-	// contingent (Aux=1): whether it applies at recovery is decided by
-	// the syslogs outcome — local RecCommit, or the coordinator's decide
-	// record resolved into the winner set. Ordering is safe without a
-	// barrier between the logs here: the decision record that could make
-	// this transaction a winner is only logged after every participant's
-	// Prepare (both waits included) has succeeded.
-	var imrsLSN uint64
-	hasIMRS := len(t.imrsRecs) > 0
-	if hasIMRS {
-		for i := range t.imrsRecs {
-			t.imrsRecs[i].TxnID = t.id
-			if _, err := t.e.imrslog.Append(&t.imrsRecs[i]); err != nil {
-				t.rollbackAfterLogError()
-				return err
-			}
-		}
-		cr := wal.Record{Type: wal.RecIMRSCommit, TxnID: t.id, CommitTS: ts, Aux: 1}
-		lsn, err := t.e.imrslog.Append(&cr)
-		if err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-		imrsLSN = lsn
-	}
-	for i := range t.sysRecs {
-		t.sysRecs[i].TxnID = t.id
-		if _, err := t.e.syslog.Append(&t.sysRecs[i]); err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-	}
 	// The prepare marker always goes to syslogs — even for IMRS-only
 	// participants — because recovery's in-doubt resolution is keyed off
-	// the syslogs prepare set.
-	pr := wal.Record{Type: wal.RecPrepare, TxnID: t.id, Table: coordShard, RID: rid.RID(gid), CommitTS: ts}
-	plsn, err := t.e.syslog.Append(&pr)
-	if err != nil {
-		t.rollbackAfterLogError()
-		return err
-	}
-	if hasIMRS {
-		if err := t.e.imrslog.WaitDurable(imrsLSN); err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-	}
-	if err := t.e.syslog.WaitDurable(plsn); err != nil {
+	// the syslogs prepare set; the IMRS half is therefore always
+	// contingent on the syslogs outcome (local RecCommit, or the
+	// coordinator's decide record resolved into the winner set).
+	pr := wal.Record{Type: wal.RecPrepare, Table: coordShard, RID: rid.RID(gid)}
+	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, &pr); err != nil {
 		t.rollbackAfterLogError()
 		return err
 	}
@@ -160,30 +118,14 @@ func (t *Txn) CommitPrepared() error {
 	if !t.prepared {
 		return fmt.Errorf("core: CommitPrepared on an unprepared transaction")
 	}
-	ts := t.prepTS
-	var commitErr error
-	cr := wal.Record{Type: wal.RecCommit, TxnID: t.id, CommitTS: ts}
-	lsn, err := t.e.syslog.Append(&cr)
-	if err == nil {
-		err = t.e.syslog.WaitDurable(lsn)
-	}
+	err := t.e.logCommit(t.id, t.prepTS, nil, nil, &wal.Record{Type: wal.RecCommit})
 	if err != nil {
-		t.e.notePoison() // ckptMu is held shared until finish()
-		commitErr = fmt.Errorf("core: prepared transaction %d committed, local commit marker lost: %w", t.id, err)
+		err = fmt.Errorf("core: prepared transaction %d committed, local commit marker lost: %w", t.id, err)
 	}
-	for _, v := range t.staged {
-		t.e.store.Commit(v, ts)
-	}
-	for _, fn := range t.atCommit {
-		fn(ts)
-	}
-	for _, en := range t.newEntries {
-		en.Touch(ts)
-		t.e.gc.NewRow(en)
-	}
+	t.publish(t.prepTS)
 	t.e.twopc.preparedCommits.Add(1)
 	t.finish()
-	return commitErr
+	return err
 }
 
 // AbortPrepared rolls back a transaction after Prepare (or after a

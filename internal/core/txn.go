@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/imrs"
@@ -250,77 +249,31 @@ func (t *Txn) recycle() {
 // Commit makes the transaction durable and visible.
 func (t *Txn) Commit() error {
 	if t.done {
-		return fmt.Errorf("core: transaction already finished")
+		return ErrTxnDone
 	}
-	hasSys := len(t.sysRecs) > 0
-	hasIMRS := len(t.imrsRecs) > 0
-	if !hasSys && !hasIMRS {
+	if !t.HasWrites() {
 		// Read-only.
 		t.finish()
 		return nil
 	}
 	ts := t.e.clock.Tick()
+	var marker *wal.Record
+	if len(t.sysRecs) > 0 {
+		marker = &wal.Record{Type: wal.RecCommit}
+	}
+	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, marker); err != nil {
+		t.rollbackAfterLogError()
+		return err
+	}
+	t.publish(ts)
+	t.finish()
+	return nil
+}
 
-	// Commit pipeline: append every record first, then block on the
-	// group-commit flushers via WaitDurable — concurrent committers
-	// coalesce into shared backend writes and syncs. Ordering keeps the
-	// pair of logs crash-atomic: the IMRS half (records + IMRSCommit
-	// marker) must be durable before the syslogs RecCommit is even
-	// appended, since a racing group flush could otherwise persist the
-	// RecCommit first and a crash between the two would resurrect a
-	// mixed transaction whose IMRS half was lost.
-	var imrsLSN uint64
-	if hasIMRS {
-		aux := uint8(0)
-		if hasSys {
-			aux = 1 // contingent on the syslogs Commit record
-		}
-		for i := range t.imrsRecs {
-			t.imrsRecs[i].TxnID = t.id
-			if _, err := t.e.imrslog.Append(&t.imrsRecs[i]); err != nil {
-				t.rollbackAfterLogError()
-				return err
-			}
-		}
-		cr := wal.Record{Type: wal.RecIMRSCommit, TxnID: t.id, CommitTS: ts, Aux: aux}
-		lsn, err := t.e.imrslog.Append(&cr)
-		if err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-		imrsLSN = lsn
-	}
-	if hasSys {
-		// The Heap* records are harmless without a RecCommit, so they can
-		// ride any earlier group flush.
-		for i := range t.sysRecs {
-			t.sysRecs[i].TxnID = t.id
-			if _, err := t.e.syslog.Append(&t.sysRecs[i]); err != nil {
-				t.rollbackAfterLogError()
-				return err
-			}
-		}
-	}
-	if hasIMRS {
-		if err := t.e.imrslog.WaitDurable(imrsLSN); err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-	}
-	if hasSys {
-		cr := wal.Record{Type: wal.RecCommit, TxnID: t.id, CommitTS: ts}
-		lsn, err := t.e.syslog.Append(&cr)
-		if err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-		if err := t.e.syslog.WaitDurable(lsn); err != nil {
-			t.rollbackAfterLogError()
-			return err
-		}
-	}
-
-	// The decision is durable: publish.
+// publish makes a transaction whose commit decision is durable visible
+// at ts: staged versions are stamped, deferred commit actions run, and
+// new entries are handed to GC queue maintenance.
+func (t *Txn) publish(ts uint64) {
 	for _, v := range t.staged {
 		t.e.store.Commit(v, ts)
 	}
@@ -331,23 +284,15 @@ func (t *Txn) Commit() error {
 		en.Touch(ts)
 		t.e.gc.NewRow(en)
 	}
-	t.finish()
-	return nil
 }
 
-// rollbackAfterLogError unwinds in-memory state when a log write failed
-// mid-commit. The wal layer guarantees the unwound work cannot surface
-// later: a failed Append buffers nothing, and a failed WaitDurable
-// poisons the log (wal.ErrPoisoned) — no subsequent flush can make the
-// already-appended frames, commit markers included, durable. If a log
-// did get poisoned, the engine transitions to ReadOnly here: later
-// writes are rejected up front with ErrReadOnly instead of each dying
-// against the dead log, while reads keep being served.
+// rollbackAfterLogError unwinds in-memory state when logCommit failed.
+// The unwound work cannot surface later and a poisoned log has already
+// forced the engine ReadOnly (see logCommit).
 func (t *Txn) rollbackAfterLogError() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i]()
 	}
-	t.e.notePoison() // before finish: ckptMu is still held shared
 	t.finish()
 }
 

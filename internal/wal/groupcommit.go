@@ -19,22 +19,13 @@ var ErrHalted = errors.New("wal: group commit halted before the record became du
 // the log-coalescing idea of Aether (Johnson et al., VLDB 2010) applied
 // to both BTrim logs.
 //
-// The pipeline is optional: with no flusher running, WaitDurable
-// degrades to a direct synchronous Flush, so single-threaded and test
-// paths keep their current latency.
-
-// GroupCommitConfig tunes the flusher goroutine.
-type GroupCommitConfig struct {
-	// MaxDelay is the longest the flusher lingers after waking before it
-	// flushes, giving more committers a chance to join the group. 0
-	// flushes immediately: batching then arises naturally from committers
-	// that arrive while a sync is in flight, which keeps single-committer
-	// latency at the direct-flush baseline.
-	MaxDelay time.Duration
-	// MaxBatchBytes cuts a MaxDelay linger short once this many bytes sit
-	// unflushed in the log buffer. 0 means no byte trigger.
-	MaxBatchBytes int
-}
+// The flusher never lingers: it flushes as soon as it wakes, and batching
+// arises from committers that arrive while a sync is in flight, which
+// keeps single-committer latency at the direct-flush baseline.
+//
+// With no flusher running — before the engine finishes recovery, after
+// StopGroupCommit, and on the decision journal — WaitDurable degrades to
+// a direct synchronous Flush.
 
 // gcWaiter is one committer blocked in WaitDurable.
 type gcWaiter struct {
@@ -45,7 +36,7 @@ type gcWaiter struct {
 
 // StartGroupCommit launches the flusher goroutine. It is a no-op if the
 // pipeline is already running.
-func (l *Log) StartGroupCommit(cfg GroupCommitConfig) {
+func (l *Log) StartGroupCommit() {
 	l.gcMu.Lock()
 	defer l.gcMu.Unlock()
 	if l.gcRunning {
@@ -55,7 +46,7 @@ func (l *Log) StartGroupCommit(cfg GroupCommitConfig) {
 	l.gcWake = make(chan struct{}, 1)
 	l.gcStop = make(chan struct{})
 	l.gcDone = make(chan struct{})
-	go l.flusherLoop(cfg, l.gcWake, l.gcStop, l.gcDone)
+	go l.flusherLoop(l.gcWake, l.gcStop, l.gcDone)
 }
 
 // StopGroupCommit stops the flusher goroutine, completing any committers
@@ -77,7 +68,7 @@ func (l *Log) stopGroupCommit(abort bool) {
 	if abort {
 		// Set before the flusher drains so its final round fails rather
 		// than flushes, and so fallback flushes are refused even when the
-		// pipeline never ran (DisableGroupCommit configurations).
+		// pipeline never ran.
 		l.gcHalted.Store(true)
 	}
 	if !l.gcRunning {
@@ -127,68 +118,33 @@ func (l *Log) WaitDurable(lsn uint64) error {
 	return <-ch
 }
 
-// flusherLoop is the group-commit pipeline: wake, optionally linger to
-// coalesce, flush once for everyone, repeat. On stop it runs one final
-// round so no waiter is left blocked.
-func (l *Log) flusherLoop(cfg GroupCommitConfig, wake, stop <-chan struct{}, done chan<- struct{}) {
+// flusherLoop is the group-commit pipeline: wake, serve everyone queued
+// with one round, repeat. On stop it runs one final round so no waiter
+// is left blocked. A stale wake — the round that served its sender also
+// absorbed later committers — finds no waiters and its round returns
+// without touching the backend.
+func (l *Log) flusherLoop(wake, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	for {
 		select {
 		case <-stop:
-			l.finalRound()
+			l.round()
 			return
 		case <-wake:
+			l.round()
 		}
-		// A wake can be stale: the round that served its sender may have
-		// absorbed later committers too. Lingering on a stale wake would
-		// leave nobody watching the wake channel, stalling the next
-		// committer for the whole MaxDelay — so skip it.
-		if !l.hasWaiters() {
-			continue
-		}
-		if cfg.MaxDelay > 0 && !l.batchFull(cfg.MaxBatchBytes) {
-			timer := time.NewTimer(cfg.MaxDelay)
-		linger:
-			for {
-				select {
-				case <-stop:
-					timer.Stop()
-					l.finalRound()
-					return
-				case <-timer.C:
-					break linger
-				case <-wake:
-					// New committer joined mid-linger; flush early if the
-					// batch is now big enough.
-					if l.batchFull(cfg.MaxBatchBytes) {
-						timer.Stop()
-						break linger
-					}
-				}
-			}
-		}
-		l.flushRound()
 	}
 }
 
-// hasWaiters reports whether any committer is currently queued.
-func (l *Log) hasWaiters() bool {
-	l.gcMu.Lock()
-	n := len(l.gcWaiters)
-	l.gcMu.Unlock()
-	return n > 0
-}
-
-// batchFull reports whether unflushed bytes already exceed the batch
-// trigger.
-func (l *Log) batchFull(maxBytes int) bool {
-	if maxBytes <= 0 {
-		return false
+// round serves the queued waiters: one flush for the whole group, or —
+// once AbortGroupCommit has begun, whether it is the final round or one
+// whose wake raced the stop — a failure that never touches the backend.
+func (l *Log) round() {
+	if l.gcHalted.Load() {
+		l.failRound(ErrHalted)
+		return
 	}
-	l.mu.Lock()
-	n := len(l.pending)
-	l.mu.Unlock()
-	return n >= maxBytes
+	l.flushRound()
 }
 
 // flushRound takes the current waiter group, flushes through its highest
@@ -196,8 +152,7 @@ func (l *Log) batchFull(maxBytes int) bool {
 func (l *Log) flushRound() {
 	// Committers woken by the previous round are often already runnable
 	// with their next commit; one yield lets them enqueue and join this
-	// group instead of waiting out a whole extra sync. (A timer-based
-	// linger costs ~1ms of timer resolution; a yield is ~free.)
+	// group instead of waiting out a whole extra sync.
 	runtime.Gosched()
 	l.gcMu.Lock()
 	waiters := l.gcWaiters
@@ -234,17 +189,6 @@ func (l *Log) flushRound() {
 		l.commitWait.Observe(now.Sub(w.at))
 		w.ch <- werr
 	}
-}
-
-// finalRound drains the waiter queue at pipeline shutdown: a Stop
-// flushes the last group, an Abort fails it without touching the
-// backend.
-func (l *Log) finalRound() {
-	if l.gcHalted.Load() {
-		l.failRound(ErrHalted)
-		return
-	}
-	l.flushRound()
 }
 
 // failRound delivers err to every queued waiter without flushing.

@@ -11,17 +11,6 @@ import (
 	"repro/internal/rid"
 )
 
-// syncCountingBackend wraps MemBackend and counts Sync calls.
-type syncCountingBackend struct {
-	*MemBackend
-	syncs atomic.Int64
-}
-
-func (b *syncCountingBackend) Sync() error {
-	b.syncs.Add(1)
-	return b.MemBackend.Sync()
-}
-
 func TestWaitDurableFallback(t *testing.T) {
 	l, err := NewLog(NewMemBackend())
 	if err != nil {
@@ -43,49 +32,143 @@ func TestWaitDurableFallback(t *testing.T) {
 	}
 }
 
+// gateBackend is a MemBackend whose Sync can be held: while a hold is
+// armed, every Sync announces itself on entered and then blocks until
+// release. Committers that arrive meanwhile stay queued behind the
+// in-flight round, which is how these tests build a group.
+type gateBackend struct {
+	*MemBackend
+	mu      sync.Mutex
+	gate    chan struct{}
+	entered chan struct{}
+	syncs   atomic.Int64
+}
+
+func newGateBackend() *gateBackend {
+	return &gateBackend{MemBackend: NewMemBackend(), entered: make(chan struct{}, 1)}
+}
+
+func (b *gateBackend) hold() {
+	b.mu.Lock()
+	b.gate = make(chan struct{})
+	b.mu.Unlock()
+}
+
+func (b *gateBackend) release() {
+	b.mu.Lock()
+	if b.gate != nil {
+		close(b.gate)
+		b.gate = nil
+	}
+	b.mu.Unlock()
+}
+
+func (b *gateBackend) Sync() error {
+	b.syncs.Add(1)
+	b.mu.Lock()
+	g := b.gate
+	b.mu.Unlock()
+	if g != nil {
+		select {
+		case b.entered <- struct{}{}:
+		default: // already announced; nobody has looked yet
+		}
+		<-g
+	}
+	return b.MemBackend.Sync()
+}
+
+// holdOneCommitter parks one committer's flush round inside a held Sync
+// and returns the channel its WaitDurable outcome arrives on.
+func holdOneCommitter(t *testing.T, l *Log, b *gateBackend) <-chan error {
+	t.Helper()
+	b.hold()
+	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.WaitDurable(lsn) }()
+	select {
+	case <-b.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("flusher never reached the held Sync")
+	}
+	return done
+}
+
+// awaitQueued waits until n committers sit in the waiter queue.
+func awaitQueued(t *testing.T, l *Log, n int) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		l.gcMu.Lock()
+		got := len(l.gcWaiters)
+		l.gcMu.Unlock()
+		if got >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("waiter queue never reached %d", n)
+}
+
+func awaitOutcome(t *testing.T, done <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s still blocked", what)
+		return nil
+	}
+}
+
+// TestGroupCommitCoalesces: committers that arrive while one sync is in
+// flight share the next one.
 func TestGroupCommitCoalesces(t *testing.T) {
-	b := &syncCountingBackend{MemBackend: NewMemBackend()}
+	b := newGateBackend()
 	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A linger window guarantees the concurrent committers below land in
-	// a shared flush round.
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: 5 * time.Millisecond})
+	l.StartGroupCommit()
 	defer l.StopGroupCommit()
 
-	const workers, per = 8, 50
+	first := holdOneCommitter(t, l, b)
+	const group = 8
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < group; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				rec := Record{Type: RecIMRSInsert, TxnID: uint64(w), After: make([]byte, 64)}
-				lsn, err := l.Append(&rec)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := l.WaitDurable(lsn); err != nil {
-					t.Error(err)
-					return
-				}
-				if l.FlushedLSN() < lsn {
-					t.Error("WaitDurable returned before LSN became durable")
-					return
-				}
+			rec := Record{Type: RecIMRSInsert, TxnID: uint64(w), After: make([]byte, 64)}
+			lsn, err := l.Append(&rec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := l.WaitDurable(lsn); err != nil {
+				t.Error(err)
+				return
+			}
+			if l.FlushedLSN() < lsn {
+				t.Error("WaitDurable returned before LSN became durable")
 			}
 		}(w)
 	}
+	awaitQueued(t, l, group)
+	b.release()
+	if err := awaitOutcome(t, first, "held committer"); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 
-	total := int64(workers * per)
+	total := int64(group + 1)
 	if got := l.Stats().GroupedCommits.Load(); got != total {
 		t.Fatalf("grouped commits = %d, want %d", got, total)
 	}
-	if syncs := b.syncs.Load(); syncs >= total {
-		t.Fatalf("group commit did not coalesce: %d syncs for %d commits", syncs, total)
+	if syncs := b.syncs.Load(); syncs != 2 {
+		t.Fatalf("%d syncs for one held commit plus a group of %d, want 2", syncs, group)
 	}
 	if mean := l.GroupSizeHist().Mean(); mean <= 1.0 {
 		t.Fatalf("mean group size %.2f, want > 1", mean)
@@ -115,62 +198,43 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// TestGroupCommitStopCompletesWaiters: a committer still queued behind
+// an in-flight round when Stop arrives is flushed, not dropped.
 func TestGroupCommitStopCompletesWaiters(t *testing.T) {
-	l, err := NewLog(NewMemBackend())
+	b := newGateBackend()
+	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A long linger so waiters are still queued when Stop arrives.
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: time.Hour})
-	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
+	l.StartGroupCommit()
+	first := holdOneCommitter(t, l, b)
+	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 2})
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
-	time.Sleep(10 * time.Millisecond)
-	l.StopGroupCommit()
-	select {
-	case err := <-done:
-		if err != nil {
+	awaitQueued(t, l, 1)
+	stopped := make(chan struct{})
+	go func() { l.StopGroupCommit(); close(stopped) }()
+	b.release()
+	for _, d := range []<-chan error{first, done} {
+		if err := awaitOutcome(t, d, "waiter after StopGroupCommit"); err != nil {
 			t.Fatalf("waiter completed with error: %v", err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter still blocked after StopGroupCommit")
 	}
+	<-stopped
 	if l.FlushedLSN() < lsn {
 		t.Fatal("final round did not flush the waiter's LSN")
 	}
 }
 
-func TestGroupCommitBatchBytesCutsDelayShort(t *testing.T) {
-	l, err := NewLog(NewMemBackend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: time.Hour, MaxBatchBytes: 1})
-	defer l.StopGroupCommit()
-	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(lsn) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("byte trigger did not cut the delay short")
-	}
-}
-
 // A flush round can absorb committers whose wake signal is still sitting
-// in the channel. The flusher must not treat such a stale wake as the
-// start of a linger: with nobody left watching the wake channel, the
-// next committer would stall for the full MaxDelay (observed as a hang
-// with MaxDelay=1h through the public API).
+// in the channel. The flusher must shrug such a stale wake off and keep
+// watching the wake channel for the next committer.
 func TestGroupCommitStaleWakeDoesNotStallNextCommitter(t *testing.T) {
 	l, err := NewLog(NewMemBackend())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: time.Hour, MaxBatchBytes: 1})
+	l.StartGroupCommit()
 	defer l.StopGroupCommit()
 	// Simulate the leftover signal: a wake with no waiter behind it.
 	l.gcWake <- struct{}{}
@@ -178,45 +242,8 @@ func TestGroupCommitStaleWakeDoesNotStallNextCommitter(t *testing.T) {
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("committer stalled behind a stale wake")
-	}
-}
-
-// Committers arriving while the flusher is already lingering must still
-// be able to cut the delay short via the byte trigger.
-func TestGroupCommitBatchFullMidLingerCutsDelayShort(t *testing.T) {
-	l, err := NewLog(NewMemBackend())
-	if err != nil {
+	if err := awaitOutcome(t, done, "committer behind a stale wake"); err != nil {
 		t.Fatal(err)
-	}
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: time.Hour, MaxBatchBytes: 64})
-	defer l.StopGroupCommit()
-	// First committer: too small to trip the byte trigger, so the
-	// flusher starts lingering with it queued.
-	lsn1, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
-	d1 := make(chan error, 1)
-	go func() { d1 <- l.WaitDurable(lsn1) }()
-	time.Sleep(20 * time.Millisecond) // flusher now mid-linger
-	// Second committer pushes pending past MaxBatchBytes; its wake must
-	// interrupt the linger.
-	lsn2, _ := l.Append(&Record{Type: RecCommit, TxnID: 2, After: make([]byte, 128)})
-	d2 := make(chan error, 1)
-	go func() { d2 <- l.WaitDurable(lsn2) }()
-	for _, d := range []chan error{d1, d2} {
-		select {
-		case err := <-d:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("mid-linger byte trigger did not cut the delay short")
-		}
 	}
 }
 
@@ -226,7 +253,7 @@ func TestGroupCommitDeliversFlushErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(GroupCommitConfig{})
+	l.StartGroupCommit()
 	defer l.StopGroupCommit()
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := l.WaitDurable(lsn); err != nil {
@@ -294,7 +321,7 @@ func TestFlushBackendFailureKeepsStatsAndRetries(t *testing.T) {
 }
 
 func TestFlushSkipsRedundantSync(t *testing.T) {
-	b := &syncCountingBackend{MemBackend: NewMemBackend()}
+	b := newGateBackend()
 	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func TestGroupFlushFailurePoisonsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(GroupCommitConfig{})
+	l.StartGroupCommit()
 	defer l.StopGroupCommit()
 
 	lsn1, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
@@ -231,33 +231,41 @@ func TestFallbackFlushFailurePoisonsLog(t *testing.T) {
 }
 
 func TestAbortGroupCommitIsCrashExact(t *testing.T) {
-	b := NewMemBackend()
+	b := newGateBackend()
 	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(GroupCommitConfig{MaxDelay: time.Hour})
-	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
+	l.StartGroupCommit()
+	// One round is in flight at the crash (its bytes written, its sync
+	// pending); the committer under test is queued behind it.
+	first := holdOneCommitter(t, l, b)
+	inFlight, _ := b.Size()
+	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 2})
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
-	time.Sleep(20 * time.Millisecond) // let the waiter enqueue
-	l.AbortGroupCommit()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrHalted) {
-			t.Fatalf("queued waiter got %v, want ErrHalted", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter still blocked after AbortGroupCommit")
+	awaitQueued(t, l, 1)
+	aborted := make(chan struct{})
+	go func() { l.AbortGroupCommit(); close(aborted) }()
+	for !l.gcHalted.Load() {
+		time.Sleep(time.Millisecond)
 	}
-	if size, _ := b.Size(); size != 0 {
-		t.Fatalf("abort flushed %d bytes; a crash would have flushed none", size)
+	b.release()
+	if err := awaitOutcome(t, first, "in-flight committer"); err != nil {
+		t.Fatalf("in-flight round: %v", err)
+	}
+	if err := awaitOutcome(t, done, "queued waiter after AbortGroupCommit"); !errors.Is(err, ErrHalted) {
+		t.Fatalf("queued waiter got %v, want ErrHalted", err)
+	}
+	<-aborted
+	if size, _ := b.Size(); size != inFlight {
+		t.Fatalf("abort flushed %d bytes of queued commits; a crash would have flushed none", size-inFlight)
 	}
 	// The commit path stays dead: no fallback flush may run either.
 	if err := l.WaitDurable(lsn); !errors.Is(err, ErrHalted) {
 		t.Fatalf("WaitDurable after abort: %v, want ErrHalted", err)
 	}
-	if size, _ := b.Size(); size != 0 {
-		t.Fatalf("post-abort WaitDurable flushed %d bytes", size)
+	if size, _ := b.Size(); size != inFlight {
+		t.Fatalf("post-abort WaitDurable flushed %d bytes", size-inFlight)
 	}
 }
