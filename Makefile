@@ -46,13 +46,16 @@ test-commit:
 test-recovery:
 	$(GO) test -race ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt'
 
-# IMRS-GC and allocator correctness under the race detector: the
-# serial==parallel reclamation equivalence property, concurrent
+# IMRS-GC and allocator correctness under the race detector on one,
+# two and four cores: the reclamation rule (a reader registered before
+# a retire blocks its free), background==serial passes, concurrent
 # producer/reclaim stress, Stop() late-reclaimable drain, allocator
-# churn/Used() exactness, and the DML allocation-budget tests.
+# churn/Used() exactness, the reader registry, and in core the
+# commit-window reader tests, pack, ExplainRow and the DML
+# allocation budgets.
 test-gc:
-	$(GO) test -race ./internal/imrsgc/ ./internal/imrs/
-	$(GO) test -race ./internal/core/ -run 'AllocBudget'
+	$(GO) test -race -cpu 1,2,4 ./internal/imrsgc/ ./internal/imrs/ ./internal/txn/
+	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Reclaim|AllocBudget|Pack|Explain'
 
 # Columnar cold-store tests under the race detector: segment codec
 # round-trips, freeze/un-freeze/delete visibility, the scan-against-

@@ -132,9 +132,6 @@ type Config struct {
 	// positive count that disagrees with Dir fails Open with
 	// ErrLayoutMismatch.
 	Shards int
-
-	// GCWorkers sets the IMRS-GC worker count (0 keeps the default).
-	GCWorkers int
 }
 
 // coreConfig maps the public configuration onto one shard's engine
@@ -163,9 +160,6 @@ func (cfg Config) coreConfig() core.Config {
 	ec.WriteLatency = cfg.WriteLatency
 	ec.DisableColdStore = cfg.DisableColdStore
 	ec.ColdSegmentRows = cfg.ColdSegmentRows
-	if cfg.GCWorkers > 0 {
-		ec.GCWorkers = cfg.GCWorkers
-	}
 	return ec
 }
 

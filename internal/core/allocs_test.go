@@ -34,7 +34,6 @@ func allocBudgetEngine(t *testing.T) *Engine {
 		// so background allocators would be charged to the op under test.
 		cfg.ILMEnabled = false
 		cfg.CheckpointEvery = 0
-		cfg.GCWorkers = 1
 	})
 	stopFlushers(e)
 	return e

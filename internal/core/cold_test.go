@@ -547,7 +547,6 @@ func TestScanBatchesAllocBudget(t *testing.T) {
 		coldConfig(c)
 		c.ColdSegmentRows = 256
 		c.CheckpointEvery = 0
-		c.GCWorkers = 1
 	})
 	stopFlushers(e)
 	createItems(t, e)

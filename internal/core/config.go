@@ -58,8 +58,6 @@ type Config struct {
 	PackThreads int
 	// PackInterval is the pack loop wake-up period.
 	PackInterval time.Duration
-	// GCWorkers is the IMRS-GC thread count.
-	GCWorkers int
 
 	// LockTimeout bounds row-lock waits (deadlock breaker).
 	LockTimeout time.Duration
@@ -132,7 +130,6 @@ func DefaultConfig() Config {
 		ILMEnabled:      true,
 		PackThreads:     2,
 		PackInterval:    5 * time.Millisecond,
-		GCWorkers:       2,
 		LockTimeout:     5 * time.Second,
 	}
 }
@@ -153,9 +150,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.PackInterval <= 0 {
 		c.PackInterval = d.PackInterval
-	}
-	if c.GCWorkers <= 0 {
-		c.GCWorkers = d.GCWorkers
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = d.LockTimeout

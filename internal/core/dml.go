@@ -629,8 +629,8 @@ func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, r
 		Aux: uint8(en.Origin), After: v.Data(),
 	})
 	if old != nil && old.Committed() {
-		t.atCommit = append(t.atCommit, func(ts uint64) {
-			t.e.gc.RetireVersion(en, v, old, ts)
+		t.atCommit = append(t.atCommit, func(uint64) {
+			t.e.gc.RetireVersion(en, v, old)
 		})
 	}
 	en.Touch(t.e.clock.Now())
@@ -872,9 +872,9 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 			}
 		}
 		en := en
-		t.atCommit = append(t.atCommit, func(ts uint64) {
+		t.atCommit = append(t.atCommit, func(uint64) {
 			en.MarkPacked()
-			t.e.gc.RetireEntry(en, ts)
+			t.e.gc.RetireEntry(en)
 		})
 		if coldRes {
 			t.stageSegKill(rt, r0, false)

@@ -246,7 +246,7 @@ func Open(cfg Config) (*Engine, error) {
 	e.syslog.StartGroupCommit()
 	e.imrslog.StartGroupCommit()
 
-	e.gc.Start(cfg.GCWorkers)
+	e.gc.Start()
 	if cfg.ILMEnabled {
 		e.packer.Start()
 	}

@@ -25,6 +25,10 @@ func (e *Engine) ExplainRow(table string, pk []row.Value) string {
 	}
 	key := row.EncodeKey(nil, pk...)
 	pkIx := rt.indexes[0]
+	// Decode IMRS images as a registered reader, like a transaction:
+	// IMRS-GC keeps whatever this call can reach until it returns.
+	reader := e.snaps.Register(e.gc.Epoch())
+	defer e.snaps.Unregister(reader)
 
 	var b strings.Builder
 	r0, found, err := pkIx.tree.Search(key)

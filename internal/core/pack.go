@@ -90,8 +90,7 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 		home = newColdHome(p, part)
 	}
 
-	var post []func(ts uint64)
-	rows := 0
+	var placed []*imrs.Entry
 	var bytes int64
 	for _, en := range entries {
 		if en.Packed() {
@@ -111,21 +110,15 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 			continue
 		}
 		if err := home.place(en, v.Data()); err != nil {
-			return rows, bytes, err
+			return len(placed), bytes, err
 		}
-		rows++
+		placed = append(placed, en)
 		bytes += int64(en.LiveBytes())
-		post = append(post, func(ts uint64) {
-			en.MarkPacked()
-			e.rmap.Delete(en.RID, en)
-			e.queues.Remove(en)
-			e.gc.RetireEntry(en, ts)
-		})
 	}
 	if err := home.seal(); err != nil {
-		return rows, bytes, err
+		return len(placed), bytes, err
 	}
-	if rows == 0 {
+	if len(placed) == 0 {
 		return 0, 0, nil
 	}
 
@@ -138,13 +131,16 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 		return 0, 0, err
 	}
 	home.publish(ts)
-	for _, fn := range post {
-		fn(ts)
+	for _, en := range placed {
+		en.MarkPacked()
+		e.rmap.Delete(en.RID, en)
+		e.queues.Remove(en)
+		e.gc.RetireEntry(en)
 	}
 	// Reclaim synchronously so the freed memory is visible to the pack
 	// cycle's own utilization accounting (and to anyone driving Step).
 	e.gc.Drain()
-	return rows, bytes, nil
+	return len(placed), bytes, nil
 }
 
 // heapHome is the paper's own layout (DisableColdStore): inserted rows

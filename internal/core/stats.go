@@ -214,7 +214,7 @@ type Snapshot struct {
 	LatchWaits    int64
 	GCVersions    int64
 	GCEntries     int64
-	GCPasses      int64 // partition reclaim passes (single-flight: full passes)
+	GCPasses      int64 // IMRS-GC passes that drained or freed work
 	AcceptNewRows bool
 
 	// Fragment-allocator traffic: IMRSAllocs/IMRSFrees count fragment

@@ -95,11 +95,11 @@ func (t *Txn) pkKey(pk []row.Value) row.Key {
 // and the Commit marker. Recovery treats a mixed transaction as
 // committed only if the syslogs Commit exists.
 type Txn struct {
-	e       *Engine
-	id      uint64
-	snap    uint64
-	snapRef txn.SnapshotRef
-	done    bool
+	e      *Engine
+	id     uint64
+	snap   uint64
+	reader txn.SnapshotRef // IMRS-GC reader registration
+	done   bool
 
 	locks map[rid.RID]struct{}
 
@@ -127,13 +127,18 @@ type Txn struct {
 func (t *Txn) HasWrites() bool { return len(t.sysRecs) > 0 || len(t.imrsRecs) > 0 }
 
 // Begin starts a transaction with a snapshot of the current commit
-// timestamp.
+// timestamp. It registers as an IMRS-GC reader before it reads the
+// clock: nothing retired after the registration is freed until the
+// transaction finishes, and nothing retired before it is reachable
+// from the snapshot (see package imrsgc).
 func (e *Engine) Begin() *Txn {
 	e.ckptMu.RLock()
+	reader := e.snaps.Register(e.gc.Epoch())
 	t := &Txn{
-		e:    e,
-		id:   e.nextTxnID.Add(1),
-		snap: e.clock.Now(),
+		e:      e,
+		id:     e.nextTxnID.Add(1),
+		snap:   e.clock.Now(),
+		reader: reader,
 	}
 	sc := scratchPool.Get().(*txnScratch)
 	t.sc = sc
@@ -144,7 +149,6 @@ func (e *Engine) Begin() *Txn {
 	t.atCommit = sc.atCommit
 	t.staged = sc.staged
 	t.newEntries = sc.newEntries
-	t.snapRef = e.snaps.Register(t.snap)
 	return t
 }
 
@@ -194,7 +198,7 @@ func (t *Txn) releaseAll() {
 func (t *Txn) finish() {
 	t.done = true
 	t.releaseAll()
-	t.e.snaps.Unregister(t.snapRef)
+	t.e.snaps.Unregister(t.reader)
 	t.e.ckptMu.RUnlock()
 	t.recycle()
 }

@@ -55,8 +55,8 @@ type Version struct {
 // Older returns the next-older version in the chain, or nil.
 func (v *Version) Older() *Version { return v.older.Load() }
 
-// TruncateOlder severs the chain below v. IMRS-GC calls it once every
-// version below v is unreadable by any active snapshot.
+// TruncateOlder severs the chain below v. IMRS-GC calls it once no
+// reader can reach a version below v.
 func (v *Version) TruncateOlder() { v.older.Store(nil) }
 
 // Data returns the row image (nil for delete tombstones and reclaimed
@@ -341,7 +341,7 @@ func (s *Store) AbortVersion(e *Entry, v *Version) bool {
 }
 
 // FreeVersion releases a superseded committed version's fragment (called
-// by IMRS-GC once no snapshot can read it).
+// by IMRS-GC once no reader can reach it).
 func (s *Store) FreeVersion(part rid.PartitionID, v *Version) {
 	f := v.frag.Swap(nil)
 	if f == nil {

@@ -3,6 +3,7 @@ package imrsgc
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -88,20 +89,20 @@ func (h *gcHarness) run(t *testing.T, op gcOp, ts uint64) {
 			t.Fatal(err)
 		}
 		h.store.Commit(nv, ts+uint64(v))
-		h.g.RetireVersion(e, nv, prev, ts+uint64(v))
+		h.g.RetireVersion(e, nv, prev)
 		prev = nv
 	}
 	if op.delete {
 		tomb := h.store.AddTombstone(e, 1)
 		h.store.Commit(tomb, ts+uint64(op.vsn)+1)
 		e.MarkPacked()
-		h.g.RetireEntry(e, ts+uint64(op.vsn)+1)
+		h.g.RetireEntry(e)
 	}
 }
 
 // fingerprint captures the observable end state: live rows, bytes still
-// allocated, free/enqueue counters, and every partition queue's exact
-// order (as RIDs).
+// allocated, free/enqueue counters, and every partition queue's
+// contents (as sorted RIDs).
 type gcFingerprint struct {
 	rows    int64
 	used    int64
@@ -131,6 +132,7 @@ func (h *gcHarness) fingerprint() gcFingerprint {
 			}
 			order = append(order, e.RID)
 		}
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		fp.qOrders[p] = order
 	}
 	return fp
@@ -152,7 +154,9 @@ func (fp gcFingerprint) equal(o gcFingerprint) string {
 	// fp.queued is deliberately not compared: whether a row that is
 	// deleted moments after its NewRow ever transits the queue is a
 	// timing-dependent optimization (the Packed skip); the queues'
-	// final contents and order below are the real invariant.
+	// final contents below are the real invariant. Their order is not:
+	// rows drained in one pass follow the retire stripes, and pass
+	// boundaries differ between the runs (the queues are relaxed LRU).
 	if len(fp.qOrders) != len(o.qOrders) {
 		return fmt.Sprintf("queue partitions %d != %d", len(fp.qOrders), len(o.qOrders))
 	}
@@ -163,53 +167,52 @@ func (fp gcFingerprint) equal(o gcFingerprint) string {
 		}
 		for i := range q1 {
 			if q1[i] != q2[i] {
-				return fmt.Sprintf("partition %d queue order differs at %d: %v != %v", p, i, q1[i], q2[i])
+				return fmt.Sprintf("partition %d queue contents differ at %d: %v != %v", p, i, q1[i], q2[i])
 			}
 		}
 	}
 	return ""
 }
 
-// TestSerialParallelEquivalence is the property test the partition-
-// parallel reclaim design rests on: the same retire sequence processed
-// by one synchronous pass at a time and by eight racing workers (with
-// extra synchronous Drains thrown in) must leave an identical end state
-// — live rows, allocated bytes, free counts, and exact per-partition
-// ILM queue order. Partition claims keep each partition single-writer
-// and seq-ordered, which is why the orders can match at all.
+// TestSerialParallelEquivalence checks that passes racing the producer
+// change nothing observable: the same retire sequence processed by
+// synchronous passes only and by the background collector plus
+// concurrent Drains from the producer must leave an identical end state
+// — live rows, allocated bytes, free counts, and per-partition ILM
+// queue contents — with a reader holding back a stretch of the middle.
 func TestSerialParallelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			script := makeScript(rand.New(rand.NewSource(seed)), 5, 300)
 
-			// Serial: no workers; every few ops one synchronous pass, with
-			// a snapshot reader gating a stretch of the middle.
+			// Serial: no background collector; every few ops one
+			// synchronous pass, with a reader gating a stretch of the
+			// middle.
 			serial := newGCHarness()
 			var ref txn.SnapshotRef
 			for i, op := range script {
 				if i == 50 {
-					ref = serial.snaps.Register(uint64(50 * 10))
+					ref = serial.snaps.Register(serial.g.Epoch())
 				}
 				if i == 200 {
 					serial.snaps.Unregister(ref)
 				}
 				serial.run(t, op, uint64(i+1)*10)
 				if i%7 == 0 {
-					serial.g.process()
+					serial.g.Drain()
 				}
 			}
 			serial.g.Stop()
 			fpS := serial.fingerprint()
 
-			// Parallel: same production order (seq stamps must match), but
-			// eight background workers race the producer and each other,
-			// plus periodic synchronous Drains from the producer goroutine.
+			// Parallel: same production order, with the background
+			// collector racing the producer's periodic Drains.
 			par := newGCHarness()
-			par.g.Start(8)
+			par.g.Start()
 			for i, op := range script {
 				if i == 50 {
-					ref = par.snaps.Register(uint64(50 * 10))
+					ref = par.snaps.Register(par.g.Epoch())
 				}
 				if i == 200 {
 					par.snaps.Unregister(ref)
@@ -234,14 +237,14 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestGCStressConcurrentProducers hammers the striped retire pipeline
-// from many producer goroutines while workers reclaim, then checks
+// from many producer goroutines while the collector reclaims, then checks
 // conservation: every retired version/entry is freed exactly once, the
 // allocator balances to zero for fully deleted partitions, and no queue
 // entry survives for a reclaimed row. Run under -race this is the
-// data-race proof for the shard/partition handoff.
+// data-race proof for the stripe/FIFO handoff.
 func TestGCStressConcurrentProducers(t *testing.T) {
 	h := newGCHarness()
-	h.g.Start(4)
+	h.g.Start()
 
 	const producers = 8
 	const perProducer = 200
@@ -269,11 +272,11 @@ func TestGCStressConcurrentProducers(t *testing.T) {
 					return
 				}
 				h.store.Commit(nv, ts+1)
-				h.g.RetireVersion(e, nv, e.Head().Older(), ts+1)
+				h.g.RetireVersion(e, nv, e.Head().Older())
 				tomb := h.store.AddTombstone(e, 1)
 				h.store.Commit(tomb, ts+2)
 				e.MarkPacked()
-				h.g.RetireEntry(e, ts+2)
+				h.g.RetireEntry(e)
 				if i%64 == 0 {
 					h.g.Drain()
 				}
@@ -301,10 +304,6 @@ func TestGCStressConcurrentProducers(t *testing.T) {
 			t.Fatalf("partition %d queue holds %d reclaimed entries", p, q.Len())
 		}
 	}
-	v, e, n := h.g.Pending()
-	if v+e+n != 0 {
-		t.Fatalf("pending work after Stop: %d/%d/%d", v, e, n)
-	}
 }
 
 // TestStopDrainsLateReclaimable pins the shutdown contract: work that
@@ -314,7 +313,7 @@ func TestGCStressConcurrentProducers(t *testing.T) {
 func TestStopDrainsLateReclaimable(t *testing.T) {
 	store, snaps := fixture(t)
 	g := New(store, snaps, Hooks{})
-	g.Start(2)
+	g.Start()
 
 	e, _ := store.CreateEntry(rid.NewVirtual(1, 1), 1, imrs.OriginInserted, []byte("v1"), 10)
 	v1 := e.Head()
@@ -322,24 +321,17 @@ func TestStopDrainsLateReclaimable(t *testing.T) {
 	v2, _ := store.AddVersion(e, []byte("v2"), 11)
 	store.Commit(v2, 8)
 
-	reader := snaps.Register(6)
-	g.RetireVersion(e, v2, v1, 8)
-	// Let the workers observe the retire and park it as gated.
-	waitFor(t, "retire observed", func() bool {
-		v, _, _ := g.Pending()
-		return v == 1 || g.VersionsFreed.Load() == 1
-	})
+	reader := snaps.Register(g.Epoch())
+	g.RetireVersion(e, v2, v1)
+	g.Drain() // the retire now waits in the FIFO
 	if g.VersionsFreed.Load() != 0 {
-		t.Fatal("version freed while a snapshot could read it")
+		t.Fatal("version freed while a reader registered before its retire was active")
 	}
 	// The blocker goes away without any new retire traffic (no poke).
 	snaps.Unregister(reader)
 	g.Stop()
 	if g.VersionsFreed.Load() != 1 {
 		t.Fatal("Stop left late-reclaimable work queued")
-	}
-	if v, en, n := g.Pending(); v+en+n != 0 {
-		t.Fatalf("pending after Stop: %d/%d/%d", v, en, n)
 	}
 }
 
@@ -348,7 +340,7 @@ func TestStopDrainsLateReclaimable(t *testing.T) {
 func TestStopIdempotent(t *testing.T) {
 	store, snaps := fixture(t)
 	g := New(store, snaps, Hooks{})
-	g.Start(1)
+	g.Start()
 	g.Stop()
 	g.Stop() // must not panic or hang
 }

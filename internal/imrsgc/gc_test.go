@@ -28,7 +28,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestVersionReclaim(t *testing.T) {
 	store, snaps := fixture(t)
 	g := New(store, snaps, Hooks{})
-	g.Start(2)
+	g.Start()
 	defer g.Stop()
 
 	e, err := store.CreateEntry(rid.NewVirtual(1, 1), 1, imrs.OriginInserted, []byte("v1"), 10)
@@ -44,7 +44,7 @@ func TestVersionReclaim(t *testing.T) {
 	store.Commit(v2, 8)
 
 	before := store.Part(1).Bytes.Load()
-	g.RetireVersion(e, v2, v1, 8)
+	g.RetireVersion(e, v2, v1)
 	waitFor(t, "version free", func() bool { return g.VersionsFreed.Load() == 1 })
 	if store.Part(1).Bytes.Load() >= before {
 		t.Fatal("partition bytes did not shrink")
@@ -57,10 +57,14 @@ func TestVersionReclaim(t *testing.T) {
 	}
 }
 
+// TestReclaimWaitsForSnapshots pins the reclamation rule: a reader
+// registered before the retire blocks the free until it unregisters,
+// while a reader that registers after the retire's pass holds nothing
+// back.
 func TestReclaimWaitsForSnapshots(t *testing.T) {
 	store, snaps := fixture(t)
 	g := New(store, snaps, Hooks{})
-	g.Start(1)
+	g.Start()
 	defer g.Stop()
 
 	e, _ := store.CreateEntry(rid.NewVirtual(1, 1), 1, imrs.OriginInserted, []byte("v1"), 10)
@@ -69,17 +73,22 @@ func TestReclaimWaitsForSnapshots(t *testing.T) {
 	v2, _ := store.AddVersion(e, []byte("v2"), 11)
 	store.Commit(v2, 8)
 
-	reader := snaps.Register(6) // a reader that must still see v1
-	g.RetireVersion(e, v2, v1, 8)
-	time.Sleep(20 * time.Millisecond)
+	reader := snaps.Register(g.Epoch()) // began before the retire: may hold v1
+	g.RetireVersion(e, v2, v1)
+	g.Drain()
 	if g.VersionsFreed.Load() != 0 {
-		t.Fatal("version freed while a snapshot could read it")
+		t.Fatal("version freed while a reader registered before its retire was active")
 	}
 	if got := e.Visible(6, 0); got == nil || string(got.Data()) != "v1" {
 		t.Fatal("old snapshot lost its version")
 	}
+	late := snaps.Register(g.Epoch()) // after the pass that tagged the retire
+	defer snaps.Unregister(late)
 	snaps.Unregister(reader)
-	waitFor(t, "deferred free", func() bool { return g.VersionsFreed.Load() == 1 })
+	g.Drain()
+	if g.VersionsFreed.Load() != 1 {
+		t.Fatal("a reader registered after the retire's pass held back its free")
+	}
 }
 
 func TestEntryReclaimWithHooks(t *testing.T) {
@@ -88,7 +97,7 @@ func TestEntryReclaimWithHooks(t *testing.T) {
 	g := New(store, snaps, Hooks{
 		OnReclaimEntry: func(e *imrs.Entry) { reclaimed <- e },
 	})
-	g.Start(1)
+	g.Start()
 	defer g.Stop()
 
 	e, _ := store.CreateEntry(rid.NewVirtual(1, 1), 1, imrs.OriginInserted, []byte("row"), 10)
@@ -96,7 +105,7 @@ func TestEntryReclaimWithHooks(t *testing.T) {
 	ts := store.AddTombstone(e, 11)
 	store.Commit(ts, 9)
 	e.MarkPacked()
-	g.RetireEntry(e, 9)
+	g.RetireEntry(e)
 
 	select {
 	case got := <-reclaimed:
@@ -118,7 +127,7 @@ func TestNewRowQueueMaintenance(t *testing.T) {
 	g := New(store, snaps, Hooks{
 		OnNewRow: func(e *imrs.Entry) { q.PushTail(e) },
 	})
-	g.Start(1)
+	g.Start()
 	defer g.Stop()
 
 	var entries []*imrs.Entry
@@ -127,6 +136,9 @@ func TestNewRowQueueMaintenance(t *testing.T) {
 		store.Commit(e.Head(), uint64(i+1))
 		entries = append(entries, e)
 		g.NewRow(e)
+		// One pass per row: passes are FIFO, while rows drained in the
+		// same pass follow the order of the retire stripes.
+		g.Drain()
 	}
 	waitFor(t, "queue maintenance", func() bool { return q.Len() == 10 })
 	// FIFO order preserved.
@@ -146,7 +158,7 @@ func TestPackedNewRowNotEnqueued(t *testing.T) {
 	store.Commit(e.Head(), 1)
 	e.MarkPacked() // packed before GC got to it
 	g.NewRow(e)
-	g.process()
+	g.Drain()
 	if q.Len() != 0 {
 		t.Fatal("packed entry enqueued")
 	}
@@ -155,13 +167,13 @@ func TestPackedNewRowNotEnqueued(t *testing.T) {
 func TestStopDrains(t *testing.T) {
 	store, snaps := fixture(t)
 	g := New(store, snaps, Hooks{})
-	g.Start(1)
+	g.Start()
 	e, _ := store.CreateEntry(rid.NewVirtual(1, 1), 1, imrs.OriginInserted, []byte("v1"), 10)
 	v1 := e.Head()
 	store.Commit(v1, 5)
 	v2, _ := store.AddVersion(e, []byte("v2"), 11)
 	store.Commit(v2, 8)
-	g.RetireVersion(e, v2, v1, 8)
+	g.RetireVersion(e, v2, v1)
 	g.Stop()
 	if g.VersionsFreed.Load() != 1 {
 		t.Fatal("Stop did not drain reclaimable work")

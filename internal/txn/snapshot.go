@@ -19,14 +19,15 @@ type snapShard struct {
 	_      [104]byte
 }
 
-// SnapshotRegistry tracks the snapshot timestamps of active statements
-// and transactions. IMRS-GC may only reclaim a row version once no
-// active snapshot can still read it; the paper calls the equivalent
-// shield for lock-free scanners "statement registration" (Section
-// VII-B). Every transaction registers at Begin and unregisters at
-// finish, so the registry is striped: Register/Unregister touch a single
-// shard, while the rare MinActive (GC cycles) locks all shards for a
-// consistent view.
+// SnapshotRegistry tracks the IMRS-GC reader epochs of active
+// statements and transactions. IMRS-GC frees a retired row version or
+// entry only once every reader registered before the retire has
+// unregistered; the paper calls the equivalent shield for lock-free
+// scanners "statement registration" (Section VII-B). Every transaction
+// registers at Begin, before it reads its snapshot, and unregisters at
+// finish, so the registry is striped: Register/Unregister touch a
+// single shard, while the rare MinActive (GC passes) locks all shards
+// for a consistent view.
 type SnapshotRegistry struct {
 	shards [snapShards]snapShard
 	next   atomic.Uint32 // round-robin shard cursor
@@ -38,7 +39,7 @@ type SnapshotRef struct {
 	shard uint32
 }
 
-// TS returns the registered snapshot timestamp.
+// TS returns the registered value.
 func (r SnapshotRef) TS() uint64 { return r.ts }
 
 // NewSnapshotRegistry returns an empty registry.
@@ -50,8 +51,8 @@ func NewSnapshotRegistry() *SnapshotRegistry {
 	return s
 }
 
-// Register records an active snapshot at ts. The caller must Unregister
-// the returned ref exactly once.
+// Register records an active reader at ts (IMRS-GC registers epochs).
+// The caller must Unregister the returned ref exactly once.
 func (s *SnapshotRegistry) Register(ts uint64) SnapshotRef {
 	i := s.next.Add(1) & (snapShards - 1)
 	sh := &s.shards[i]
@@ -73,8 +74,8 @@ func (s *SnapshotRegistry) Unregister(ref SnapshotRef) {
 	sh.mu.Unlock()
 }
 
-// MinActive returns the oldest registered snapshot, or math.MaxUint64
-// when none are active (everything older than "now" is reclaimable).
+// MinActive returns the smallest registered value, or math.MaxUint64
+// when no reader is active (everything retired so far is reclaimable).
 // All shards are locked together so the view is consistent.
 func (s *SnapshotRegistry) MinActive() uint64 {
 	for i := range s.shards {
@@ -94,8 +95,8 @@ func (s *SnapshotRegistry) MinActive() uint64 {
 	return min
 }
 
-// ActiveCount returns the number of distinct registered snapshot
-// timestamps (tests).
+// ActiveCount returns the number of distinct registered values
+// (tests).
 func (s *SnapshotRegistry) ActiveCount() int {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
