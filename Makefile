@@ -57,13 +57,14 @@ test-gc:
 	$(GO) test -race -cpu 1,2,4 ./internal/imrsgc/ ./internal/imrs/ ./internal/txn/
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Reclaim|AllocBudget|Pack|Explain'
 
-# Columnar cold-store tests under the race detector: segment codec
-# round-trips, freeze/un-freeze/delete visibility, the scan-against-
-# point-read checks, and the freeze -> scan -> un-freeze -> crash-recover
-# property test.
+# Columnar cold-store tests under the race detector on one, two and
+# four cores: segment codec round-trips, freeze/un-freeze/delete
+# visibility, the scan-against-point-read checks, the one-cut scan beside
+# every pack move and beside a live read-modify-write + packer load, and
+# the freeze -> scan -> un-freeze -> crash-recover property test.
 test-cold:
-	$(GO) test -race ./internal/storage/colseg/
-	$(GO) test -race ./internal/core/ -run 'TestCold|TestScan'
+	$(GO) test -race -cpu 1,2,4 ./internal/storage/colseg/
+	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'TestCold|TestScan'
 
 # Randomized fault-injection soak (internal/chaos) under the race
 # detector: transient device/WAL glitches, hard log deaths, and

@@ -273,86 +273,48 @@ func (t *Txn) Get(table string, pk []row.Value) (row.Row, bool, error) {
 // reports that the row moved between stores and the index lookup should
 // be repeated. pointAccess enables the ILM caching decision.
 func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess bool) (rw row.Row, ok, retry bool, err error) {
+	prt := rt.part(r0.Partition())
+	if prt == nil {
+		return nil, false, false, fmt.Errorf("core: unknown partition in %v", r0)
+	}
 	en := t.e.rmap.Get(r0)
 	if en != nil {
 		if v := en.Visible(t.snap, t.id); v != nil {
-			prt := t.e.partByID(en.Part)
 			en.Touch(t.e.clock.Now())
 			prt.ilm.IMRSSelects.Inc()
-			rw, err := t.e.decode(rt, v.Data())
-			if err != nil {
-				return nil, false, false, err
-			}
-			if probeKey != nil {
-				got, err := pkOf(rt, rw)
-				if err != nil {
-					return nil, false, false, err
-				}
-				if !bytes.Equal(got, probeKey) {
-					return nil, false, true, nil // index raced a key change
-				}
+			rw, retry, err := t.decodeProbed(rt, v.Data(), probeKey)
+			if err != nil || retry {
+				return nil, false, retry, err
 			}
 			return rw, true, false, nil
 		}
-		if r0.IsVirtual() {
-			if _, _, k, cold := t.e.cold.Lookup(r0); !cold || (k != 0 && k <= t.snap) {
-				// IMRS-only row not visible (uncommitted insert or deleted).
-				return nil, false, false, nil
-			}
-			// Fall through: the invisible entry is an un-freeze this
-			// snapshot predates (or an uncommitted migration); the live or
-			// later-killed segment copy below holds our committed image.
-		}
-		// Physical RID whose IMRS version is invisible to this snapshot:
-		// the page store still holds the pre-migration committed image.
+		// Invisible entry: an uncommitted insert or migration, a deleted
+		// row, or an un-freeze this snapshot predates. The cold copy or
+		// the page store below holds the committed image, if any.
 	}
-	// Cold-store resolution: serve the segment copy when it is live, or
-	// when this snapshot predates its kill AND the RID map still has an
-	// entry for the row — an un-freeze-by-update, whose newer image is
-	// snapshot-versioned in the IMRS. A kill without an entry (delete,
-	// un-freeze to the heap) is read-committed, exactly like page-store
-	// rows: the index/heap already reflect it for every snapshot.
-	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && (k == 0 || (k > t.snap && en != nil)) {
-		prt := t.e.partByID(r0.Partition())
-		if prt == nil {
-			return nil, false, false, fmt.Errorf("core: unknown partition in %v", r0)
-		}
+	// Cold-store resolution: serve the segment copy this snapshot reads
+	// (colseg.Segment.Visible: live, or killed after the snapshot by a
+	// versioned kill).
+	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && seg.Visible(idx, t.snap) {
 		enc, err := seg.EncodeRowAt(idx, nil)
 		if err != nil {
 			return nil, false, false, err
 		}
-		rw, err = t.e.decode(rt, enc)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if probeKey != nil {
-			got, err := pkOf(rt, rw)
-			if err != nil {
-				return nil, false, false, err
-			}
-			if !bytes.Equal(got, probeKey) {
-				return nil, false, true, nil
-			}
+		rw, retry, err := t.decodeProbed(rt, enc, probeKey)
+		if err != nil || retry {
+			return nil, false, retry, err
 		}
 		prt.ilm.PageOps.Inc()
 		if pointAccess && k == 0 {
 			t.maybeCache(rt, prt, r0, enc, true)
 		}
 		return rw, true, false, nil
-	} else if ok && r0.IsVirtual() {
-		// Killed cold copy, no IMRS entry: the row is gone for this
-		// snapshot (deleted, or un-frozen to a fresh heap RID whose
-		// index repoint committed before our snapshot began).
-		return nil, false, false, nil
-	}
-	if r0.IsVirtual() {
-		// Entry gone: the row was packed after the index lookup; the
-		// index now points at its page-store RID.
-		return nil, false, true, nil
-	}
-	prt := t.e.partByID(r0.Partition())
-	if prt == nil {
-		return nil, false, false, fmt.Errorf("core: unknown partition in %v", r0)
+	} else if r0.IsVirtual() {
+		// No image for this snapshot: the entry is invisible, or the cold
+		// copy was killed (deleted, or un-frozen to a fresh heap RID). In
+		// neither home, the row was packed after the index lookup and the
+		// index now points at its page-store RID: retry.
+		return nil, false, en == nil && !ok, nil
 	}
 	data, found, err := t.lockedPageFetch(prt, r0)
 	if err != nil {
@@ -361,18 +323,9 @@ func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess b
 	if !found {
 		return nil, false, false, nil
 	}
-	rw, err = t.e.decode(rt, data)
-	if err != nil {
-		return nil, false, false, err
-	}
-	if probeKey != nil {
-		got, err := pkOf(rt, rw)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if !bytes.Equal(got, probeKey) {
-			return nil, false, true, nil
-		}
+	rw, retry, err = t.decodeProbed(rt, data, probeKey)
+	if err != nil || retry {
+		return nil, false, retry, err
 	}
 	prt.ilm.PageOps.Inc()
 	prt.ilm.PageReuseOps.Inc()
@@ -380,6 +333,21 @@ func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess b
 		t.maybeCache(rt, prt, r0, data, false)
 	}
 	return rw, true, false, nil
+}
+
+// decodeProbed decodes a row image; with probeKey set, retry reports
+// that the image no longer carries that primary key (the index raced a
+// key change or a move).
+func (t *Txn) decodeProbed(rt *tableRT, data []byte, probeKey row.Key) (rw row.Row, retry bool, err error) {
+	rw, err = t.e.decode(rt, data)
+	if err != nil || probeKey == nil {
+		return rw, false, err
+	}
+	got, err := pkOf(rt, rw)
+	if err != nil {
+		return nil, false, err
+	}
+	return rw, !bytes.Equal(got, probeKey), nil
 }
 
 // lockedPageFetch reads a page-store row under its row lock (read
@@ -563,18 +531,14 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	// The first dirtying write of a frozen row pulls it out of the cold
 	// store: the segment copy is killed at commit and the row's newest
 	// image lives in the IMRS (migration) or back in the heap.
-	coldRes := false
-	if _, _, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
-		coldRes = true
-	}
+	_, _, k, inCold := t.e.cold.Lookup(r0)
+	coldRes := inCold && k == 0
+	frozen := r0 // an un-freeze to the heap may move the row
 	switch {
 	case en != nil:
 		if err := t.updateIMRS(rt, prt, r0, en, newRow, encSize); err != nil {
 			t.unwind(m)
 			return false, err
-		}
-		if coldRes {
-			t.stageSegKill(rt, r0, true)
 		}
 	default:
 		migrated := false
@@ -587,8 +551,6 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 			}
 		}
 		switch {
-		case migrated && coldRes:
-			t.stageSegKill(rt, r0, true)
 		case !migrated && coldRes:
 			enc := row.AppendEncoded(newRow, t.encBuf(encSize))
 			newRID, err := t.unfreezeToHeap(rt, prt, r0, cur, enc)
@@ -596,7 +558,6 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 				t.unwind(m)
 				return false, err
 			}
-			t.stageSegKill(rt, r0, true)
 			r0 = newRID
 		case !migrated:
 			enc := row.AppendEncoded(newRow, t.encBuf(encSize))
@@ -605,6 +566,12 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 				return false, err
 			}
 		}
+	}
+	if coldRes {
+		// Versioned when the new image is an IMRS version, so older
+		// snapshots keep the segment copy; read-committed when it went
+		// back to the heap.
+		t.stageSegKill(rt, frozen, true, en != nil)
 	}
 	if err := t.updateSecondaryIndexes(rt, cur, newRow, r0, en); err != nil {
 		t.unwind(m)
@@ -700,13 +667,14 @@ func (t *Txn) updatePage(rt *tableRT, prt *partRT, r0 rid.RID, before, after []b
 
 // stageSegKill logs and (at commit) applies the kill of r's live cold
 // copy. unfreeze marks the kill as a row pulled back by a write (the
-// stat the ILM report surfaces) rather than a delete.
-func (t *Txn) stageSegKill(rt *tableRT, r rid.RID, unfreeze bool) {
+// stat the ILM report surfaces) rather than a delete; versioned is the
+// kind of kill (colseg.Store.Kill).
+func (t *Txn) stageSegKill(rt *tableRT, r rid.RID, unfreeze, versioned bool) {
 	t.sysRecs = append(t.sysRecs, wal.Record{
 		Type: wal.RecSegKill, Table: rt.cat.ID, RID: r,
 	})
 	t.atCommit = append(t.atCommit, func(ts uint64) {
-		t.e.cold.Kill(r, ts)
+		t.e.cold.Kill(r, ts, versioned)
 		if unfreeze {
 			t.e.unfreezes.Add(1)
 		}
@@ -848,10 +816,8 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 	}
 	m := t.mark()
 	prt := t.e.partByID(r0.Partition())
-	coldRes := false
-	if _, _, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
-		coldRes = true
-	}
+	_, _, k, inCold := t.e.cold.Lookup(r0)
+	coldRes := inCold && k == 0
 
 	if en != nil {
 		tomb := t.e.store.AddTombstone(en, t.id)
@@ -877,14 +843,14 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 			t.e.gc.RetireEntry(en)
 		})
 		if coldRes {
-			t.stageSegKill(rt, r0, false)
+			t.stageSegKill(rt, r0, false, false)
 		}
 		prt.ilm.IMRSDeletes.Inc()
 	} else if coldRes {
 		// Frozen row: killing the segment copy IS the delete. A stale
 		// heap copy (failed post-freeze drop) goes too, if it is still
 		// this row.
-		t.stageSegKill(rt, r0, false)
+		t.stageSegKill(rt, r0, false, false)
 		if !r0.IsVirtual() {
 			if stale, err := prt.heap.Fetch(r0); err == nil {
 				if srw, err := t.e.decode(rt, stale); err == nil {

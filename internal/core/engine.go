@@ -52,6 +52,17 @@ type tableRT struct {
 	indexes []*indexRT
 }
 
+// part returns the table's partition with the given id, or nil when it
+// has none.
+func (rt *tableRT) part(id rid.PartitionID) *partRT {
+	for _, p := range rt.parts {
+		if p.cat.ID == id {
+			return p
+		}
+	}
+	return nil
+}
+
 // Engine is the hybrid-storage database engine.
 type Engine struct {
 	cfg Config
@@ -84,6 +95,11 @@ type Engine struct {
 	// ckptMu quiesces the engine for checkpoints: every transaction
 	// holds it shared for its lifetime; Checkpoint takes it exclusively.
 	ckptMu sync.RWMutex
+
+	// relocMu orders pack moves against table scans: PackEntries holds
+	// it exclusively, a scan holds it shared only while it takes its cut
+	// (scanbatch.go), so every move is wholly before or after a cut.
+	relocMu sync.RWMutex
 
 	nextTxnID atomic.Uint64
 	closed    atomic.Bool

@@ -22,8 +22,9 @@ import (
 //     slot keeps the RID unique until delete/un-freeze retires both;
 //   - clean cached rows just drop from the IMRS (the heap copy is
 //     already authoritative), exactly like the heap home;
-//   - a row with a live older cold copy (possible if an un-freeze kill
-//     was lost) logs RecSegKill so replay never sees two live copies.
+//   - a row with a live older cold copy (a frozen row cached back by a
+//     point read) logs RecSegKill so replay never sees two live copies;
+//     the kill is versioned, like an un-freeze's.
 //
 // Side effects are strictly post-commit, in this order: kill old cold
 // copies (the directory still maps to them), publish the new segments,
@@ -103,7 +104,7 @@ func (h *coldHome) publish(ts uint64) {
 	// Kill superseded cold copies BEFORE publishing: Kill targets the
 	// directory's newest entry, which must still be the old copy.
 	for _, r := range h.killOld {
-		h.e.cold.Kill(r, ts)
+		h.e.cold.Kill(r, ts, true)
 	}
 	for _, seg := range h.segs {
 		seg.FreezeTS = ts

@@ -63,10 +63,15 @@ func (p *packTxn) logIMRSDelete(en *imrs.Entry) {
 //     just drop, the heap copy is already authoritative;
 //   - after the commit flushes, the home publishes, entries unpublish
 //     and their memory is retired to IMRS-GC.
+//
+// The whole move runs under relocMu, so a table scan's cut sees it
+// either not begun or finished.
 func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (int, int64, error) {
 	e := (*Engine)(r)
 	e.ckptMu.RLock()
 	defer e.ckptMu.RUnlock()
+	e.relocMu.Lock()
+	defer e.relocMu.Unlock()
 
 	prt := e.partByID(part)
 	if prt == nil {

@@ -473,7 +473,9 @@ func (e *Engine) rebuildColdStore(ops []wal.Record, winners map[uint64]uint64) (
 			seg.FreezeTS = ts
 			e.cold.Publish(seg)
 		case wal.RecSegKill:
-			e.cold.Kill(op.RID, ts)
+			// The kind of kill only matters to snapshots older than ts,
+			// and every snapshot after recovery is newer.
+			e.cold.Kill(op.RID, ts, false)
 		}
 		applied++
 	}
@@ -874,13 +876,13 @@ func (e *Engine) collectPartition(rt *tableRT, prt *partRT, entries []*imrs.Entr
 
 	// Segment pass: index every live, newest cold copy. Frozen rows keep
 	// their RIDs, so (key, RID) pairs come straight off the segments.
-	for _, seg := range e.cold.Segments(prt.cat.ID) {
+	for _, seg := range e.cold.AppendSegments(nil, prt.cat.ID) {
 		if seg.TableID() != rt.cat.ID {
 			continue
 		}
 		for i := 0; i < seg.Rows(); i++ {
 			r0 := seg.RIDAt(i)
-			if seg.KillTS(i) != 0 || !e.cold.IsNewest(r0, seg, i) {
+			if seg.KillTS(i) != 0 || !seg.NewestAt(i, math.MaxUint64) {
 				continue
 			}
 			if e.rmap.Get(r0) != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/imrs"
@@ -21,28 +22,57 @@ import (
 const scanYieldRows = 2048
 
 // scanScratch is the reusable working set of one ScanBatches call: the
-// output batch, the full-segment column decodes, the selection vector,
-// and the projection maps. Pooled so a steady scan workload allocates
-// nothing per batch after warm-up.
+// output batch, the full-segment column decodes, the projection maps,
+// the scan's cut and its bookkeeping. Pooled so a steady scan workload
+// allocates nothing per batch after warm-up.
 type scanScratch struct {
 	batch  colseg.Batch
-	colvec []colseg.Vec      // per projected column, whole-segment decode
-	keep   []int32           // selection vector into the current segment
-	proj   []int             // projected schema ordinals, batch order
-	kinds  []row.Kind        // projected column kinds, batch order
-	colPos []int             // schema ordinal -> batch column, -1 = dropped
-	rids   []rid.RID         // heap/IMRS RID staging
-	segs   []*colseg.Segment // segments visited by this scan's segment pass
+	colvec []colseg.Vec // per projected column, whole-segment decode
+	proj   []int        // projected schema ordinals, batch order
+	kinds  []row.Kind   // projected column kinds, batch order
+	colPos []int        // schema ordinal -> batch column, -1 = dropped
+
+	// The cut: the table's RID-map entries, cold segments and heap RIDs,
+	// copied together under Engine.relocMu.
+	ents []*imrs.Entry
+	segs []*colseg.Segment
+	rids []rid.RID
+
+	keep   []int32   // selected rows of the cut's segments, back to back
+	segEnd []int     // segs[i]'s rows are keep[segEnd[i-1]:segEnd[i]]
+	shown  []rid.RID // RIDs emitted so far, sorted before each search
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
+// put returns sc to the pool without pinning the entries and segments
+// of its cut.
+func (sc *scanScratch) put() {
+	clear(sc.ents)
+	clear(sc.segs)
+	sc.ents, sc.segs = sc.ents[:0], sc.segs[:0]
+	scanScratchPool.Put(sc)
+}
+
 // ScanBatches is the table scan: it visits every visible row of a table
-// (all partitions) — first the cold-store segments, then the page-store
-// heaps (skipping rows shadowed by IMRS entries or live segment copies,
-// re-reading the rest under their row lock: read committed), then the
-// IMRS-resident rows — and yields them in column batches of up to
-// batchRows rows (0 = colseg.DefaultSegmentRows). Order is unspecified.
+// (all partitions) and yields them in column batches of up to batchRows
+// rows (0 = colseg.DefaultSegmentRows). Order is unspecified.
+//
+// The scan reads one cut of the table's three homes — its RID-map
+// entries, its cold segments and its heap RIDs, copied under relocMu so
+// that no pack move is half done in it — and emits each row from
+// exactly one home of that cut (DESIGN.md §11 "One scan cut"):
+//
+//  1. each cut entry with a version visible to the snapshot;
+//  2. each cut segment row that was the newest copy of its RID at the
+//     cut, is visible to the snapshot (colseg.Segment.Visible), was not
+//     emitted in 1 and has not been deleted since (read committed);
+//  3. each cut heap RID emitted by neither, re-read under its row lock
+//     (read committed, like every page-store row).
+//
+// Rows packed after the cut are read from their old home: their IMRS
+// memory stays allocated while this transaction is registered.
+//
 // cols selects and orders the projected columns (nil = all, schema
 // order); projection is pushed into the segment decode — unprojected
 // columns are never decompressed. Frozen rows decode straight from
@@ -64,7 +94,7 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 	sch := rt.cat.Schema
 
 	sc := scanScratchPool.Get().(*scanScratch)
-	defer scanScratchPool.Put(sc)
+	defer sc.put()
 	sc.proj = sc.proj[:0]
 	sc.kinds = sc.kinds[:0]
 	if cols == nil {
@@ -88,9 +118,14 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 		sc.kinds = append(sc.kinds, sch.Column(ci).Kind)
 		sc.colPos[ci] = j
 	}
-	sc.segs = sc.segs[:0]
 	b := &sc.batch
 	b.Reset(sc.kinds)
+
+	cutTS, err := t.takeCut(rt, sc)
+	if err != nil {
+		return err
+	}
+	t.selectCold(rt, sc, cutTS)
 
 	stopped := false
 	sinceYield := 0
@@ -117,112 +152,95 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 		return true
 	}
 
-	for _, prt := range rt.parts {
-		// Segment pass: build the selection vector under the scan
-		// visibility rule, decode the projected columns once per
-		// segment, then gather the selected rows batch by batch.
-		for _, seg := range t.e.cold.Segments(prt.cat.ID) {
-			if seg.TableID() != rt.cat.ID {
-				continue
-			}
-			sc.segs = append(sc.segs, seg)
-			sc.keep = sc.keep[:0]
-			for i := 0; i < seg.Rows(); i++ {
-				if t.segRowVisible(seg, i, seg.RIDAt(i)) {
-					sc.keep = append(sc.keep, int32(i))
-				}
-			}
-			if len(sc.keep) == 0 {
-				continue
-			}
-			if cap(sc.colvec) < len(sc.proj) {
-				sc.colvec = make([]colseg.Vec, len(sc.proj))
-			}
-			sc.colvec = sc.colvec[:len(sc.proj)]
-			for j, ci := range sc.proj {
-				sc.colvec[j].Reset(sc.kinds[j])
-				if err := seg.AppendColumn(ci, &sc.colvec[j]); err != nil {
-					return err
-				}
-			}
-			prt.ilm.PageOps.Add(int64(len(sc.keep)))
-			for off := 0; off < len(sc.keep); {
-				room := batchRows - b.Len()
-				if room == 0 {
-					if !flush() {
-						return nil
-					}
-					continue
-				}
-				span := sc.keep[off:min(off+room, len(sc.keep))]
-				for _, i := range span {
-					b.RIDs = append(b.RIDs, seg.RIDAt(int(i)))
-				}
-				for j := range sc.colvec {
-					b.Cols[j].AppendSelect(&sc.colvec[j], span)
-				}
-				off += len(span)
-			}
+	// 1. IMRS entries.
+	sc.shown = sc.shown[:0]
+	for _, en := range sc.ents {
+		v := en.Visible(t.snap, t.id)
+		if v == nil {
+			continue
 		}
-
-		// Heap pass: rows appended one at a time under their row locks.
-		sc.rids = sc.rids[:0]
-		if err := prt.heap.Scan(func(r rid.RID, _ []byte) bool {
-			sc.rids = append(sc.rids, r)
-			return true
-		}); err != nil {
+		sc.shown = append(sc.shown, en.RID)
+		en.Touch(cutTS)
+		rt.part(en.Part).ilm.IMRSSelects.Inc()
+		if err := t.appendRowWise(sc, sch, en.RID, v.Data()); err != nil {
 			return err
 		}
-		for _, r0 := range sc.rids {
-			if t.e.rmap.Get(r0) != nil {
-				continue // visited via the IMRS pass
-			}
-			if _, _, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
-				// Live cold copy: the segment pass emitted it; any heap
-				// copy is a stale shadow. Killed copies mean the heap
-				// image — written by the un-freeze — is the current one
-				// (read-committed, like every page-store row).
-				continue
-			}
-			data, found, err := t.lockedPageFetch(prt, r0)
-			if err != nil {
-				return err
-			}
-			if !found {
-				continue
-			}
-			prt.ilm.PageOps.Inc()
-			prt.ilm.PageReuseOps.Inc()
-			if err := t.appendRowWise(sc, sch, r0, data); err != nil {
-				return err
-			}
-			if b.Len() >= batchRows && !flush() {
-				return nil
-			}
+		if b.Len() >= batchRows && !flush() {
+			return nil
 		}
 	}
+	slices.Sort(sc.shown)
+	fromIMRS := len(sc.shown)
 
-	// IMRS pass: collect this table's entries, then resolve outside the
-	// map's shard locks.
-	partSet := make(map[rid.PartitionID]bool, len(rt.parts))
-	for _, p := range rt.parts {
-		partSet[p.cat.ID] = true
-	}
-	sc.rids = sc.rids[:0]
-	t.e.rmap.Range(func(r0 rid.RID, _ *imrs.Entry) bool {
-		if partSet[r0.Partition()] {
-			sc.rids = append(sc.rids, r0)
+	// 2. Segment rows: drop the selected rows emitted in 1 or since
+	// removed by a read-committed kill, decode the projected columns once
+	// per segment, then gather the rest batch by batch. Physical RIDs
+	// join shown: their heap copy is a stale shadow.
+	lo := 0
+	for s, seg := range sc.segs {
+		n, hi := lo, sc.segEnd[s]
+		for _, i := range sc.keep[lo:hi] {
+			r0 := seg.RIDAt(int(i))
+			if _, dup := slices.BinarySearch(sc.shown[:fromIMRS], r0); dup || seg.Hidden(int(i)) {
+				continue
+			}
+			sc.keep[n] = i
+			n++
+			if !r0.IsVirtual() {
+				sc.shown = append(sc.shown, r0)
+			}
 		}
-		return true
-	})
+		sel := sc.keep[lo:n]
+		lo = hi
+		if len(sel) == 0 {
+			continue
+		}
+		if cap(sc.colvec) < len(sc.proj) {
+			sc.colvec = make([]colseg.Vec, len(sc.proj))
+		}
+		sc.colvec = sc.colvec[:len(sc.proj)]
+		for j, ci := range sc.proj {
+			sc.colvec[j].Reset(sc.kinds[j])
+			if err := seg.AppendColumn(ci, &sc.colvec[j]); err != nil {
+				return err
+			}
+		}
+		rt.part(seg.Part()).ilm.PageOps.Add(int64(len(sel)))
+		for off := 0; off < len(sel); {
+			room := batchRows - b.Len()
+			if room == 0 {
+				if !flush() {
+					return nil
+				}
+				continue
+			}
+			span := sel[off:min(off+room, len(sel))]
+			for _, i := range span {
+				b.RIDs = append(b.RIDs, seg.RIDAt(int(i)))
+			}
+			for j := range sc.colvec {
+				b.Cols[j].AppendSelect(&sc.colvec[j], span)
+			}
+			off += len(span)
+		}
+	}
+	slices.Sort(sc.shown)
+
+	// 3. Heap rows, one at a time under their row locks.
 	for _, r0 := range sc.rids {
-		data, ok, err := t.imrsBatchImage(rt, r0, sc.segs)
+		if _, dup := slices.BinarySearch(sc.shown, r0); dup {
+			continue
+		}
+		prt := rt.part(r0.Partition())
+		data, found, err := t.lockedPageFetch(prt, r0)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if !found {
 			continue
 		}
+		prt.ilm.PageOps.Inc()
+		prt.ilm.PageReuseOps.Inc()
 		if err := t.appendRowWise(sc, sch, r0, data); err != nil {
 			return err
 		}
@@ -236,36 +254,53 @@ func (t *Txn) ScanBatches(table string, cols []string, batchRows int, fn func(*c
 	return nil
 }
 
-// segRowVisible decides whether row i of seg belongs in this snapshot's
-// scan: the copy must still be the newest cold copy of its RID, not be
-// shadowed by a visible IMRS entry (the IMRS pass emits those), and be
-// live — or killed after our snapshot by an un-freeze-by-update whose
-// RID-map entry is still published, in which case the killed image is
-// the committed state this snapshot should see. A kill WITHOUT an entry
-// (delete, un-freeze to the heap) is read-committed and hides the copy
-// from every snapshot — matching point reads, whose index entry or heap
-// image already reflects the change. The kill timestamp is read BEFORE
-// the RID map: a concurrent un-freeze publishes its IMRS entry first and
-// kills second, so reading in the opposite order could miss both copies.
-func (t *Txn) segRowVisible(seg *colseg.Segment, i int, r0 rid.RID) bool {
-	k := seg.KillTS(i)
-	en := t.e.rmap.Get(r0)
-	if en != nil && en.Visible(t.snap, t.id) != nil {
-		return false
-	}
-	if !t.e.cold.IsNewest(r0, seg, i) {
-		return false
-	}
-	return k == 0 || (k > t.snap && en != nil)
-}
-
-func segSeen(seen []*colseg.Segment, seg *colseg.Segment) bool {
-	for _, s := range seen {
-		if s == seg {
+// takeCut copies rt's RID-map entries, cold segments and heap RIDs into
+// sc under relocMu, and returns the cut's timestamp: every pack move
+// committed at or before it is in the cut, every later one is not.
+// The lock is never held while the scan calls fn, so a callback may
+// itself drive a pack.
+func (t *Txn) takeCut(rt *tableRT, sc *scanScratch) (uint64, error) {
+	e := t.e
+	e.relocMu.RLock()
+	defer e.relocMu.RUnlock()
+	sc.ents, sc.segs, sc.rids = sc.ents[:0], sc.segs[:0], sc.rids[:0]
+	e.rmap.Range(func(r0 rid.RID, en *imrs.Entry) bool {
+		if rt.part(r0.Partition()) != nil {
+			sc.ents = append(sc.ents, en)
+		}
+		return true
+	})
+	for _, prt := range rt.parts {
+		sc.segs = e.cold.AppendSegments(sc.segs, prt.cat.ID)
+		if err := prt.heap.Scan(func(r0 rid.RID, _ []byte) bool {
+			sc.rids = append(sc.rids, r0)
 			return true
+		}); err != nil {
+			return 0, err
 		}
 	}
-	return false
+	return e.clock.Now(), nil
+}
+
+// selectCold selects the cut's segment rows this snapshot may read:
+// the newest copy of its RID at the cut, and visible to the snapshot.
+// It runs before any entry's visibility is read. An un-freeze stamps
+// its IMRS version before it kills the cold copy, so a kill seen here
+// means the version is visible to the entry pass, and a kill not seen
+// here leaves the copy selected: an un-freeze committing beside the
+// scan cannot hide the row from both homes.
+func (t *Txn) selectCold(rt *tableRT, sc *scanScratch, cutTS uint64) {
+	sc.keep, sc.segEnd = sc.keep[:0], sc.segEnd[:0]
+	for _, seg := range sc.segs {
+		if seg.TableID() == rt.cat.ID {
+			for i := 0; i < seg.Rows(); i++ {
+				if seg.NewestAt(i, cutTS) && seg.Visible(i, t.snap) {
+					sc.keep = append(sc.keep, int32(i))
+				}
+			}
+		}
+		sc.segEnd = append(sc.segEnd, len(sc.keep))
+	}
 }
 
 // appendRowWise decodes one encoded row image into the scratch batch,
@@ -297,61 +332,4 @@ func (t *Txn) appendRowWise(sc *scanScratch, sch *row.Schema, r0 rid.RID, data [
 	}
 	b.RIDs = append(b.RIDs, r0)
 	return nil
-}
-
-// imrsBatchImage resolves one RID-map entry for the scan's IMRS pass,
-// settling the overlap with the segment pass, and returns the visible
-// encoded image if this pass is the one to emit the row. A visible
-// entry is emitted here (segRowVisible suppressed any cold copy); an
-// invisible or vanished entry defers to the cold copy the segment pass
-// emitted — unless the row was frozen mid-scan into a segment this scan
-// never visited (not in seen), in which case the frozen image is
-// emitted here so a scan racing the packer does not lose the row.
-func (t *Txn) imrsBatchImage(rt *tableRT, r0 rid.RID, seen []*colseg.Segment) ([]byte, bool, error) {
-	seg, idx, k, coldOK := t.e.cold.Lookup(r0)
-	en := t.e.rmap.Get(r0)
-	if en != nil {
-		if v := en.Visible(t.snap, t.id); v != nil {
-			prt := t.e.partByID(en.Part)
-			en.Touch(t.e.clock.Now())
-			prt.ilm.IMRSSelects.Inc()
-			return v.Data(), true, nil
-		}
-		if (coldOK && (k == 0 || k > t.snap)) || r0.IsVirtual() {
-			// The segment pass showed the cold copy, or nothing is
-			// visible to this snapshot.
-			return nil, false, nil
-		}
-		// Physical entry invisible to this snapshot: the page store
-		// holds the pre-migration committed image.
-	} else {
-		if coldOK && k == 0 && !segSeen(seen, seg) {
-			// Frozen mid-scan into a segment published after our segment
-			// pass: emit the frozen image directly.
-			enc, err := seg.EncodeRowAt(idx, nil)
-			if err != nil {
-				return nil, false, err
-			}
-			if prt := t.e.partByID(r0.Partition()); prt != nil {
-				prt.ilm.PageOps.Inc()
-			}
-			return enc, true, nil
-		}
-		if (coldOK && k == 0) || r0.IsVirtual() {
-			// The segment pass emitted the live cold copy, or the row is
-			// deleted/moved (read-committed).
-			return nil, false, nil
-		}
-	}
-	prt := t.e.partByID(r0.Partition())
-	if prt == nil {
-		return nil, false, fmt.Errorf("core: unknown partition in %v", r0)
-	}
-	data, found, err := t.lockedPageFetch(prt, r0)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	prt.ilm.PageOps.Inc()
-	prt.ilm.PageReuseOps.Inc()
-	return data, true, nil
 }

@@ -199,13 +199,13 @@ func TestStoreLifecycle(t *testing.T) {
 	if sg, idx, k, ok := st.Lookup(r); !ok || sg != seg || idx != 4 || k != 0 {
 		t.Fatalf("lookup after publish: sg=%v idx=%d k=%d ok=%v", sg, idx, k, ok)
 	}
-	if !st.IsNewest(r, seg, 4) {
+	if !seg.NewestAt(4, 1<<62) {
 		t.Fatal("fresh row not newest")
 	}
-	if !st.Kill(r, 120) {
+	if !st.Kill(r, 120, true) {
 		t.Fatal("kill of live row failed")
 	}
-	if st.Kill(r, 130) {
+	if st.Kill(r, 130, false) {
 		t.Fatal("double kill succeeded")
 	}
 	if _, _, k, ok := st.Lookup(r); !ok || k != 120 {
@@ -214,26 +214,34 @@ func TestStoreLifecycle(t *testing.T) {
 	if seg.LiveRows() != 9 {
 		t.Fatalf("live rows %d want 9", seg.LiveRows())
 	}
+	// A versioned kill keeps the copy for older snapshots only.
+	if !seg.Visible(4, 119) || seg.Visible(4, 120) || !seg.Visible(5, 1<<62) {
+		t.Fatal("versioned kill visibility")
+	}
+	// A read-committed kill hides the copy from every snapshot.
+	if !st.Kill(seg.RIDAt(6), 140, false) || seg.Visible(6, 0) || seg.KillTS(6) != 140 {
+		t.Fatal("read-committed kill visibility")
+	}
 
-	// Re-freeze the same RIDs into a newer segment: old one is superseded.
+	// Re-freeze the same RIDs into a newer segment: the old copies are
+	// superseded as of its FreezeTS.
 	seg2, _ := buildSegment(t, 10, false)
 	seg2.FreezeTS = 200
 	st.Publish(seg2)
-	if seg.Superseded() != 10 {
-		t.Fatalf("superseded %d want 10", seg.Superseded())
-	}
-	if st.IsNewest(r, seg, 4) {
-		t.Fatal("old copy still claims newest")
-	}
-	if !st.IsNewest(r, seg2, 4) {
-		t.Fatal("new copy not newest")
+	for i := 0; i < 10; i++ {
+		if !seg.NewestAt(i, 199) || seg.NewestAt(i, 200) {
+			t.Fatalf("old copy %d: newest at 199 and not at 200", i)
+		}
+		if !seg2.NewestAt(i, 1<<62) {
+			t.Fatalf("new copy %d not newest", i)
+		}
 	}
 	stats := st.Stats()
-	if stats.Segments != 2 || stats.SegmentsWritten != 2 || stats.RowsFrozen != 20 || stats.Kills != 1 {
+	if stats.Segments != 2 || stats.SegmentsWritten != 2 || stats.RowsFrozen != 20 || stats.Kills != 2 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	ps := st.PartStats(3)
-	if ps.Segments != 2 || ps.Rows != 20 || ps.LiveRows != 19 {
+	if ps.Segments != 2 || ps.Rows != 20 || ps.LiveRows != 18 {
 		t.Fatalf("part stats: %+v", ps)
 	}
 }

@@ -115,13 +115,20 @@ type Segment struct {
 	// location; set once before Publish, never changed.
 	FreezeTS uint64
 
-	// kill[i] is the commit timestamp of the transaction that removed row
-	// i from the cold store (un-freeze or delete), 0 while live. A killed
-	// row stays readable by snapshots older than its kill timestamp.
+	// kill[i] is 0 while row i is live. Kill stores ts<<1 | v, where ts
+	// is the commit timestamp of the transaction that removed the row
+	// from the cold store and v records the kind of kill, fixed at kill
+	// time: 1 for a versioned kill (un-freeze by update into the IMRS,
+	// re-freeze), whose copy stays the image of snapshots older than ts;
+	// 0 for a read-committed kill (delete, un-freeze to the heap), which
+	// hides the copy from every snapshot, as for page-store rows.
 	kill []atomic.Uint64
 
-	live       atomic.Int64 // rows with kill==0
-	superseded atomic.Int64 // rows whose RID now maps to a newer segment
+	// sup[i] is the FreezeTS of the segment that re-froze row i's RID
+	// (Store.Publish), 0 while this is the newest cold copy.
+	sup []atomic.Uint64
+
+	live atomic.Int64 // rows with kill==0
 }
 
 // Rows returns the row count.
@@ -154,15 +161,32 @@ func (s *Segment) Blob() []byte { return s.blob }
 func (s *Segment) RIDAt(i int) rid.RID { return s.rids[i] }
 
 // KillTS returns row i's kill timestamp (0 = live).
-func (s *Segment) KillTS(i int) uint64 { return s.kill[i].Load() }
+func (s *Segment) KillTS(i int) uint64 { return s.kill[i].Load() >> 1 }
+
+// Visible reports whether row i is the image a snapshot at snap reads:
+// the copy is live, or a versioned kill removed it after snap.
+func (s *Segment) Visible(i int, snap uint64) bool {
+	k := s.kill[i].Load()
+	return k == 0 || k&1 == 1 && k>>1 > snap
+}
+
+// Hidden reports whether a read-committed kill removed row i, which
+// hides it from every snapshot.
+func (s *Segment) Hidden(i int) bool {
+	k := s.kill[i].Load()
+	return k != 0 && k&1 == 0
+}
+
+// NewestAt reports whether row i was still the newest cold copy of its
+// RID at timestamp ts: no segment re-freezing the RID was published by
+// then.
+func (s *Segment) NewestAt(i int, ts uint64) bool {
+	sup := s.sup[i].Load()
+	return sup == 0 || sup > ts
+}
 
 // LiveRows returns the number of rows with no kill timestamp.
 func (s *Segment) LiveRows() int64 { return s.live.Load() }
-
-// Superseded returns how many of this segment's rows have been re-frozen
-// into a newer segment. Zero means every row here is the newest cold
-// copy of its RID — the scan fast path.
-func (s *Segment) Superseded() int64 { return s.superseded.Load() }
 
 // zigzag encoding for signed varints.
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -299,6 +323,7 @@ func Open(blob []byte) (*Segment, error) {
 
 	s.caches = make([]atomic.Pointer[colCache], cols)
 	s.kill = make([]atomic.Uint64, s.rows)
+	s.sup = make([]atomic.Uint64, s.rows)
 	s.live.Store(int64(s.rows))
 	return s, nil
 }

@@ -28,15 +28,16 @@ type shard struct {
 //
 //   - Kill marks a row dead (un-freeze or delete) but leaves the map
 //     entry in place: the map always answers "where is the newest cold
-//     copy", and killed copies stay readable for snapshots older than
-//     their kill timestamp.
-//   - Publish overwrites map entries (newest copy wins) and bumps the
-//     old segment's superseded counter, which gives scans an O(1)
-//     "every row here is newest" fast path for never-superseded
-//     segments.
+//     copy". The kill records its kind with its timestamp: a versioned
+//     kill's copy stays readable for snapshots older than the kill, a
+//     read-committed kill's for none (Segment.Visible).
+//   - Publish overwrites map entries (newest copy wins) and stamps each
+//     copy it supersedes with the new segment's FreezeTS, so "newest at
+//     timestamp ts" is one atomic load (Segment.NewestAt).
 //   - Because a live cold row is killed on its first dirtying write (it
 //     moves back to the IMRS/page path), a RID is never live in two
 //     segments at once.
+//   - No segment is ever dropped: killed rows stay in their blob.
 type Store struct {
 	shards [storeShards]shard
 
@@ -69,15 +70,14 @@ func (s *Store) shardFor(r rid.RID) *shard {
 
 // Publish registers seg's rows as the newest cold copies of their RIDs
 // and appends seg to its partition's segment list. seg.FreezeTS must be
-// set. Rows of older segments that are overwritten keep their kill state;
-// their segment's superseded counter records that they are no longer the
-// newest copy.
+// set. Rows of older segments that are overwritten keep their kill state
+// and are stamped superseded as of seg.FreezeTS.
 func (s *Store) Publish(seg *Segment) {
 	for i, r := range seg.rids {
 		sh := s.shardFor(r)
 		sh.mu.Lock()
 		if old, ok := sh.m[r]; ok {
-			old.seg.superseded.Add(1)
+			old.seg.sup[old.idx].Store(seg.FreezeTS)
 		}
 		sh.m[r] = ref{seg: seg, idx: int32(i)}
 		sh.mu.Unlock()
@@ -101,12 +101,14 @@ func (s *Store) Lookup(r rid.RID) (*Segment, int, uint64, bool) {
 	if !ok {
 		return nil, 0, 0, false
 	}
-	return rf.seg, int(rf.idx), rf.seg.kill[rf.idx].Load(), true
+	return rf.seg, int(rf.idx), rf.seg.KillTS(int(rf.idx)), true
 }
 
-// Kill marks the newest cold copy of r dead as of commit timestamp ts.
-// Reports whether a live copy was present.
-func (s *Store) Kill(r rid.RID, ts uint64) bool {
+// Kill marks the newest cold copy of r dead as of commit timestamp ts
+// (> 0). versioned keeps the copy the image of snapshots older than ts
+// (the row's newer image is snapshot-versioned in the IMRS); otherwise
+// the kill is read-committed. Reports whether a live copy was present.
+func (s *Store) Kill(r rid.RID, ts uint64, versioned bool) bool {
 	sh := s.shardFor(r)
 	sh.mu.RLock()
 	rf, ok := sh.m[r]
@@ -114,7 +116,11 @@ func (s *Store) Kill(r rid.RID, ts uint64) bool {
 	if !ok {
 		return false
 	}
-	if !rf.seg.kill[rf.idx].CompareAndSwap(0, ts) {
+	k := ts << 1
+	if versioned {
+		k |= 1
+	}
+	if !rf.seg.kill[rf.idx].CompareAndSwap(0, k) {
 		return false
 	}
 	rf.seg.live.Add(-1)
@@ -122,31 +128,11 @@ func (s *Store) Kill(r rid.RID, ts uint64) bool {
 	return true
 }
 
-// IsNewest reports whether (seg, idx) is still the newest cold copy of
-// r. Segments that have never been superseded skip the map lookup.
-func (s *Store) IsNewest(r rid.RID, seg *Segment, idx int) bool {
-	if seg.superseded.Load() == 0 {
-		return true
-	}
-	sh := s.shardFor(r)
-	sh.mu.RLock()
-	rf, ok := sh.m[r]
-	sh.mu.RUnlock()
-	return ok && rf.seg == seg && int(rf.idx) == idx
-}
-
-// Segments returns a snapshot of partition p's segment list in publish
-// order.
-func (s *Store) Segments(p rid.PartitionID) []*Segment {
+// AppendSegments appends partition p's segments to dst in publish order.
+func (s *Store) AppendSegments(dst []*Segment, p rid.PartitionID) []*Segment {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	segs := s.parts[p]
-	if len(segs) == 0 {
-		return nil
-	}
-	out := make([]*Segment, len(segs))
-	copy(out, segs)
-	return out
+	return append(dst, s.parts[p]...)
 }
 
 // Stats is a point-in-time cold-store summary.
