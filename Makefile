@@ -42,9 +42,13 @@ test-commit:
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Commit|Prepare|TwoPC|Pack|Freeze|Halt|Poison'
 
 # Recovery pipeline tests (crash injection, parallel==serial
-# equivalence, checkpoint-failure surfacing) under the race detector.
+# equivalence incl. one partition split into collect chunks, zero-filled
+# log tails, checkpoint-failure surfacing) and the WAL frame scanner
+# (block reads, torn tails, mid-log corruption) under the race detector
+# on one, two and four cores.
 test-recovery:
-	$(GO) test -race ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt'
+	$(GO) test -race -cpu 1,2,4 ./internal/wal/ -run 'Repair|Torn|Reader|Scan|Zero'
+	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt'
 
 # IMRS-GC and allocator correctness under the race detector on one,
 # two and four cores: the reclamation rule (a reader registered before
@@ -111,12 +115,13 @@ test-sql-prepared:
 	$(GO) test -race ./internal/sql/ -run 'Prepare|Prepared|PlanCache|Transparent|INAndIndex|DropTable'
 	$(GO) test -race ./internal/server/ -run 'Pipeline|Batch'
 
-# Fuzz the byte-level decoders (WAL record bodies, row codec, cold-store
-# segments) for a short smoke window each; seed corpora live in
-# testdata/fuzz.
+# Fuzz the byte-level decoders (WAL record bodies, WAL frame scanner,
+# row codec, cold-store segments) for a short smoke window each; seed
+# corpora live in testdata/fuzz.
 FUZZTIME ?= 30s
 fuzz: fuzz-proto
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScanFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/row/ -run '^$$' -fuzz FuzzRowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/colseg/ -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME)
 

@@ -606,10 +606,14 @@ func (e *Engine) redoSyslogs(ckptLSN uint64, winners map[uint64]uint64) (int64, 
 }
 
 // imrsRedoOp is one committed IMRS operation awaiting application, with
-// the commit timestamp of its transaction.
+// its transaction's commit timestamp. Replay holds every committed
+// operation at once, so it keeps only the wal.Record fields it uses.
 type imrsRedoOp struct {
-	rec wal.Record
-	ts  uint64
+	after     []byte
+	rid       rid.RID
+	txnID, ts uint64
+	typ       wal.RecType
+	aux       uint8
 }
 
 // replayIMRSLog redoes sysimrslogs from the beginning. A serial scan
@@ -657,7 +661,8 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 			}
 			for _, op := range ops {
 				part := op.RID.Partition()
-				perPart[part] = append(perPart[part], imrsRedoOp{rec: op, ts: rec.CommitTS})
+				perPart[part] = append(perPart[part], imrsRedoOp{after: op.After, rid: op.RID,
+					txnID: op.TxnID, ts: rec.CommitTS, typ: op.Type, aux: op.Aux})
 				e.recovery.imrsRecords++
 			}
 		}
@@ -670,68 +675,70 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
 	workers = e.recoveryWorkers(len(parts))
 	err = runParallel(workers, len(parts), func(i int) error {
-		for _, op := range perPart[parts[i]] {
-			if err := e.applyIMRSRedo(op.rec, op.ts); err != nil {
+		ops := perPart[parts[i]]
+		for j := range ops {
+			if err := e.applyIMRSRedo(&ops[j]); err != nil {
 				return err
 			}
+			ops[j].after = nil // applied: the IMRS holds its own copy
 		}
 		return nil
 	})
 	return maxTS, workers, err
 }
 
-func (e *Engine) applyIMRSRedo(op wal.Record, ts uint64) error {
-	part := op.RID.Partition()
+func (e *Engine) applyIMRSRedo(op *imrsRedoOp) error {
+	part := op.rid.Partition()
 	cp := e.cat.PartitionByID(part)
 	if cp == nil {
 		if e.cat.DroppedPartition(part) {
 			return nil // record of a dropped table
 		}
-		return fmt.Errorf("core: IMRS redo references unknown partition %v", op.RID)
+		return fmt.Errorf("core: IMRS redo references unknown partition %v", op.rid)
 	}
-	if op.RID.IsVirtual() {
-		cp.BumpVirtualSeq(op.RID.Seq())
+	if op.rid.IsVirtual() {
+		cp.BumpVirtualSeq(op.rid.Seq())
 	}
-	switch op.Type {
+	switch op.typ {
 	case wal.RecIMRSInsert:
-		en, err := e.store.CreateEntry(op.RID, part, imrs.Origin(op.Aux), op.After, op.TxnID)
+		en, err := e.store.CreateEntry(op.rid, part, imrs.Origin(op.aux), op.after, op.txnID)
 		if err != nil {
-			return fmt.Errorf("core: IMRS redo insert %v: %w", op.RID, err)
+			return fmt.Errorf("core: IMRS redo insert %v: %w", op.rid, err)
 		}
 		en.MarkDirty()
-		e.store.Commit(en.Head(), ts)
-		en.Touch(ts)
-		e.rmap.Put(op.RID, en)
+		e.store.Commit(en.Head(), op.ts)
+		en.Touch(op.ts)
+		e.rmap.Put(op.rid, en)
 	case wal.RecIMRSUpdate:
-		en := e.rmap.Get(op.RID)
+		en := e.rmap.Get(op.rid)
 		if en == nil {
 			// Update of a cached (never-logged) row: upsert it.
-			en2, err := e.store.CreateEntry(op.RID, part, imrs.Origin(op.Aux), op.After, op.TxnID)
+			en2, err := e.store.CreateEntry(op.rid, part, imrs.Origin(op.aux), op.after, op.txnID)
 			if err != nil {
-				return fmt.Errorf("core: IMRS redo upsert %v: %w", op.RID, err)
+				return fmt.Errorf("core: IMRS redo upsert %v: %w", op.rid, err)
 			}
 			en2.MarkDirty()
-			e.store.Commit(en2.Head(), ts)
-			en2.Touch(ts)
-			e.rmap.Put(op.RID, en2)
+			e.store.Commit(en2.Head(), op.ts)
+			en2.Touch(op.ts)
+			e.rmap.Put(op.rid, en2)
 			return nil
 		}
-		v, err := e.store.AddVersion(en, op.After, op.TxnID)
+		v, err := e.store.AddVersion(en, op.after, op.txnID)
 		if err != nil {
-			return fmt.Errorf("core: IMRS redo update %v: %w", op.RID, err)
+			return fmt.Errorf("core: IMRS redo update %v: %w", op.rid, err)
 		}
-		e.store.Commit(v, ts)
-		en.Touch(ts)
+		e.store.Commit(v, op.ts)
+		en.Touch(op.ts)
 		// No snapshots exist during recovery: reclaim the old version now.
 		if old := v.Older(); old != nil {
 			v.TruncateOlder()
 			e.store.FreeVersion(part, old)
 		}
 	case wal.RecIMRSDelete:
-		en := e.rmap.Get(op.RID)
+		en := e.rmap.Get(op.rid)
 		if en != nil {
 			en.MarkPacked()
-			e.rmap.Delete(op.RID, en)
+			e.rmap.Delete(op.rid, en)
 			e.store.RemoveEntry(en)
 		}
 	}
@@ -746,9 +753,15 @@ type indexFeed struct {
 	items []btree.Item
 }
 
+// collectChunk is the most recovered IMRS entries one collect task
+// indexes, so that a table with one partition still spreads its rebuild
+// over every recovery worker.
+const collectChunk = 8192
+
 // rebuildDerivedState runs the last two recovery phases. Index rebuild:
-// partition-parallel collect tasks scan the recovered heaps and IMRS
-// entries, decode each row once, and emit (key, RID) pairs per index;
+// parallel collect tasks, one per (partition, chunk of its live IMRS
+// entries), decode each row once and emit (key, RID) pairs per index —
+// a partition's first task also indexes its cold segments and heap;
 // then each index sorts its pairs and bulk-loads its B+tree (index-
 // parallel — a tree is fed by one worker, so no tree-level concurrency
 // is needed). Queue rebuild: every live IMRS entry is re-enqueued on
@@ -758,10 +771,12 @@ type indexFeed struct {
 // committed image is nil (a committed tombstone that was never swept)
 // used to be skipped before the enqueue, leaking them permanently —
 // invisible to lookups, absent from every pack queue, never reclaimed;
-// they are now reclaimed on the spot. And entries used to be enqueued
-// in rmap iteration (i.e. map-random) order, destroying the relaxed-LRU
-// coldness order the packer depends on; they are now sorted by last
-// access so the first post-restart pack cycle evicts actually-cold rows.
+// they are now reclaimed once the collect is done (until then they
+// shadow their RIDs' heap and segment copies). And entries used to be
+// enqueued in rmap iteration (i.e. map-random) order, destroying the
+// relaxed-LRU coldness order the packer depends on; they are now sorted
+// by last access so the first post-restart pack cycle evicts
+// actually-cold rows.
 func (e *Engine) rebuildDerivedState() error {
 	e.mu.RLock()
 	tables := make([]*tableRT, 0, len(e.byID))
@@ -770,8 +785,9 @@ func (e *Engine) rebuildDerivedState() error {
 	}
 	e.mu.RUnlock()
 
-	// Demux recovered entries by partition for the per-partition tasks.
+	// Demux live recovered entries by partition for the collect tasks.
 	entriesByPart := make(map[rid.PartitionID][]*imrs.Entry)
+	var live, dead []*imrs.Entry
 	var rErr error
 	e.rmap.Range(func(r0 rid.RID, en *imrs.Entry) bool {
 		if e.partByID(r0.Partition()) == nil {
@@ -781,23 +797,31 @@ func (e *Engine) rebuildDerivedState() error {
 			rErr = fmt.Errorf("core: recovered entry in unknown partition %v", r0)
 			return false
 		}
+		if v := en.Visible(math.MaxUint64, 0); v == nil || v.Data() == nil {
+			// Committed tombstone (or fully reclaimed image) that survived
+			// in the log: nothing to index, and leaving it in the RID map
+			// with no queue membership would leak it forever.
+			dead = append(dead, en)
+			return true
+		}
 		entriesByPart[r0.Partition()] = append(entriesByPart[r0.Partition()], en)
+		live = append(live, en)
 		return true
 	})
 	if rErr != nil {
 		return rErr
 	}
 
-	type collectTask struct {
-		rt  *tableRT
-		prt *partRT
-	}
-	var tasks []collectTask
+	var tasks []func() error // collect tasks
 	var feeds []*indexFeed
 	feedOf := make(map[*indexRT]*indexFeed)
 	for _, rt := range tables {
 		for _, prt := range rt.parts {
-			tasks = append(tasks, collectTask{rt: rt, prt: prt})
+			ents := entriesByPart[prt.cat.ID]
+			for i := 0; i == 0 || i < len(ents); i += collectChunk {
+				chunk, first := ents[i:min(i+collectChunk, len(ents))], i == 0
+				tasks = append(tasks, func() error { return e.collect(rt, prt, chunk, first, feedOf) })
+			}
 		}
 		for _, ix := range rt.indexes {
 			f := &indexFeed{ix: ix}
@@ -806,24 +830,21 @@ func (e *Engine) rebuildDerivedState() error {
 		}
 	}
 
-	var live []*imrs.Entry // entries to enqueue, gathered across tasks
-	var liveMu sync.Mutex
-
 	collectWorkers := e.recoveryWorkers(len(tasks))
 	buildWorkers := e.recoveryWorkers(len(feeds))
-	workers := collectWorkers
-	if buildWorkers > workers {
-		workers = buildWorkers
-	}
+	workers := max(collectWorkers, buildWorkers)
 
 	err := e.recovery.phase(PhaseIndexRebuild, func() (int64, int, error) {
-		err := runParallel(collectWorkers, len(tasks), func(i int) error {
-			return e.collectPartition(tasks[i].rt, tasks[i].prt,
-				entriesByPart[tasks[i].prt.cat.ID], feedOf, &live, &liveMu)
-		})
+		err := runParallel(collectWorkers, len(tasks), func(i int) error { return tasks[i]() })
 		if err != nil {
 			return e.recovery.rowsIndexed.Load(), workers, err
 		}
+		for _, en := range dead {
+			en.MarkPacked()
+			e.rmap.Delete(en.RID, en)
+			e.store.RemoveEntry(en)
+		}
+		e.recovery.entriesReclaimed.Add(int64(len(dead)))
 		err = runParallel(buildWorkers, len(feeds), func(i int) error {
 			f := feeds[i]
 			sort.Slice(f.items, func(a, b int) bool {
@@ -846,7 +867,7 @@ func (e *Engine) rebuildDerivedState() error {
 		// the packer, so ascending last-access restores the pre-crash
 		// coldness order. RID breaks ties deterministically (entries
 		// committed at the same timestamp), which keeps the rebuilt order
-		// independent of the collect tasks' completion order.
+		// independent of the RID map's iteration order.
 		sort.Slice(live, func(i, j int) bool {
 			ai, aj := live[i].LastAccess(), live[j].LastAccess()
 			if ai != aj {
@@ -862,83 +883,70 @@ func (e *Engine) rebuildDerivedState() error {
 	})
 }
 
-// collectPartition gathers one partition's index keys: heap rows not
-// shadowed by an IMRS entry, then the newest committed image of each
-// IMRS entry. Dead entries (no visible committed image) are reclaimed —
-// see rebuildDerivedState. Runs on the recovery worker pool; partitions
-// are disjoint (a RID maps to one partition, so each heap row and rmap
-// entry is seen by exactly one task), and the shared feeds/live
-// accumulators are mutex-guarded.
-func (e *Engine) collectPartition(rt *tableRT, prt *partRT, entries []*imrs.Entry,
-	feedOf map[*indexRT]*indexFeed, live *[]*imrs.Entry, liveMu *sync.Mutex) error {
+// collect gathers one collect task's index keys: when first, the
+// partition's segment and heap rows not shadowed by an IMRS entry; then
+// the newest committed image of each of the given live IMRS entries.
+// Runs on the recovery worker pool; tasks are disjoint (a RID maps to
+// one partition, and each entry to one chunk of it), and the shared
+// feeds are mutex-guarded.
+func (e *Engine) collect(rt *tableRT, prt *partRT, entries []*imrs.Entry, first bool,
+	feedOf map[*indexRT]*indexFeed) error {
 	local := make([][]btree.Item, len(rt.indexes))
 	var rows int64
-
-	// Segment pass: index every live, newest cold copy. Frozen rows keep
-	// their RIDs, so (key, RID) pairs come straight off the segments.
-	for _, seg := range e.cold.AppendSegments(nil, prt.cat.ID) {
-		if seg.TableID() != rt.cat.ID {
-			continue
-		}
-		for i := 0; i < seg.Rows(); i++ {
-			r0 := seg.RIDAt(i)
-			if seg.KillTS(i) != 0 || !seg.NewestAt(i, math.MaxUint64) {
+	if first {
+		// Segment pass: index every live, newest cold copy. Frozen rows keep
+		// their RIDs, so (key, RID) pairs come straight off the segments.
+		for _, seg := range e.cold.AppendSegments(nil, prt.cat.ID) {
+			if seg.TableID() != rt.cat.ID {
 				continue
 			}
+			for i := 0; i < seg.Rows(); i++ {
+				r0 := seg.RIDAt(i)
+				if seg.KillTS(i) != 0 || !seg.NewestAt(i, math.MaxUint64) {
+					continue
+				}
+				if e.rmap.Get(r0) != nil {
+					continue // a newer IMRS image indexes the RID
+				}
+				enc, err := seg.EncodeRowAt(i, nil)
+				if err != nil {
+					return err
+				}
+				if err := e.collectRowKeys(rt, r0, enc, nil, local); err != nil {
+					return err
+				}
+				rows++
+			}
+		}
+
+		var scanErr error
+		err := prt.heap.Scan(func(r0 rid.RID, data []byte) bool {
 			if e.rmap.Get(r0) != nil {
-				continue // a newer IMRS image indexes the RID below
+				return true // indexed from its IMRS image
 			}
-			enc, err := seg.EncodeRowAt(i, nil)
-			if err != nil {
-				return err
+			if _, _, k, ok := e.cold.Lookup(r0); ok && k == 0 {
+				return true // stale heap copy shadowed by a live segment row
 			}
-			if err := e.collectRowKeys(rt, r0, enc, nil, local); err != nil {
-				return err
+			if err := e.collectRowKeys(rt, r0, data, nil, local); err != nil {
+				scanErr = err
+				return false
 			}
 			rows++
+			return true
+		})
+		if err == nil {
+			err = scanErr
+		}
+		if err != nil {
+			return err
 		}
 	}
 
-	var scanErr error
-	err := prt.heap.Scan(func(r0 rid.RID, data []byte) bool {
-		if e.rmap.Get(r0) != nil {
-			return true // indexed from its IMRS image below
-		}
-		if _, _, k, ok := e.cold.Lookup(r0); ok && k == 0 {
-			return true // stale heap copy shadowed by a live segment row
-		}
-		if err := e.collectRowKeys(rt, r0, data, nil, local); err != nil {
-			scanErr = err
-			return false
-		}
-		rows++
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return err
-	}
-
-	var localLive []*imrs.Entry
 	for _, en := range entries {
-		v := en.Visible(math.MaxUint64, 0)
-		if v == nil || v.Data() == nil {
-			// Committed tombstone (or fully reclaimed image) that survived
-			// in the log: nothing to index, and leaving it in the RID map
-			// with no queue membership would leak it forever. Reclaim now.
-			en.MarkPacked()
-			e.rmap.Delete(en.RID, en)
-			e.store.RemoveEntry(en)
-			e.recovery.entriesReclaimed.Add(1)
-			continue
-		}
-		if err := e.collectRowKeys(rt, en.RID, v.Data(), en, local); err != nil {
+		if err := e.collectRowKeys(rt, en.RID, en.Visible(math.MaxUint64, 0).Data(), en, local); err != nil {
 			return err
 		}
 		rows++
-		localLive = append(localLive, en)
 	}
 
 	for i, ix := range rt.indexes {
@@ -949,11 +957,6 @@ func (e *Engine) collectPartition(rt *tableRT, prt *partRT, entries []*imrs.Entr
 		f.mu.Lock()
 		f.items = append(f.items, local[i]...)
 		f.mu.Unlock()
-	}
-	if len(localLive) > 0 {
-		liveMu.Lock()
-		*live = append(*live, localLive...)
-		liveMu.Unlock()
 	}
 	e.recovery.rowsIndexed.Add(rows)
 	return nil

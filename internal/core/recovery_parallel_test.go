@@ -77,6 +77,22 @@ func recoveryFingerprint(t *testing.T, e *Engine) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "index %s count=%d\n", ix.def.Name, n)
+		// Index contents, and the hash fast path's entry for every key.
+		if ix.hash != nil {
+			fmt.Fprintf(&b, "hash %s len=%d\n", ix.def.Name, ix.hash.Len())
+		}
+		if err := ix.tree.ScanFrom(nil, func(k []byte, r rid.RID) bool {
+			fmt.Fprintf(&b, " %x=%d", k, uint64(r))
+			if ix.hash != nil {
+				if en := ix.hash.Get(k); en != nil {
+					fmt.Fprintf(&b, "/h%d", uint64(en.RID))
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteByte('\n')
 	}
 	for _, prt := range rt.parts {
 		trio := e.Queues().PartitionQueues(prt.cat.ID)
@@ -106,7 +122,9 @@ func recoveryFingerprint(t *testing.T, e *Engine) string {
 // test: a randomized workload over a hash-partitioned table (IMRS rows,
 // page-store rows, mixed migrations, aborts, and an in-flight loser at
 // the crash) is recovered with one worker and with eight, and the
-// recovered states must be identical down to pack-queue order.
+// recovered states must be identical down to pack-queue order. The
+// chunked case does the same for one partition split into several
+// index-rebuild collect tasks.
 func TestParallelRecoveryEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
 		seed := seed
@@ -223,6 +241,111 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 			}
 			_ = loser
 		})
+	}
+	t.Run("chunked", testChunkedRecoveryEquivalence)
+}
+
+// testChunkedRecoveryEquivalence: one single-partition table whose
+// recovered IMRS entries span more than three collect chunks, beside
+// heap rows, frozen rows, migrated and un-frozen rows and deletes,
+// recovers to the same index contents, hash entries and queue order
+// with one worker and with four.
+func testChunkedRecoveryEquivalence(t *testing.T) {
+	st := newSharedStorage()
+	e, err := Open(st.config(func(c *Config) {
+		coldConfig(c)
+		c.IMRSCacheBytes = 64 << 20
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	createItems(t, e)
+	insert := func(lo, hi int64, name string) {
+		t.Helper()
+		for id := lo; id <= hi; id += 1000 {
+			tx := e.Begin()
+			for i := id; i <= min(id+999, hi); i++ {
+				if err := tx.Insert("items", itemRow(i, fmt.Sprintf("%s-%d", name, i%17), i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, tx)
+		}
+	}
+	// Heap rows: pinned out of memory and checkpointed into heap pages.
+	if err := e.PinTable("items", false); err != nil {
+		t.Fatal(err)
+	}
+	insert(1, 100, "heap")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.UnpinTable("items"); err != nil {
+		t.Fatal(err)
+	}
+	// Frozen rows, then more than three chunks of IMRS rows.
+	insert(101, 400, "cold")
+	freezeRows(t, e, 300)
+	const hot = 3*collectChunk + 500
+	insert(1001, 1000+hot, "hot")
+	// Migrate heap rows and un-freeze frozen ones into the IMRS, update
+	// hot rows, and delete rows from all three homes.
+	tx := e.Begin()
+	for _, id := range []int64{3, 5, 150, 160, 1001, 1002 + collectChunk, 1000 + hot} {
+		if _, err := tx.Update("items", pk(id), func(r row.Row) (row.Row, error) {
+			r[2] = row.Int64(r[2].Int() + 7)
+			return r, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int64{7, 170, 1003, 1003 + 2*collectChunk} {
+		if _, err := tx.Delete("items", pk(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+	if err := e.Halt(); err != nil {
+		t.Fatal(err)
+	}
+
+	fp := func(threads int) string {
+		e2, err := Open(st.config(func(c *Config) {
+			coldConfig(c)
+			c.IMRSCacheBytes = 64 << 20
+			c.RecoveryThreads = threads
+		}))
+		if err != nil {
+			t.Fatalf("recovery with %d threads: %v", threads, err)
+		}
+		defer e2.Halt()
+		rec := e2.Stats().Recovery
+		if rec.EntriesEnqueued <= 3*collectChunk {
+			t.Fatalf("recovered %d live IMRS entries, want more than three chunks", rec.EntriesEnqueued)
+		}
+		if cs := e2.Stats().ColdStore; cs.RowsLive == 0 {
+			t.Fatal("no frozen rows recovered")
+		}
+		fp := recoveryFingerprint(t, e2)
+		var rows int
+		fmt.Sscanf(fp, "rows=%d", &rows)
+		rt, err := e2.table("items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range rt.indexes {
+			if n, err := ix.tree.Count(); err != nil || n != rows {
+				t.Fatalf("%d threads: index %s holds %d keys for %d rows (%v)", threads, ix.def.Name, n, rows, err)
+			}
+		}
+		return fp
+	}
+	serial, parallel := fp(1), fp(4)
+	if serial != parallel {
+		t.Errorf("chunked parallel recovery diverged from serial (%d vs %d bytes of fingerprint)", len(serial), len(parallel))
+	}
+	if want := fmt.Sprintf("rows=%d ", 100+300+hot-4); !strings.HasPrefix(serial, want) {
+		t.Errorf("fingerprint starts %.60q, want %q", serial, want)
 	}
 }
 

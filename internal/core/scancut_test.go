@@ -210,7 +210,14 @@ func TestScanOneCutUnderLoad(t *testing.T) {
 	var last int64
 	scans := 0
 	deadline := time.Now().Add(2 * time.Second)
-	for scans < 20 || time.Now().Before(deadline) && scans < 200 {
+	// Scan on until the life cycle has run beside the scans (checked
+	// below): on a loaded machine 200 scans can finish before the writer
+	// commits or the packer re-freezes.
+	lifeCycle := func() bool {
+		cs := e.Stats().ColdStore
+		return cs.Unfreezes > 0 && cs.SegmentsWritten > frozen0 && last > 0
+	}
+	for scans < 20 || time.Now().Before(deadline) && (scans < 200 || !lifeCycle()) {
 		tx := e.Begin()
 		var rows, sum int64
 		err := tx.ScanBatches("items", []string{"qty"}, 0, func(b *colseg.Batch) bool {
@@ -239,7 +246,7 @@ func TestScanOneCutUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := e.Stats().ColdStore
-	if cs.Unfreezes == 0 || cs.SegmentsWritten == frozen0 || last == 0 {
+	if !lifeCycle() {
 		t.Fatalf("no life cycle ran beside the scans: %+v, sum %d", cs, last)
 	}
 	t.Logf("%d scans, %d un-freezes, %d segments written", scans, cs.Unfreezes, cs.SegmentsWritten-frozen0)

@@ -52,7 +52,7 @@ func (b *MemBackend) Append(p []byte) (int64, error) {
 func (b *MemBackend) ReadAt(p []byte, off int64) (int, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if off >= int64(len(b.buf)) {
+	if off > int64(len(b.buf)) || off == int64(len(b.buf)) && len(p) > 0 {
 		return 0, fmt.Errorf("wal: read at %d beyond end %d", off, len(b.buf))
 	}
 	n := copy(p, b.buf[off:])

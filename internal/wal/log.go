@@ -259,62 +259,32 @@ func (l *Log) RepairTail() (int64, error) {
 		return 0, fmt.Errorf("wal: RepairTail on a log with buffered appends")
 	}
 	size := l.base
-	off := int64(0)
-	for off < size {
-		next, valid, err := l.checkFrame(off, size)
-		if err != nil {
+	s := &scanner{backend: l.backend, end: size}
+	torn := int64(-1) // offset of the first torn frame
+	for s.off < size {
+		// Past a tear, keep walking the claimed frame extents: a valid
+		// frame there means the tear is not at the tail.
+		_, next, err := s.frame()
+		switch {
+		case err == nil && torn >= 0:
+			return 0, fmt.Errorf("wal: torn frame at offset %d precedes a valid frame at %d: mid-log corruption, not a tail tear", torn, s.off)
+		case err != nil && !errors.Is(err, ErrTorn):
 			return 0, err
+		case err != nil && torn < 0:
+			torn = s.off
 		}
-		if valid {
-			off = next
-			continue
-		}
-		// Torn frame at off. Walk the claimed frame extents behind it: a
-		// valid frame there means the tear is not at the tail.
-		for scan := next; scan < size; {
-			n2, v2, err := l.checkFrame(scan, size)
-			if err != nil {
-				return 0, err
-			}
-			if v2 {
-				return 0, fmt.Errorf("wal: torn frame at offset %d precedes a valid frame at %d: mid-log corruption, not a tail tear", off, scan)
-			}
-			scan = n2
-		}
-		if err := l.backend.Truncate(off); err != nil {
-			return 0, fmt.Errorf("wal: truncating torn tail at %d: %w", off, err)
-		}
-		l.base = off
-		l.nextLSN.Store(uint64(off) + 1)
-		l.flushedLSN.Store(uint64(off))
-		return size - off, nil
+		s.off = next
 	}
-	return 0, nil
-}
-
-// checkFrame validates the frame at off against a log of the given
-// size: next is where the following frame would start (when the header
-// is readable), valid reports a complete frame with a matching
-// checksum, err reports an I/O failure. Callers hold l.mu.
-func (l *Log) checkFrame(off, size int64) (next int64, valid bool, err error) {
-	if off+frameHeader > size {
-		return size, false, nil
+	if torn < 0 {
+		return 0, nil
 	}
-	var hdr [frameHeader]byte
-	if _, err := l.backend.ReadAt(hdr[:], off); err != nil {
-		return 0, false, err
+	if err := l.backend.Truncate(torn); err != nil {
+		return 0, fmt.Errorf("wal: truncating torn tail at %d: %w", torn, err)
 	}
-	bodyLen := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	next = off + frameHeader + bodyLen
-	if next > size {
-		return next, false, nil
-	}
-	body := make([]byte, bodyLen)
-	if _, err := l.backend.ReadAt(body, off+frameHeader); err != nil {
-		return 0, false, err
-	}
-	valid = crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(hdr[4:])
-	return next, valid, nil
+	l.base = torn
+	l.nextLSN.Store(uint64(torn) + 1)
+	l.flushedLSN.Store(uint64(torn))
+	return size - torn, nil
 }
 
 // SetRetrier installs the transient-failure retrier used by Flush.
@@ -381,11 +351,7 @@ func (l *Log) CloseBackend() error {
 
 // Reader iterates records in LSN order. Readers see only flushed
 // content; call FlushAll before reading a live log.
-type Reader struct {
-	backend Backend
-	off     int64
-	end     int64
-}
+type Reader struct{ scanner }
 
 // NewReader returns a reader positioned at fromLSN (or the log start
 // when fromLSN <= 1). The reader covers records durable at call time.
@@ -401,7 +367,7 @@ func (l *Log) NewReader(fromLSN uint64) (*Reader, error) {
 	if fromLSN > 1 {
 		off = int64(fromLSN - 1)
 	}
-	return &Reader{backend: l.backend, off: off, end: size}, nil
+	return &Reader{scanner{backend: l.backend, off: off, end: size}}, nil
 }
 
 // Next returns the next record, or io.EOF at the end. An incomplete or
@@ -413,30 +379,85 @@ func (r *Reader) Next() (Record, error) {
 	if r.off >= r.end {
 		return Record{}, io.EOF
 	}
-	var hdr [frameHeader]byte
-	if r.off+frameHeader > r.end {
-		return Record{}, fmt.Errorf("wal: frame header cut short at %d: %w", r.off, ErrTorn)
-	}
-	if _, err := r.backend.ReadAt(hdr[:], r.off); err != nil {
+	body, next, err := r.frame()
+	if err != nil {
 		return Record{}, err
 	}
-	bodyLen := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if r.off+frameHeader+bodyLen > r.end {
-		return Record{}, fmt.Errorf("wal: frame body cut short at %d: %w", r.off, ErrTorn)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := r.backend.ReadAt(body, r.off+frameHeader); err != nil {
-		return Record{}, err
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return Record{}, fmt.Errorf("wal: CRC mismatch at %d: %w", r.off, ErrTorn)
-	}
-	rec, err := decodeRecord(body)
+	rec, err := decodeRecord(body) // copies Before/After out of the block
 	if err != nil {
 		return Record{}, err
 	}
 	rec.LSN = uint64(r.off) + 1
-	r.off += frameHeader + bodyLen
+	r.off = next
 	return rec, nil
+}
+
+// blockSize is how many bytes one backend read fetches when a log is
+// scanned: frames are parsed out of memory, not read one by one.
+const blockSize = 1 << 20
+
+// scanner walks the frames of backend[off, end), the one frame parser
+// behind Reader and RepairTail. It reads a block at a time into one
+// reused buffer, which holds backend[bufOff, bufOff+len(buf)).
+type scanner struct {
+	backend  Backend
+	off, end int64
+	buf      []byte
+	bufOff   int64
+}
+
+// frame parses the frame at s.off. next is where the following frame
+// starts: the extent the header claims, or end when the header itself
+// is cut short. A frame that is cut short, too short to hold a record
+// or fails its checksum returns an error wrapping ErrTorn. body
+// aliases the buffer until the next call.
+func (s *scanner) frame() (body []byte, next int64, err error) {
+	if s.off+frameHeader > s.end {
+		return nil, s.end, s.torn("header cut short")
+	}
+	hdr, err := s.bytes(frameHeader)
+	if err != nil {
+		return nil, 0, err
+	}
+	bodyLen := int64(binary.LittleEndian.Uint32(hdr[0:]))
+	crc := binary.LittleEndian.Uint32(hdr[4:])
+	next = s.off + frameHeader + bodyLen
+	// Too short to hold a record: an all-zero header claims a 0-byte
+	// body with CRC 0, and crc32 of nothing is 0.
+	if bodyLen < minBody {
+		return nil, next, s.torn(fmt.Sprintf("%d-byte body", bodyLen))
+	} else if next > s.end {
+		return nil, next, s.torn("body cut short")
+	}
+	fr, err := s.bytes(frameHeader + bodyLen)
+	if err != nil {
+		return nil, 0, err
+	}
+	if body = fr[frameHeader:]; crc32.ChecksumIEEE(body) != crc {
+		return nil, next, s.torn("CRC mismatch")
+	}
+	return body, next, nil
+}
+
+// bytes returns backend[s.off, s.off+n), which must lie before end. A
+// range the buffer does not hold is read afresh from s.off: one block,
+// or the whole frame when that is larger.
+func (s *scanner) bytes(n int64) ([]byte, error) {
+	if s.off < s.bufOff || s.off+n > s.bufOff+int64(len(s.buf)) {
+		m := min(max(n, blockSize), s.end-s.off)
+		if int64(cap(s.buf)) < m {
+			s.buf = make([]byte, m)
+		}
+		s.buf, s.bufOff = s.buf[:m], s.off
+		if _, err := s.backend.ReadAt(s.buf, s.off); err != nil {
+			s.buf = s.buf[:0]
+			return nil, err
+		}
+	}
+	i := s.off - s.bufOff
+	return s.buf[i : i+n], nil
+}
+
+func (s *scanner) torn(why string) error {
+	return fmt.Errorf("wal: torn frame at %d (%s): %w", s.off, why, ErrTorn)
 }

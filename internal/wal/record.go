@@ -96,6 +96,10 @@ type Record struct {
 	After    []byte // redo image, or checkpoint metadata blob
 }
 
+// minBody is the length of the smallest body encode emits: the fixed
+// fields and two empty varlen lengths.
+const minBody = 1 + 8 + 4 + 8 + 8 + 1 + 1 + 1
+
 // encode appends the record body (excluding framing) to dst.
 func (r *Record) encode(dst []byte) []byte {
 	dst = append(dst, byte(r.Type))
@@ -124,7 +128,7 @@ func uvarintLen(x uint64) int {
 // decodeRecord parses a record body.
 func decodeRecord(buf []byte) (Record, error) {
 	var r Record
-	if len(buf) < 1+8+4+8+8+1 {
+	if len(buf) < minBody {
 		return r, fmt.Errorf("wal: record body too short (%d bytes)", len(buf))
 	}
 	pos := 0
