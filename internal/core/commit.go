@@ -30,7 +30,13 @@ import "repro/internal/wal"
 // failed WaitDurable poisons the log (wal.ErrPoisoned) — and a poisoned
 // log forces the engine ReadOnly here, for every caller: later writes
 // are rejected up front instead of each dying against the dead log.
-func (e *Engine) logCommit(id, ts uint64, imrsRecs, sysRecs []wal.Record, marker *wal.Record) (err error) {
+//
+// fl holds the committing transaction's slots in the logs' counts of
+// writers (nil for the callers that are not user transactions). Once
+// its records are appended to a log, its slot there is given up, or
+// with handOn kept as a spare for the client's next transaction
+// (txn.go: logPeers).
+func (e *Engine) logCommit(id, ts uint64, imrsRecs, sysRecs []wal.Record, marker *wal.Record, fl *inFlight, handOn bool) (err error) {
 	defer func() {
 		if err != nil {
 			e.notePoison()
@@ -52,6 +58,7 @@ func (e *Engine) logCommit(id, ts uint64, imrsRecs, sysRecs []wal.Record, marker
 			return err
 		}
 	}
+	e.leave(fl, true, false, handOn)
 	for i := range sysRecs {
 		sysRecs[i].TxnID = id
 		if _, err = e.syslog.Append(&sysRecs[i]); err != nil {
@@ -66,6 +73,9 @@ func (e *Engine) logCommit(id, ts uint64, imrsRecs, sysRecs []wal.Record, marker
 			}
 		}
 	}
+	if marker == nil || markerLSN != 0 {
+		e.leave(fl, false, true, handOn)
+	}
 	if imrsLSN != 0 {
 		if err = e.imrslog.WaitDurable(imrsLSN); err != nil {
 			return err
@@ -78,6 +88,7 @@ func (e *Engine) logCommit(id, ts uint64, imrsRecs, sysRecs []wal.Record, marker
 		if markerLSN, err = e.syslog.Append(marker); err != nil {
 			return err
 		}
+		e.leave(fl, false, true, handOn)
 	}
 	return e.syslog.WaitDurable(markerLSN)
 }

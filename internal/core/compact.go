@@ -86,7 +86,7 @@ func (e *Engine) CompactIMRSLog() error {
 	old := e.imrslog
 	e.imrslog = newLog
 	e.imrsGen = newGen
-	newLog.StartGroupCommit() // commits are quiesced; safe to swap in
+	newLog.StartGroupCommit(&e.imrsPeers.Peers) // commits are quiesced; safe to swap in
 	// Durably pin the new generation. Until this checkpoint flushes, a
 	// crash recovers from the old generation, which is still complete.
 	if err := e.checkpointLocked(); err != nil {

@@ -10,9 +10,11 @@ import (
 )
 
 // genStorage is sharedStorage plus an in-memory generation factory, so
-// compaction can be tested across simulated crashes.
+// compaction can be tested across simulated crashes. With slow set, a
+// fresh generation syncs on a slow device (slowSync).
 type genStorage struct {
 	*sharedStorage
+	slow bool
 	mu   sync.Mutex
 	gens map[uint64]*wal.MemBackend
 }
@@ -34,6 +36,9 @@ func (g *genStorage) config(mut func(*Config)) Config {
 		}
 		b := wal.NewMemBackend()
 		g.gens[gen] = b
+		if g.slow {
+			return &slowSync{Backend: b}, nil
+		}
 		return b, nil
 	}
 	return cfg
@@ -136,8 +141,13 @@ func TestIMRSLogCompaction(t *testing.T) {
 	mustCommit(t, tx4)
 }
 
+// TestCompactionRepeatable compacts three times, then checks that the
+// last generation, swapped in on a slow device, still gathers two
+// closed-loop writers into shared syncs: compaction hands the new log
+// the engine's count of writers in flight.
 func TestCompactionRepeatable(t *testing.T) {
 	st := newGenStorage()
+	st.slow = true
 	e, err := Open(st.config(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +174,8 @@ func TestCompactionRepeatable(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("rows after repeated compaction = %d, want 3", n)
 	}
+	createHotCold(t, e)
+	assertGathersPeers(t, e, 1_000_000)
 }
 
 func TestCompactionWithoutFactoryFails(t *testing.T) {

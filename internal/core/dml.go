@@ -84,6 +84,7 @@ func (t *Txn) Insert(table string, rw row.Row) error {
 	if err := t.e.health.writable(); err != nil {
 		return err
 	}
+	t.e.join(&t.fl, true, true)
 	rt, err := t.e.table(table)
 	if err != nil {
 		return err
@@ -357,7 +358,7 @@ func (t *Txn) decodeProbed(rt *tableRT, data []byte, probeKey row.Key) (rw row.R
 func (t *Txn) lockedPageFetch(prt *partRT, r0 rid.RID) (data []byte, found bool, err error) {
 	_, held := t.locks[r0]
 	if !held {
-		if err := t.e.locks.Lock(t.id, r0); err != nil {
+		if err := t.waitLock(r0); err != nil {
 			return nil, false, err
 		}
 		defer t.e.locks.Unlock(t.id, r0)
@@ -491,6 +492,7 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	if err := t.e.health.writable(); err != nil {
 		return false, err
 	}
+	t.e.join(&t.fl, true, true)
 	rt, err := t.e.table(table)
 	if err != nil {
 		return false, err
@@ -801,6 +803,7 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 	if err := t.e.health.writable(); err != nil {
 		return false, err
 	}
+	t.e.join(&t.fl, true, true)
 	rt, err := t.e.table(table)
 	if err != nil {
 		return false, err

@@ -74,6 +74,10 @@ type Engine struct {
 	imrslog *wal.Log // redo-only log for the IMRS ("sysimrslogs")
 	imrsGen uint64   // sysimrslogs generation (bumped by compaction)
 
+	// Writers in flight per log, which its group-commit rounds may wait
+	// for (txn.go: logPeers).
+	sysPeers, imrsPeers logPeers
+
 	store  *imrs.Store
 	cold   *colseg.Store
 	rmap   *ridmap.Map
@@ -259,8 +263,8 @@ func Open(cfg Config) (*Engine, error) {
 
 	// Start the group-commit pipelines only after recovery, which may
 	// have swapped e.imrslog to a compacted generation.
-	e.syslog.StartGroupCommit()
-	e.imrslog.StartGroupCommit()
+	e.syslog.StartGroupCommit(&e.sysPeers.Peers)
+	e.imrslog.StartGroupCommit(&e.imrsPeers.Peers)
 
 	e.gc.Start()
 	if cfg.ILMEnabled {

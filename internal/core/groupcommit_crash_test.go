@@ -334,8 +334,18 @@ func TestGroupFlushFailurePoisonsCommitPath(t *testing.T) {
 // TestHaltDoesNotFlushQueuedCommitters: Halt simulates a crash, so a
 // committer still queued in the group-commit pipeline must get an error
 // and its records must never reach the backend — durable state stays
-// exactly what a crash at that instant would leave.
+// exactly what a crash at that instant would leave. The committer is
+// queued either behind a round whose sync is in flight, or in a round
+// that is holding its sync open for a writer in flight; Halt must not
+// wait that round out.
 func TestHaltDoesNotFlushQueuedCommitters(t *testing.T) {
+	for _, lingering := range []bool{false, true} {
+		name := map[bool]string{false: "behind a sync", true: "in a lingering round"}[lingering]
+		t.Run(name, func(t *testing.T) { haltWithQueuedCommitter(t, lingering) })
+	}
+}
+
+func haltWithQueuedCommitter(t *testing.T, lingering bool) {
 	st := newSharedStorage()
 	ims := gateOver(st.ims)
 	cfg := crashConfig(st)
@@ -357,20 +367,63 @@ func TestHaltDoesNotFlushQueuedCommitters(t *testing.T) {
 		}()
 		return done
 	}
-	// One flush round is in flight at the crash — its bytes written, its
-	// sync pending — and the committer under test queues behind it.
-	ims.hold()
-	inFlight := commitHot(1)
-	ims.awaitHeld(t)
-	imsBefore, _ := st.ims.Size()
-	queued := commitHot(2)
-	time.Sleep(50 * time.Millisecond) // let the committer enqueue
-	// Halt waits for the in-flight round, and nothing outside the wal
-	// package can see its abort begin: let the round go once it long has.
-	time.AfterFunc(250*time.Millisecond, ims.release)
-	e.Halt()
-	if err := <-inFlight; err != nil {
-		t.Fatalf("round already syncing at the crash: %v", err)
+	acked := []int64{1}
+	var queued <-chan error
+	var imsBefore int64
+	if !lingering {
+		// One flush round is in flight at the crash — its bytes written,
+		// its sync pending — and the committer under test queues behind
+		// it.
+		ims.hold()
+		inFlight := commitHot(1)
+		ims.awaitHeld(t)
+		imsBefore, _ = st.ims.Size()
+		queued = commitHot(2)
+		time.Sleep(50 * time.Millisecond) // let the committer enqueue
+		// Halt waits for the in-flight round, and nothing outside the wal
+		// package can see its abort begin: let the round go once it long
+		// has.
+		time.AfterFunc(250*time.Millisecond, ims.release)
+		e.Halt()
+		if err := <-inFlight; err != nil {
+			t.Fatalf("round already syncing at the crash: %v", err)
+		}
+	} else {
+		// A writer stays in flight, two syncs take hold each, and the
+		// committer under test arrives during the second: its round holds
+		// its sync open, for up to hold, for the writer that never comes.
+		const hold = 400 * time.Millisecond
+		idle := e.Begin()
+		if err := idle.Insert("hot", itemRow(100, "idle", 0)); err != nil {
+			t.Fatal(err)
+		}
+		defer idle.Abort()
+		for key := int64(1); key <= 2; key++ {
+			ims.hold()
+			c := commitHot(key)
+			ims.awaitHeld(t)
+			if key == 2 {
+				queued = commitHot(3)
+			}
+			time.Sleep(hold)
+			ims.release()
+			if err := <-c; err != nil {
+				t.Fatal(err)
+			}
+		}
+		acked = append(acked, 2)
+		for deadline := time.Now().Add(5 * time.Second); e.imrslog.Stats().LingerRounds.Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the committer's round never waited")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		imsBefore, _ = st.ims.Size()
+		start := time.Now()
+		e.Halt()
+		if took := time.Since(start); took > hold/2 {
+			t.Fatalf("Halt took %v beside a round waiting at most %v", took, hold)
+		}
 	}
 	if err := <-queued; err == nil {
 		t.Fatal("commit acknowledged during a simulated crash")
@@ -385,10 +438,12 @@ func TestHaltDoesNotFlushQueuedCommitters(t *testing.T) {
 	defer e2.Close()
 	tx := e2.Begin()
 	defer tx.Abort()
-	if _, ok, _ := tx.Get("hot", pk(1)); !ok {
-		t.Fatal("acknowledged row lost")
+	for _, key := range acked {
+		if _, ok, _ := tx.Get("hot", pk(key)); !ok {
+			t.Fatalf("acknowledged row %d lost", key)
+		}
 	}
-	if _, ok, _ := tx.Get("hot", pk(2)); ok {
+	if _, ok, _ := tx.Get("hot", pk(acked[len(acked)-1]+1)); ok {
 		t.Fatal("unacknowledged row survived the simulated crash")
 	}
 }

@@ -132,7 +132,7 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 	if len(p.sysRecs) > 0 {
 		marker = &wal.Record{Type: wal.RecCommit}
 	}
-	if err := e.logCommit(p.id, ts, p.imrsRecs, p.sysRecs, marker); err != nil {
+	if err := e.logCommit(p.id, ts, p.imrsRecs, p.sysRecs, marker, nil, false); err != nil {
 		return 0, 0, err
 	}
 	home.publish(ts)

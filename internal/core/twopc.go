@@ -94,7 +94,7 @@ func (t *Txn) Prepare(gid uint64, coordShard uint32) error {
 	// contingent on the syslogs outcome (local RecCommit, or the
 	// coordinator's decide record resolved into the winner set).
 	pr := wal.Record{Type: wal.RecPrepare, Table: coordShard, RID: rid.RID(gid)}
-	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, &pr); err != nil {
+	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, &pr, &t.fl, false); err != nil {
 		t.rollbackAfterLogError()
 		return err
 	}
@@ -118,7 +118,7 @@ func (t *Txn) CommitPrepared() error {
 	if !t.prepared {
 		return fmt.Errorf("core: CommitPrepared on an unprepared transaction")
 	}
-	err := t.e.logCommit(t.id, t.prepTS, nil, nil, &wal.Record{Type: wal.RecCommit})
+	err := t.e.logCommit(t.id, t.prepTS, nil, nil, &wal.Record{Type: wal.RecCommit}, nil, false)
 	if err != nil {
 		err = fmt.Errorf("core: prepared transaction %d committed, local commit marker lost: %w", t.id, err)
 	}

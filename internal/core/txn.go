@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/imrs"
 	"repro/internal/rid"
@@ -117,6 +118,8 @@ type Txn struct {
 	prepared bool
 	prepTS   uint64
 
+	fl inFlight // t's slots in the logs' counts of writers (logPeers)
+
 	sc *txnScratch // recycled buffers backing the fields above; nil once finished
 }
 
@@ -125,6 +128,79 @@ type Txn struct {
 // sharded node uses it to keep single-shard transactions on the plain
 // commit path (read-only participants commit for free).
 func (t *Txn) HasWrites() bool { return len(t.sysRecs) > 0 || len(t.imrsRecs) > 0 }
+
+// logPeers is one log's count of writers (wal.Peers), which a
+// group-commit round of that log may wait for (DESIGN.md §Group commit).
+// A transaction takes a slot at its first write statement: its records
+// are buffered only at the statement's end, too late for a round that
+// decides meanwhile. When it commits, logCommit hands the slot on once
+// the records are appended: it stays counted, spare, for the client's
+// next transaction, which takes it at its own first write statement. A
+// closed-loop client writes again some microseconds after its commit
+// returns — after the next round has decided — and the spare is what
+// that round sees. A slot is given up when its transaction aborts or
+// prepares and for the length of a row-lock wait. A spare whose client
+// never writes again stays counted; the flusher presumes it idle after
+// one wait that it lets expire (wal: Log.linger).
+type logPeers struct {
+	wal.Peers
+	spare atomic.Int64 // slots handed on by committed writers
+}
+
+// take gives a writer a slot: a spare one if there is one.
+func (p *logPeers) take() {
+	for {
+		n := p.spare.Load()
+		if n <= 0 {
+			p.Add(1)
+			return
+		}
+		if p.spare.CompareAndSwap(n, n-1) {
+			return
+		}
+	}
+}
+
+// inFlight records which logs hold a slot for a transaction.
+type inFlight struct{ imrs, sys bool }
+
+// join gives f a slot in each log named.
+func (e *Engine) join(f *inFlight, imrs, sys bool) {
+	if imrs && !f.imrs {
+		f.imrs = true
+		e.imrsPeers.take()
+	}
+	if sys && !f.sys {
+		f.sys = true
+		e.sysPeers.take()
+	}
+}
+
+// leave gives up f's slots in the logs named, or with handOn keeps them
+// counted as spares; a nil f (a caller of logCommit that is not a user
+// transaction) holds none.
+func (e *Engine) leave(f *inFlight, imrs, sys, handOn bool) {
+	if f == nil {
+		return
+	}
+	if imrs && f.imrs {
+		f.imrs = false
+		e.imrsPeers.give(handOn)
+	}
+	if sys && f.sys {
+		f.sys = false
+		e.sysPeers.give(handOn)
+	}
+}
+
+// give gives up a slot, or with handOn keeps it counted as a spare.
+func (p *logPeers) give(handOn bool) {
+	if handOn {
+		p.spare.Add(1)
+	} else {
+		p.Add(-1)
+	}
+}
 
 // Begin starts a transaction with a snapshot of the current commit
 // timestamp. It registers as an IMRS-GC reader before it reads the
@@ -163,11 +239,27 @@ func (t *Txn) lock(r rid.RID) error {
 	if _, held := t.locks[r]; held {
 		return nil
 	}
-	if err := t.e.locks.Lock(t.id, r); err != nil {
+	if err := t.waitLock(r); err != nil {
 		return err
 	}
 	t.locks[r] = struct{}{}
 	return nil
+}
+
+// waitLock acquires r's row lock, blocking if another transaction holds
+// it. A writer waiting for a lock is not about to commit, so it gives
+// up its slots in the logs' counts of writers for the wait.
+func (t *Txn) waitLock(r rid.RID) error {
+	if t.e.locks.TryLock(t.id, r) {
+		return nil
+	}
+	was := t.fl
+	t.e.leave(&t.fl, true, true, false)
+	err := t.e.locks.Lock(t.id, r)
+	if was.imrs || was.sys {
+		t.e.join(&t.fl, was.imrs, was.sys)
+	}
+	return err
 }
 
 // tryLock is the conditional variant (pack integration and caching).
@@ -197,6 +289,7 @@ func (t *Txn) releaseAll() {
 
 func (t *Txn) finish() {
 	t.done = true
+	t.e.leave(&t.fl, true, true, false)
 	t.releaseAll()
 	t.e.snaps.Unregister(t.reader)
 	t.e.ckptMu.RUnlock()
@@ -265,7 +358,7 @@ func (t *Txn) Commit() error {
 	if len(t.sysRecs) > 0 {
 		marker = &wal.Record{Type: wal.RecCommit}
 	}
-	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, marker); err != nil {
+	if err := t.e.logCommit(t.id, ts, t.imrsRecs, t.sysRecs, marker, &t.fl, true); err != nil {
 		t.rollbackAfterLogError()
 		return err
 	}

@@ -131,7 +131,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	defer l.StopGroupCommit()
 
 	first := holdOneCommitter(t, l, b)
@@ -206,7 +206,7 @@ func TestGroupCommitStopCompletesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	first := holdOneCommitter(t, l, b)
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 2})
 	done := make(chan error, 1)
@@ -234,7 +234,7 @@ func TestGroupCommitStaleWakeDoesNotStallNextCommitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	defer l.StopGroupCommit()
 	// Simulate the leftover signal: a wake with no waiter behind it.
 	l.gcWake <- struct{}{}
@@ -253,7 +253,7 @@ func TestGroupCommitDeliversFlushErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	defer l.StopGroupCommit()
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := l.WaitDurable(lsn); err != nil {
@@ -398,4 +398,252 @@ func TestFaultyBackendTornAppend(t *testing.T) {
 	if _, err := r.Next(); !errors.Is(err, ErrTorn) {
 		t.Fatalf("want ErrTorn at torn tail, got %v", err)
 	}
+}
+
+// slowBackend is a MemBackend on a slow device: every Sync announces
+// itself on entered, then sleeps for the duration held in sleep.
+type slowBackend struct {
+	*MemBackend
+	sleep   atomic.Int64 // ns
+	syncs   atomic.Int64
+	entered chan struct{}
+}
+
+func newSlowBackend(d time.Duration) *slowBackend {
+	b := &slowBackend{MemBackend: NewMemBackend(), entered: make(chan struct{}, 1)}
+	b.sleep.Store(int64(d))
+	return b
+}
+
+func (b *slowBackend) Sync() error {
+	b.syncs.Add(1)
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	time.Sleep(time.Duration(b.sleep.Load()))
+	return b.MemBackend.Sync()
+}
+
+// commitAsync appends one record for a committer and waits for it to
+// become durable in the background. The committer is counted in peers
+// from before its append until its wait returns, as the engine counts
+// its transactions.
+func commitAsync(t *testing.T, l *Log, peers *Peers, txn uint64) <-chan error {
+	t.Helper()
+	peers.Add(1)
+	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: txn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := l.WaitDurable(lsn)
+		peers.Add(-1)
+		done <- err
+	}()
+	return done
+}
+
+// contendedRound puts the log in the state two alternating committers
+// leave it in: after one lone commit, committer A's sync is in flight
+// and committer X has queued behind it; both syncs take the backend's
+// current duration. It returns A's and X's outcome channels; X's round
+// is the next one.
+func contendedRound(t *testing.T, l *Log, peers *Peers, b *slowBackend) (a, x <-chan error) {
+	t.Helper()
+	if err := awaitOutcome(t, commitAsync(t, l, peers, 1), "lone commit"); err != nil {
+		t.Fatal(err)
+	}
+	<-b.entered
+	a = commitAsync(t, l, peers, 2)
+	select {
+	case <-b.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("A's sync never started")
+	}
+	x = commitAsync(t, l, peers, 3)
+	awaitQueued(t, l, 1)
+	return a, x
+}
+
+// awaitLinger waits until the flusher has begun holding a round open.
+func awaitLinger(t *testing.T, l *Log) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		if l.Stats().LingerRounds.Load() > 0 {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	t.Fatal("no round lingered")
+}
+
+// TestGroupCommitLingerGathersPeer: a round whose log is contended holds
+// its sync open for a writer in flight, and the two share one sync.
+func TestGroupCommitLingerGathersPeer(t *testing.T) {
+	b := newSlowBackend(50 * time.Millisecond) // A's sync: X's round may wait as long
+	l, err := NewLog(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := new(Peers)
+	l.StartGroupCommit(peers)
+	defer l.StopGroupCommit()
+
+	peers.Add(1) // writer Y is in flight
+	a, x := contendedRound(t, l, peers, b)
+	if err := awaitOutcome(t, a, "A"); err != nil {
+		t.Fatal(err)
+	}
+	b.sleep.Store(int64(time.Millisecond))
+	awaitLinger(t, l)
+	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 4}) // Y commits
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitDurable(lsn); err != nil {
+		t.Fatal(err)
+	}
+	peers.Add(-1)
+	if err := awaitOutcome(t, x, "X"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.syncs.Load(); got != 3 {
+		t.Fatalf("%d syncs, want 3: the lone commit's, A's, then one for X and Y", got)
+	}
+	if st := l.Stats(); st.LingerRounds.Load() != 1 || st.LingerGathered.Load() != 1 {
+		t.Fatalf("linger rounds %d, gathered %d; want 1, 1", st.LingerRounds.Load(), st.LingerGathered.Load())
+	}
+}
+
+// TestGroupCommitLoneCommitterNeverWaits: one committer at a time never
+// makes its log contended, so no round waits — not even beside an idle
+// transaction that stays counted in flight.
+func TestGroupCommitLoneCommitterNeverWaits(t *testing.T) {
+	b := newSlowBackend(time.Millisecond)
+	l, err := NewLog(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := new(Peers)
+	l.StartGroupCommit(peers)
+	defer l.StopGroupCommit()
+	peers.Add(1) // an idle open writer
+	const n = 20
+	for i := uint64(1); i <= n; i++ {
+		if err := awaitOutcome(t, commitAsync(t, l, peers, i), "commit"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.Stats().LingerRounds.Load(); got != 0 {
+		t.Fatalf("%d rounds waited for a lone committer", got)
+	}
+	if got := b.syncs.Load(); got != n {
+		t.Fatalf("%d syncs for %d commits", got, n)
+	}
+}
+
+// TestGroupCommitLingerEndsAtBound: when the writer in flight never
+// arrives, the round waits out the previous sync's duration and syncs.
+func TestGroupCommitLingerEndsAtBound(t *testing.T) {
+	const bound = 20 * time.Millisecond
+	b := newSlowBackend(bound)
+	l, err := NewLog(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := new(Peers)
+	l.StartGroupCommit(peers)
+	defer l.StopGroupCommit()
+	peers.Add(1) // a writer that never commits
+	a, x := contendedRound(t, l, peers, b)
+	if err := awaitOutcome(t, a, "A"); err != nil {
+		t.Fatal(err)
+	}
+	b.sleep.Store(int64(time.Millisecond))
+	if err := awaitOutcome(t, x, "X"); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.LingerRounds.Load() != 1 || st.LingerGathered.Load() != 0 {
+		t.Fatalf("linger rounds %d, gathered %d; want 1, 0", st.LingerRounds.Load(), st.LingerGathered.Load())
+	}
+	// The wait is counted from the flusher's wake-up, a little before it
+	// begins; a loaded host may fire the timer late.
+	if w := time.Duration(st.LingerNs.Load()); w < bound/2 || w > bound+15*time.Millisecond {
+		t.Fatalf("round waited %v, want about the previous sync (%v)", w, bound)
+	}
+}
+
+// TestGroupCommitAbortDuringLinger: AbortGroupCommit ends a lingering
+// round at once and fails its committers with ErrHalted without
+// touching the backend.
+func TestGroupCommitAbortDuringLinger(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	b := newSlowBackend(bound)
+	l, err := NewLog(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := new(Peers)
+	l.StartGroupCommit(peers)
+	peers.Add(1) // a writer that never commits
+	a, x := contendedRound(t, l, peers, b)
+	if err := awaitOutcome(t, a, "A"); err != nil {
+		t.Fatal(err)
+	}
+	awaitLinger(t, l)
+	size, _ := b.Size()
+	start := time.Now()
+	l.AbortGroupCommit()
+	if took := time.Since(start); took > bound/2 {
+		t.Fatalf("AbortGroupCommit took %v during a wait bounded by %v", took, bound)
+	}
+	if err := awaitOutcome(t, x, "X"); !errors.Is(err, ErrHalted) {
+		t.Fatalf("lingering committer got %v, want ErrHalted", err)
+	}
+	if got, _ := b.Size(); got != size || b.syncs.Load() != 2 {
+		t.Fatalf("backend touched after the abort: size %d -> %d, %d syncs", size, got, b.syncs.Load())
+	}
+}
+
+// TestGroupCommitMemBackendNeverParks: a log whose syncs cost nothing
+// has no bound left by the time a round could wait, so however
+// contended it is and whoever is in flight, no round waits.
+func TestGroupCommitMemBackendNeverParks(t *testing.T) {
+	l, err := NewLog(NewMemBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := new(Peers)
+	l.StartGroupCommit(peers)
+	defer l.StopGroupCommit()
+	peers.Add(1) // an idle open writer
+	const writers, each = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				peers.Add(1)
+				lsn, err := l.Append(&Record{Type: RecCommit, TxnID: uint64(w*each + i)})
+				if err == nil {
+					err = l.WaitDurable(lsn)
+				}
+				peers.Add(-1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := l.Stats()
+	if got := st.LingerRounds.Load(); got != 0 {
+		t.Fatalf("%d rounds waited on a MemBackend log", got)
+	}
+	t.Logf("%d commits in %d rounds", st.GroupedCommits.Load(), st.GroupFlushes.Load())
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -48,8 +49,9 @@ type Log struct {
 	base     int64  // backend size == offset of pending[0]
 	poisoned error  // set after a commit-path flush failure; see poison
 
-	nextLSN    atomic.Uint64 // next LSN to hand out
-	flushedLSN atomic.Uint64 // durable prefix
+	nextLSN    atomic.Uint64   // next LSN to hand out
+	flushedLSN atomic.Uint64   // durable prefix
+	syncNs     [2]atomic.Int64 // durations of the last two backend Syncs
 
 	// retrier absorbs transient backend failures during Flush before
 	// they can escalate into poisoning. Set once at open time via
@@ -66,6 +68,10 @@ type Log struct {
 	gcWake    chan struct{}
 	gcStop    chan struct{}
 	gcDone    chan struct{}
+	peers     *Peers    // the log's count of writers, which a round may wait for
+	contended bool      // flusher-owned: the last round served several committers, or saw one arrive
+	syncEnd   time.Time // flusher-owned: when the last round's flush returned
+	idle      int64     // flusher-owned: writers outside a round presumed idle
 
 	groupSize  metrics.SizeHistogram    // committers coalesced per flush
 	commitWait metrics.LatencyHistogram // WaitDurable blocking time
@@ -83,6 +89,13 @@ type LogStats struct {
 	// committers they served; their ratio is the mean group size.
 	GroupFlushes   atomic.Int64
 	GroupedCommits atomic.Int64
+
+	// LingerRounds counts flusher rounds that held their sync open for
+	// writers in flight, LingerGathered those whose wait gathered a
+	// committer, and LingerNs the time spent waiting (groupcommit.go).
+	LingerRounds   atomic.Int64
+	LingerGathered atomic.Int64
+	LingerNs       atomic.Int64
 }
 
 // NewLog opens a Log over backend, continuing after existing content.
@@ -195,9 +208,11 @@ func (l *Log) Flush(lsn uint64) error {
 	if l.flushedLSN.Load() >= lsn {
 		return nil
 	}
+	syncStart := time.Now()
 	if err := l.retrier.Do(l.backend.Sync); err != nil {
 		return err
 	}
+	l.syncNs[1].Store(l.syncNs[0].Swap(int64(time.Since(syncStart))))
 	// Everything buffered at the time of the call is now durable.
 	for {
 		cur := l.flushedLSN.Load()

@@ -175,7 +175,7 @@ func TestGroupFlushFailurePoisonsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	defer l.StopGroupCommit()
 
 	lsn1, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
@@ -236,7 +236,7 @@ func TestAbortGroupCommitIsCrashExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	// One round is in flight at the crash (its bytes written, its sync
 	// pending); the committer under test is queued behind it.
 	first := holdOneCommitter(t, l, b)

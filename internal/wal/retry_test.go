@@ -65,7 +65,7 @@ func TestGroupCommitSurvivesTransientFaults(t *testing.T) {
 	r := fault.NewRetrier(fault.Policy{MaxAttempts: 5})
 	r.Sleep = func(time.Duration) {}
 	l.SetRetrier(r)
-	l.StartGroupCommit()
+	l.StartGroupCommit(new(Peers))
 	defer l.StopGroupCommit()
 
 	fb.AddTransientSyncFaults(3)
