@@ -29,17 +29,21 @@ test-race-internal:
 # The packages a point read crosses (hash index, B+tree, RID map, row
 # codec) under the race detector on one, two and four cores: several
 # defects only show on more than one. The full ./internal/... pass at
-# -cpu 1,2,4 waits for ROADMAP 0a.
+# -cpu 1,2,4 waits for the 2PC restart flake in internal/chaos
+# (ROADMAP 0(e)).
 test-race-readpath:
 	$(GO) test -race -cpu 1,2,4 ./internal/index/... ./internal/ridmap/ ./internal/row/
 
 # The commit pipeline under the race detector on one, two and four
-# cores: the group-commit flusher (wal) and every caller of the one
-# dual-log protocol — user commit, 2PC prepare, heap pack, freeze — with
-# the crash-between-the-logs, Halt and log-poisoning tests around it.
+# cores: group commit, whose committers lead their own rounds (wal), and
+# every caller of the one dual-log protocol — user commit, 2PC prepare,
+# heap pack, freeze — with the crash-between-the-logs, Halt and
+# log-poisoning tests around it, and two shards checkpointing beside
+# cross-shard writers (the checkpoint lock must not deadlock them).
 test-commit:
 	$(GO) test -race -cpu 1,2,4 ./internal/wal/
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Commit|Prepare|TwoPC|Pack|Freeze|Halt|Poison'
+	$(GO) test -race -cpu 1,2,4 ./internal/shard/ -run 'Checkpoint'
 
 # Recovery pipeline tests (crash injection, parallel==serial
 # equivalence incl. one partition split into collect chunks, zero-filled

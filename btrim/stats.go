@@ -14,8 +14,8 @@ type WALStats struct {
 	Appends int64
 	Flushes int64
 	Bytes   int64
-	// GroupedCommits committers were served by GroupFlushes coalesced
-	// flushes; MeanGroupSize is their ratio.
+	// GroupedCommits committers were served by GroupFlushes rounds, one
+	// flush each; MeanGroupSize is their ratio.
 	GroupFlushes   int64
 	GroupedCommits int64
 	MeanGroupSize  float64

@@ -28,22 +28,14 @@ func allocBudgetEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := openEngine(t, func(cfg *Config) {
 		// Quiesce everything that allocates off the measured goroutine:
-		// no packer, no background checkpoints, and (stopFlushers)
-		// synchronous commit flushes instead of the group-commit flusher
-		// goroutines. AllocsPerRun reads the global allocation counter,
-		// so background allocators would be charged to the op under test.
+		// no packer and no background checkpoints. AllocsPerRun reads the
+		// global allocation counter, so background allocators would be
+		// charged to the op under test. A lone committer leads its own
+		// group-commit round, so the commit path is measured as it runs.
 		cfg.ILMEnabled = false
 		cfg.CheckpointEvery = 0
 	})
-	stopFlushers(e)
 	return e
-}
-
-// stopFlushers stops both logs' group-commit flusher goroutines:
-// committers fall back to flushing and syncing their own log tail.
-func stopFlushers(e *Engine) {
-	e.syslog.StopGroupCommit()
-	e.imrslog.StopGroupCommit()
 }
 
 func TestPointReadAllocBudget(t *testing.T) {

@@ -548,7 +548,6 @@ func TestScanBatchesAllocBudget(t *testing.T) {
 		c.ColdSegmentRows = 256
 		c.CheckpointEvery = 0
 	})
-	stopFlushers(e)
 	createItems(t, e)
 
 	const n = 1024

@@ -29,7 +29,7 @@ func (e *Engine) CompactIMRSLog() error {
 	if e.cfg.IMRSLogFactory == nil {
 		return ErrNoLogFactory
 	}
-	e.ckptMu.Lock()
+	e.quiesce()
 	defer e.ckptMu.Unlock()
 
 	newGen := e.imrsGen + 1
@@ -42,6 +42,7 @@ func (e *Engine) CompactIMRSLog() error {
 		return err
 	}
 	newLog.SetRetrier(e.walRetrier)
+	newLog.SetPeers(&e.imrsPeers.Peers)
 
 	compTxn := e.nextTxnID.Add(1)
 	rows := 0
@@ -86,7 +87,6 @@ func (e *Engine) CompactIMRSLog() error {
 	old := e.imrslog
 	e.imrslog = newLog
 	e.imrsGen = newGen
-	newLog.StartGroupCommit(&e.imrsPeers.Peers) // commits are quiesced; safe to swap in
 	// Durably pin the new generation. Until this checkpoint flushes, a
 	// crash recovers from the old generation, which is still complete.
 	if err := e.checkpointLocked(); err != nil {

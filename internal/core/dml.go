@@ -583,9 +583,14 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 }
 
 func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, rw row.Row, encSize int) error {
-	v, err := t.e.store.AddVersionFunc(en, encSize, func(dst []byte) []byte {
-		return row.AppendEncoded(rw, dst)
-	}, t.id)
+	encode := func(dst []byte) []byte { return row.AppendEncoded(rw, dst) }
+	v, err := t.e.store.AddVersionFunc(en, encSize, encode, t.id)
+	if err == imrs.ErrCacheFull {
+		// Committers that never block leave the collector waiting for a
+		// CPU: free what it has not reached yet, here, and try once more.
+		t.e.gc.Drain()
+		v, err = t.e.store.AddVersionFunc(en, encSize, encode, t.id)
+	}
 	if err != nil {
 		return err // cache absolutely full
 	}

@@ -99,6 +99,9 @@ type Engine struct {
 	// ckptMu quiesces the engine for checkpoints: every transaction
 	// holds it shared for its lifetime; Checkpoint takes it exclusively.
 	ckptMu sync.RWMutex
+	// quiesceGate admits one exclusive ckptMu request at a time; the
+	// shards of a node share one (ShareQuiesceGate).
+	quiesceGate atomic.Pointer[sync.Mutex]
 
 	// relocMu orders pack moves against table scans: PackEntries holds
 	// it exclusively, a scan holds it shared only while it takes its cut
@@ -188,6 +191,7 @@ func Open(cfg Config) (*Engine, error) {
 		parts:  make(map[rid.PartitionID]*partRT),
 	}
 	e.nextTxnID.Store(1)
+	e.quiesceGate.Store(new(sync.Mutex))
 	e.store = imrs.NewStore(cfg.IMRSCacheBytes)
 	e.cold = colseg.NewStore()
 	e.coldEnabled = !cfg.DisableColdStore
@@ -260,11 +264,6 @@ func Open(cfg Config) (*Engine, error) {
 	if err := e.recover(); err != nil {
 		return nil, err
 	}
-
-	// Start the group-commit pipelines only after recovery, which may
-	// have swapped e.imrslog to a compacted generation.
-	e.syslog.StartGroupCommit(&e.sysPeers.Peers)
-	e.imrslog.StartGroupCommit(&e.imrsPeers.Peers)
 
 	e.gc.Start()
 	if cfg.ILMEnabled {
@@ -362,6 +361,8 @@ func (e *Engine) openStorage() error {
 	if e.imrslog, err = wal.NewLog(cfg.IMRSLogBackend); err != nil {
 		return err
 	}
+	e.syslog.SetPeers(&e.sysPeers.Peers)
+	e.imrslog.SetPeers(&e.imrsPeers.Peers)
 	return nil
 }
 
@@ -380,7 +381,7 @@ func (e *Engine) Halt() error {
 		e.packer.Stop()
 	}
 	e.gc.Stop()
-	// Abort (not Stop) the flusher goroutines: no final flush runs,
+	// Abort both logs' commit paths: no round still to flush runs,
 	// committers still queued get wal.ErrHalted and roll back, and the
 	// commit path stays dead afterwards — the durable state is exactly
 	// what a crash at this instant would leave.
@@ -512,7 +513,7 @@ func (e *Engine) DropTable(name string) error {
 	if e.closed.Load() {
 		return ErrEngineClosed
 	}
-	e.ckptMu.Lock()
+	e.quiesce()
 	t, err := e.cat.DropTable(name)
 	if err != nil {
 		e.ckptMu.Unlock()
@@ -677,10 +678,25 @@ func (e *Engine) Checkpoint() error {
 // it never consumes the sticky background-failure error, which is
 // reserved for the user-facing Checkpoint/Close calls.
 func (e *Engine) checkpoint() error {
-	e.ckptMu.Lock()
+	e.quiesce()
 	defer e.ckptMu.Unlock()
 	return e.checkpointLocked()
 }
+
+// quiesce takes ckptMu exclusively, its Lock pending beside no other
+// engine's that shares the gate (ShareQuiesceGate).
+func (e *Engine) quiesce() {
+	gate := e.quiesceGate.Load()
+	gate.Lock()
+	e.ckptMu.Lock()
+	gate.Unlock()
+}
+
+// ShareQuiesceGate makes quiesce wait at gate. The shards of a node share
+// one: two pending Locks, which hold back new readers, would deadlock
+// against two cross-shard transactions that each hold one shard and
+// begin on the other (DESIGN.md §12). Call it right after Open.
+func (e *Engine) ShareQuiesceGate(gate *sync.Mutex) { e.quiesceGate.Store(gate) }
 
 // takeCheckpointFailure returns (and clears) the sticky error once
 // ckptFailThreshold consecutive checkpoints have failed.

@@ -121,3 +121,46 @@ func TestExplainRowRegistersReader(t *testing.T) {
 		t.Fatalf("%d reader registrations left behind", n)
 	}
 }
+
+// TestUpdateReclaimsWhenCacheFull: an update that finds the IMRS full of
+// versions the collector could free but has not yet, frees them itself
+// and goes on, as it must when busy committers leave the collector
+// little CPU. The collector here passes once, beside a long reader that
+// keeps that pass from freeing what it collected, and then never again.
+func TestUpdateReclaimsWhenCacheFull(t *testing.T) {
+	const cache = 1 << 20
+	e := openEngine(t, func(c *Config) {
+		c.IMRSCacheBytes = cache
+		c.PackInterval = time.Hour // nothing leaves the IMRS but garbage
+		c.CheckpointEvery = 0
+	})
+	createItems(t, e)
+	tx := e.Begin()
+	if err := tx.Insert("items", itemRow(1, "w", 0)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	e.gc.Stop()
+	name := strings.Repeat("x", 900)
+	update := func(i int) {
+		tx := e.Begin()
+		if _, err := tx.Update("items", pk(1), func(r row.Row) (row.Row, error) {
+			r[1], r[2] = row.String(name), row.Int64(int64(i))
+			return r, nil
+		}); err != nil {
+			tx.Abort()
+			t.Fatalf("update %d: %v", i, err)
+		}
+		mustCommit(t, tx)
+	}
+	const half = cache * 6 / 10 / 900 // updates filling about 60 % of the cache
+	for i := 0; i < half; i++ {
+		update(i)
+	}
+	reader := e.Begin()
+	e.gc.Drain()
+	reader.Abort()
+	for i := half; i < 2*half; i++ {
+		update(i)
+	}
+}

@@ -194,6 +194,7 @@ func (e *Engine) recover() error {
 			return err
 		}
 		log.SetRetrier(e.walRetrier)
+		log.SetPeers(&e.imrsPeers.Peers)
 		if _, err := log.RepairTail(); err != nil {
 			return fmt.Errorf("core: sysimrslogs generation %d: %w", ckptGen, err)
 		}

@@ -15,8 +15,9 @@ import (
 // scanYieldRows is how many rows a scan emits between cooperative
 // scheduler yields. Segment decode is pure CPU work: without a yield, a
 // scan on a small-GOMAXPROCS host keeps its P for the runtime's full
-// async-preemption quantum (~10ms), and every OLTP commit in that
-// window stalls waiting for the group-commit flusher to be scheduled.
+// async-preemption quantum (~10ms), and every OLTP committer a
+// group-commit round releases in that window stalls until it is
+// scheduled again.
 // Yielding every couple thousand rows (~hundreds of microseconds of
 // decode) bounds that wakeup latency at negligible cost to the scan.
 const scanYieldRows = 2048

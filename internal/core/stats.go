@@ -15,8 +15,8 @@ type LogSnapshot struct {
 	Flushes int64
 	Bytes   int64
 
-	// GroupFlushes / GroupedCommits: flusher rounds and the committers
-	// they served. MeanGroupSize is their ratio; GroupSizeP95 the
+	// GroupFlushes / GroupedCommits: rounds and the committers they
+	// served. MeanGroupSize is their ratio; GroupSizeP95 the
 	// 95th-percentile committers-per-flush (bucket upper bound).
 	GroupFlushes   int64
 	GroupedCommits int64

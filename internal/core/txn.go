@@ -140,8 +140,8 @@ func (t *Txn) HasWrites() bool { return len(t.sysRecs) > 0 || len(t.imrsRecs) > 
 // returns — after the next round has decided — and the spare is what
 // that round sees. A slot is given up when its transaction aborts or
 // prepares and for the length of a row-lock wait. A spare whose client
-// never writes again stays counted; the flusher presumes it idle after
-// one wait that it lets expire (wal: Log.linger).
+// never writes again stays counted; a round presumes it idle after one
+// wait that it lets expire (wal: Log.linger).
 type logPeers struct {
 	wal.Peers
 	spare atomic.Int64 // slots handed on by committed writers

@@ -124,6 +124,8 @@ type Node struct {
 	// restartMu serializes shard restarts.
 	restartMu sync.Mutex
 
+	quiesceGate sync.Mutex // the shards' Engine.ShareQuiesceGate
+
 	// routeRetry drives write-route retries against recoverable
 	// ReadOnly shards (nil when disabled).
 	routeRetry *fault.Retrier
@@ -354,6 +356,7 @@ func Open(cfg Config) (*Node, error) {
 			journal.close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
+		e.ShareQuiesceGate(&n.quiesceGate)
 		n.slots[i].Store(e)
 	}
 
@@ -536,6 +539,7 @@ func (n *Node) RestartShard(i int) error {
 	if err != nil {
 		return fmt.Errorf("shard %d: restart: %w", i, err)
 	}
+	e.ShareQuiesceGate(&n.quiesceGate)
 	n.slots[i].Store(e)
 	n.shardRestarts.Add(1)
 	return nil

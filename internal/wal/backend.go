@@ -30,11 +30,17 @@ type Backend interface {
 	Close() error
 }
 
-// MemBackend is an in-memory Backend for tests and benchmarks.
+// MemBackend is an in-memory Backend for tests and benchmarks. It keeps
+// the log in chunks of memChunk bytes, so a log of any length occupies
+// about its size: one array grown by append would, at every growth,
+// hold the old and the new copy at once.
 type MemBackend struct {
-	mu  sync.RWMutex
-	buf []byte
+	mu     sync.RWMutex
+	chunks [][]byte // every chunk but the last holds memChunk bytes
+	size   int64
 }
+
+const memChunk = 1 << 20
 
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend { return &MemBackend{} }
@@ -43,8 +49,16 @@ func NewMemBackend() *MemBackend { return &MemBackend{} }
 func (b *MemBackend) Append(p []byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	off := int64(len(b.buf))
-	b.buf = append(b.buf, p...)
+	off := b.size
+	for len(p) > 0 {
+		i := int(b.size / memChunk)
+		if i == len(b.chunks) {
+			b.chunks = append(b.chunks, nil)
+		}
+		n := min(len(p), memChunk-len(b.chunks[i]))
+		b.chunks[i] = append(b.chunks[i], p[:n]...)
+		p, b.size = p[n:], b.size+int64(n)
+	}
 	return off, nil
 }
 
@@ -52,10 +66,14 @@ func (b *MemBackend) Append(p []byte) (int64, error) {
 func (b *MemBackend) ReadAt(p []byte, off int64) (int, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if off > int64(len(b.buf)) || off == int64(len(b.buf)) && len(p) > 0 {
-		return 0, fmt.Errorf("wal: read at %d beyond end %d", off, len(b.buf))
+	if off > b.size || off == b.size && len(p) > 0 {
+		return 0, fmt.Errorf("wal: read at %d beyond end %d", off, b.size)
 	}
-	n := copy(p, b.buf[off:])
+	n := 0
+	for n < len(p) && off < b.size {
+		k := copy(p[n:], b.chunks[off/memChunk][off%memChunk:])
+		n, off = n+k, off+int64(k)
+	}
 	if n < len(p) {
 		return n, fmt.Errorf("wal: short read at %d", off)
 	}
@@ -66,7 +84,7 @@ func (b *MemBackend) ReadAt(p []byte, off int64) (int, error) {
 func (b *MemBackend) Size() (int64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return int64(len(b.buf)), nil
+	return b.size, nil
 }
 
 // Sync implements Backend (no-op).
@@ -80,7 +98,11 @@ func (b *MemBackend) Close() error { return nil }
 func (b *MemBackend) Clone() *MemBackend {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return &MemBackend{buf: append([]byte(nil), b.buf...)}
+	c := &MemBackend{}
+	for _, ch := range b.chunks {
+		_, _ = c.Append(ch) // appending to a MemBackend cannot fail
+	}
+	return c
 }
 
 // Truncate implements Backend. Tests also use it directly to simulate
@@ -91,9 +113,16 @@ func (b *MemBackend) Truncate(n int64) error {
 	if n < 0 {
 		n = 0
 	}
-	if n < int64(len(b.buf)) {
-		b.buf = b.buf[:n]
+	if n >= b.size {
+		return nil
 	}
+	keep := int((n + memChunk - 1) / memChunk)
+	clear(b.chunks[keep:]) // let the cut chunks go
+	b.chunks = b.chunks[:keep]
+	if keep > 0 {
+		b.chunks[keep-1] = b.chunks[keep-1][:n-int64(keep-1)*memChunk]
+	}
+	b.size = n
 	return nil
 }
 

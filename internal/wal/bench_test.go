@@ -21,12 +21,16 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendFlushGroupCommit is one commit on a memory log:
+// Append, then WaitDurable through group commit.
 func BenchmarkAppendFlushGroupCommit(b *testing.B) {
 	l, err := NewLog(NewMemBackend())
 	if err != nil {
 		b.Fatal(err)
 	}
+	l.SetPeers(new(Peers))
 	rec := Record{Type: RecIMRSInsert, TxnID: 1, After: make([]byte, 128)}
+	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			r := rec
@@ -34,7 +38,7 @@ func BenchmarkAppendFlushGroupCommit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := l.Flush(lsn); err != nil {
+			if err := l.WaitDurable(lsn); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,36 +2,34 @@ package wal
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// ErrHalted is delivered to committers whose group-commit pipeline was
-// torn down by AbortGroupCommit before their records became durable
-// (crash simulation: the commit was never acknowledged).
+// ErrHalted is delivered to committers whose log was torn down by
+// AbortGroupCommit before their records became durable (crash
+// simulation: the commit was never acknowledged).
 var ErrHalted = errors.New("wal: group commit halted before the record became durable")
 
-// Group commit: a dedicated flusher goroutine per Log coalesces
-// concurrent committers' durability requests into one backend write plus
-// one Sync covering the highest pending LSN, then wakes every waiter
-// under the new durable watermark. N committers arriving while a sync is
-// in flight pay one sync between them instead of N serialized syncs —
-// the log-coalescing idea of Aether (Johnson et al., VLDB 2010) applied
-// to both BTrim logs.
+// Group commit: the committers form each group among themselves, with no
+// goroutine of the log's own. A committer in WaitDurable whose LSN is not
+// durable joins the forming round. If no round is in flight, it leads
+// that round: on its own goroutine it flushes through the round's
+// highest LSN, one backend write plus one Sync, and releases every
+// committer that joined meanwhile. One that arrives while a round is in
+// flight waits for it to finish; then a member of the next round leads
+// it. N committers arriving during a sync pay one sync between them —
+// the log consolidation of Aether (Johnson et al., VLDB 2010) on both
+// BTrim logs. A lone committer on an idle log flushes at once.
 //
 // A round may linger before it syncs, for at most one sync, to gather a
 // writer already in flight (see linger). Without that, two committers
 // that alternate — each arriving while the other's sync is in flight —
 // never share one.
-//
-// With no flusher running — before the engine finishes recovery, after
-// StopGroupCommit, and on the decision journal — WaitDurable degrades to
-// a direct synchronous Flush.
 
 // Peers counts the writers on one log: transactions that are writing
-// and will commit to it, including the committers already queued in its
-// flush round. A round may wait for the writers beyond those it holds.
+// and will commit to it, including the committers already in its
+// forming round. A round may wait for the writers beyond those it holds.
 // The engine keeps one per log (core: logPeers). A read-only
 // transaction, one blocked in a row-lock wait and a prepared one
 // waiting for its decision are not in it.
@@ -43,128 +41,145 @@ func (p *Peers) Add(delta int64) { p.n.Add(delta) }
 // InFlight returns the number of writers counted.
 func (p *Peers) InFlight() int64 { return p.n.Load() }
 
-// gcWaiter is one committer blocked in WaitDurable.
-type gcWaiter struct {
-	lsn uint64
-	ch  chan error
-	at  time.Time
+// gcRound is one group of committers served by one flush. Its fields
+// are guarded by Log.gcMu; err is final once the round has finished.
+type gcRound struct {
+	n     int       // committers in the round, its leader included
+	top   uint64    // highest LSN among them
+	first time.Time // arrival of the first
+	led   bool      // a member has taken the lead
+	err   error     // the round's outcome
+	done  chan struct{}
+	end   time.Time // when the round released the committers waiting on done
 }
 
-// StartGroupCommit launches the flusher goroutine; peers (non-nil) is
-// the count of writers in flight its rounds may wait for. It is a no-op
-// if the pipeline is already running.
-func (l *Log) StartGroupCommit(peers *Peers) {
+// SetPeers hands the log its count of writers in flight, which a round
+// may wait for (see linger). Call it at open time, beside SetRetrier;
+// without one no round waits.
+func (l *Log) SetPeers(p *Peers) { l.peers = p }
+
+// AbortGroupCommit tears the commit path down crash-style: rounds that
+// have not yet flushed fail their committers with ErrHalted (unless
+// their LSN is already durable), and so does every later WaitDurable. A
+// lingering leader is woken. It returns once a round already flushing
+// has left Flush, so afterwards nothing reaches the backend through the
+// commit path, and the durable state stays exactly what a crash at this
+// instant would leave (Engine.Halt).
+func (l *Log) AbortGroupCommit() {
 	l.gcMu.Lock()
-	defer l.gcMu.Unlock()
-	if l.gcRunning {
-		return
-	}
-	l.gcRunning = true
-	l.peers = peers
-	l.contended, l.idle = false, 0
-	l.gcWake = make(chan struct{}, 1)
-	l.gcStop = make(chan struct{})
-	l.gcDone = make(chan struct{})
-	go l.flusherLoop(l.gcWake, l.gcStop, l.gcDone)
+	l.gcHalted.Store(true)
+	l.wakeLeader()
+	l.await(l.gcBusy)
 }
 
-// StopGroupCommit stops the flusher goroutine, completing any committers
-// still waiting (their records flush in one final group). Subsequent
-// WaitDurable calls fall back to direct synchronous flushes. No-op if
-// the pipeline is not running.
-func (l *Log) StopGroupCommit() { l.stopGroupCommit(false) }
-
-// AbortGroupCommit tears the pipeline down crash-style: no final flush
-// runs, queued committers receive ErrHalted (unless their LSN is
-// already durable), and later WaitDurable calls fail the same way
-// instead of falling back to a direct flush. Nothing further reaches
-// the backend through the commit path, so the durable state stays
-// exactly what a crash at this instant would leave (Engine.Halt).
-func (l *Log) AbortGroupCommit() { l.stopGroupCommit(true) }
-
-func (l *Log) stopGroupCommit(abort bool) {
-	l.gcMu.Lock()
-	if abort {
-		// Set before the flusher drains so its final round fails rather
-		// than flushes, and so fallback flushes are refused even when the
-		// pipeline never ran.
-		l.gcHalted.Store(true)
-	}
-	if !l.gcRunning {
-		l.gcMu.Unlock()
-		return
-	}
-	l.gcRunning = false
-	stop, done := l.gcStop, l.gcDone
-	l.gcMu.Unlock()
-	close(stop)
-	<-done
-}
-
-// WaitDurable blocks until every record with LSN <= lsn is durable. With
-// the pipeline running it enqueues a waiter for the flusher; otherwise
-// it flushes directly (synchronous fallback).
+// WaitDurable blocks until every record with LSN <= lsn is durable.
 func (l *Log) WaitDurable(lsn uint64) error {
 	if l.flushedLSN.Load() >= lsn {
 		return nil
 	}
+	at := time.Now()
 	l.gcMu.Lock()
-	if !l.gcRunning {
-		halted := l.gcHalted.Load()
+	r := l.gcNext
+	if r == nil {
+		r = &gcRound{first: at}
+		l.gcNext = r
+	}
+	r.n++
+	r.top = max(r.top, lsn)
+	l.wakeLeader()
+	for !r.led && l.gcBusy != nil {
+		l.await(l.gcBusy)
+		l.gcMu.Lock()
+	}
+	var err error
+	if !r.led {
+		err = l.lead(r)
+	} else {
+		if l.gcBusy == r {
+			l.await(r)
+		} else { // r finished while this committer waited for the round before
+			l.gcMu.Unlock()
+		}
+		l.released.Add(-1)
+		err = r.err
+	}
+	if err != nil && l.flushedLSN.Load() >= lsn {
+		err = nil // a racing flush made it durable before the failure: its commit stands
+	}
+	l.commitWait.Observe(time.Since(at))
+	return err
+}
+
+// await blocks until round r, in flight, finishes; r == nil: none is.
+// gcMu is held on entry and released.
+func (l *Log) await(r *gcRound) {
+	if r == nil {
 		l.gcMu.Unlock()
-		if halted {
-			return ErrHalted
-		}
-		start := time.Now()
-		err := l.Flush(lsn)
-		l.commitWait.Observe(time.Since(start))
-		if err != nil {
-			if l.flushedLSN.Load() >= lsn {
-				return nil // a racing flush covered us before the failure
-			}
-			l.poison(err)
-		}
-		return err
+		return
 	}
-	ch := make(chan error, 1)
-	l.gcWaiters = append(l.gcWaiters, gcWaiter{lsn: lsn, ch: ch, at: time.Now()})
-	wake := l.gcWake
+	if r.done == nil {
+		r.done = make(chan struct{})
+	}
+	done := r.done
 	l.gcMu.Unlock()
-	select {
-	case wake <- struct{}{}:
-	default: // flusher already signalled
-	}
-	return <-ch
+	<-done
+	l.wakeNs.Store(int64(time.Since(r.end)))
 }
 
-// flusherLoop is the group-commit pipeline: wake, serve everyone queued
-// with one round, repeat. On stop it runs one final round so no waiter
-// is left blocked. A stale wake — the round that served its sender also
-// absorbed later committers — finds no waiters and its round returns
-// without touching the backend.
-func (l *Log) flusherLoop(wake, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			l.round()
-			return
-		case <-wake:
-			// Committers woken by the previous round are often already
-			// runnable with their next commit; one yield lets them enqueue
-			// and join this group instead of waiting out a whole extra sync.
-			runtime.Gosched()
-			l.linger(wake, stop)
-			l.round()
+// wakeLeader ends a lingering leader's wait. gcMu is held.
+func (l *Log) wakeLeader() {
+	if l.gcLinger != nil {
+		close(l.gcLinger)
+		l.gcLinger = nil
+	}
+}
+
+// lead runs round r: it lingers, closes the round to newcomers, flushes
+// through its highest LSN, releases its members and returns the
+// outcome. gcMu is held on entry and released. A round that finds the
+// log halted fails without touching the backend.
+func (l *Log) lead(r *gcRound) error {
+	r.led = true
+	l.gcBusy = r
+	l.linger(r)
+	l.gcNext = nil
+	if l.gcHalted.Load() {
+		r.err = ErrHalted
+	} else {
+		l.gcMu.Unlock()
+		r.err = l.Flush(r.top)
+		l.syncEnd = time.Now()
+		if r.err != nil {
+			// One bad flush fans out to every committer in the round; they
+			// all roll back in memory, so none of their appended frames may
+			// ever become durable.
+			l.poison(r.err)
+		}
+		l.gcMu.Lock()
+		l.contended = r.n > 1 || l.gcNext != nil
+		if r.err == nil {
+			l.stats.GroupFlushes.Add(1)
+			l.stats.GroupedCommits.Add(int64(r.n))
+			l.groupSize.Observe(int64(r.n))
 		}
 	}
+	l.gcBusy = nil
+	l.released.Add(int64(r.n - 1))
+	err := r.err
+	if r.done != nil {
+		r.end = time.Now()
+		close(r.done)
+	}
+	l.gcMu.Unlock()
+	return err
 }
 
-// linger holds a round open before it syncs, for a writer already in
-// flight. It waits only when all three hold:
+// linger holds round r open before it syncs, for a writer already in
+// flight. gcMu is held; linger releases it while it waits. It waits
+// only when all three hold:
 //
-//   - a peer is coming: l.peers counts more writers than the round
-//     holds, beyond those presumed idle. When a wait expires with
+//   - a peer is coming: there are writers outside the round (see
+//     outside), beyond those presumed idle. When a wait expires with
 //     nobody arriving, every writer then counted outside the round is
 //     presumed idle (an open transaction its client left alone, say)
 //     until the count drops below that level;
@@ -176,136 +191,61 @@ func (l *Log) flusherLoop(wake, stop <-chan struct{}, done chan<- struct{}) {
 //     slowed by the host does not make a free device look slow —
 //     counted from when the round could have begun: the arrival of its
 //     first committer or the end of the previous sync, whichever is
-//     later. A log whose syncs cost nothing has used that up before the
-//     flusher gets here, so it never parks.
+//     later. The time left must exceed what it took the last committer
+//     a round released to wake (none measured yet: no wait), or the
+//     wait could gather no one. A log whose syncs cost nothing has less
+//     left than any wake, so it never parks.
 //
 // The wait ends at the first committer to arrive, at the bound, or on
-// stop. Every figure it uses is measured on the log itself, so there is
-// nothing to tune.
-func (l *Log) linger(wake, stop <-chan struct{}) {
-	if !l.contended {
-		return
+// AbortGroupCommit. Every figure it uses is measured on the log itself,
+// so there is nothing to tune. The state it keeps (contended, idle,
+// syncEnd) belongs to whichever committer leads: one round at a time.
+func (l *Log) linger(r *gcRound) {
+	if !l.contended || l.peers == nil || l.flushedLSN.Load() >= r.top {
+		return // nothing to wait for, or nothing left to flush
 	}
-	l.gcMu.Lock()
-	queued := len(l.gcWaiters)
-	var from time.Time
-	if queued > 0 {
-		from = l.gcWaiters[0].at
-	}
-	l.gcMu.Unlock()
-	if queued == 0 {
-		return // a stale wake: no round to hold open
-	}
-	n := max(l.peers.InFlight()-int64(queued), 0) // writers outside the round
-	l.idle = min(l.idle, n)                       // writers presumed idle that have left
+	queued := r.n
+	n := l.outside(r)
+	l.idle = min(l.idle, n) // writers presumed idle that have left
 	if n <= l.idle {
 		return
 	}
+	from := r.first
 	if from.Before(l.syncEnd) {
 		from = l.syncEnd
 	}
 	left := time.Duration(min(l.syncNs[0].Load(), l.syncNs[1].Load())) - time.Since(from)
-	if left <= 0 {
+	if wake := time.Duration(l.wakeNs.Load()); wake == 0 || left <= wake {
 		return
 	}
 	l.stats.LingerRounds.Add(1)
 	start := time.Now()
+	arrived := make(chan struct{})
+	l.gcLinger = arrived
+	l.gcMu.Unlock()
 	timer := time.NewTimer(left)
-	defer timer.Stop()
-wait:
-	for {
-		select {
-		case <-wake:
-			l.gcMu.Lock()
-			arrived := len(l.gcWaiters) > queued
-			l.gcMu.Unlock()
-			if arrived {
-				l.stats.LingerGathered.Add(1)
-				break wait
-			}
-		case <-timer.C:
-			l.gcMu.Lock()
-			l.idle = max(l.peers.InFlight()-int64(len(l.gcWaiters)), 0)
-			l.gcMu.Unlock()
-			break wait
-		case <-stop:
-			break wait
-		}
+	select {
+	case <-arrived:
+	case <-timer.C:
+	}
+	timer.Stop()
+	l.gcMu.Lock()
+	l.gcLinger = nil
+	switch {
+	case r.n > queued:
+		l.stats.LingerGathered.Add(1)
+	case !l.gcHalted.Load(): // the bound expired
+		l.idle = l.outside(r)
 	}
 	l.stats.LingerNs.Add(int64(time.Since(start)))
 }
 
-// round serves the queued waiters: one flush for the whole group, or —
-// once AbortGroupCommit has begun, whether it is the final round, one
-// whose wake raced the stop, or one that was lingering — a failure that
-// never touches the backend.
-func (l *Log) round() {
-	if l.gcHalted.Load() {
-		l.failRound(ErrHalted)
-		return
-	}
-	l.flushRound()
-}
-
-// flushRound takes the current waiter group, flushes through its highest
-// LSN, and delivers the outcome to every member. It also records whether
-// the log is contended, for the next round's linger.
-func (l *Log) flushRound() {
-	l.gcMu.Lock()
-	waiters := l.gcWaiters
-	l.gcWaiters = nil
-	l.gcMu.Unlock()
-	if len(waiters) == 0 {
-		return
-	}
-	target := waiters[0].lsn
-	for _, w := range waiters[1:] {
-		if w.lsn > target {
-			target = w.lsn
-		}
-	}
-	err := l.Flush(target)
-	l.syncEnd = time.Now()
-	l.gcMu.Lock()
-	l.contended = len(waiters) > 1 || len(l.gcWaiters) > 0
-	l.gcMu.Unlock()
-	if err == nil {
-		l.stats.GroupFlushes.Add(1)
-		l.stats.GroupedCommits.Add(int64(len(waiters)))
-		l.groupSize.Observe(int64(len(waiters)))
-	} else {
-		// One bad flush fans out to every committer in the round; they
-		// all roll back in memory, so none of their appended frames may
-		// ever become durable.
-		l.poison(err)
-	}
-	now := time.Now()
-	for _, w := range waiters {
-		werr := err
-		if werr != nil && l.flushedLSN.Load() >= w.lsn {
-			// A racing flush made this waiter durable before the failure:
-			// its commit stands.
-			werr = nil
-		}
-		l.commitWait.Observe(now.Sub(w.at))
-		w.ch <- werr
-	}
-}
-
-// failRound delivers err to every queued waiter without flushing.
-// Waiters whose LSN is already durable still succeed.
-func (l *Log) failRound(err error) {
-	l.gcMu.Lock()
-	waiters := l.gcWaiters
-	l.gcWaiters = nil
-	l.gcMu.Unlock()
-	now := time.Now()
-	for _, w := range waiters {
-		werr := err
-		if l.flushedLSN.Load() >= w.lsn {
-			werr = nil
-		}
-		l.commitWait.Observe(now.Sub(w.at))
-		w.ch <- werr
-	}
+// outside counts the writers beyond round r: those l.peers counts, and
+// the committers a finished round released that have not yet left
+// WaitDurable, each on its way back to a client that writes again. A
+// leader on one CPU runs on before the committers it released, and its
+// own transaction may have taken the slot they handed on; without them
+// it would see no peer coming.
+func (l *Log) outside(r *gcRound) int64 {
+	return max(l.peers.InFlight()+l.released.Load()-int64(r.n), 0)
 }

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,12 +13,14 @@ import (
 	"repro/internal/rid"
 )
 
-func TestWaitDurableFallback(t *testing.T) {
-	l, err := NewLog(NewMemBackend())
+// TestWaitDurableLoneCommitterLeads: a committer that finds the log idle
+// flushes it on its own goroutine, as a round of one.
+func TestWaitDurableLoneCommitterLeads(t *testing.T) {
+	b := &stackBackend{Backend: NewMemBackend()}
+	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No flusher running: WaitDurable degrades to a direct Flush.
 	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -25,10 +29,142 @@ func TestWaitDurableFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l.FlushedLSN() < lsn {
-		t.Fatal("fallback WaitDurable did not flush")
+		t.Fatal("WaitDurable returned before its LSN was durable")
 	}
-	if got := l.Stats().GroupFlushes.Load(); got != 0 {
-		t.Fatalf("fallback path counted %d group flushes", got)
+	if len(b.leaders) != 1 {
+		t.Fatalf("%d syncs, want 1", len(b.leaders))
+	}
+	assertLedByCommitters(t, l, b)
+	st := l.Stats()
+	if st.GroupFlushes.Load() != 1 || st.GroupedCommits.Load() != 1 {
+		t.Fatalf("rounds %d, commits %d; want one round of one", st.GroupFlushes.Load(), st.GroupedCommits.Load())
+	}
+}
+
+// stackBackend records, for every Sync of the backend it wraps, the
+// goroutine that ran it and whether it ran inside Log.WaitDurable.
+type stackBackend struct {
+	Backend
+	mu            sync.Mutex
+	leaders       []string
+	inWaitDurable []bool
+}
+
+func (b *stackBackend) Sync() error {
+	buf := make([]byte, 8<<10)
+	st := buf[:runtime.Stack(buf, false)]
+	id, _, _ := bytes.Cut(st, []byte(" ["))
+	b.mu.Lock()
+	b.leaders = append(b.leaders, string(id))
+	b.inWaitDurable = append(b.inWaitDurable, bytes.Contains(st, []byte("(*Log).WaitDurable")))
+	b.mu.Unlock()
+	return b.Backend.Sync()
+}
+
+// TestGroupCommitNextLeader: committers lead their own rounds. Those
+// queued behind a round in flight are not covered by it; one of them
+// leads the next, and every WaitDurable returns only once its LSN is
+// durable, with no committer or round left behind.
+func TestGroupCommitNextLeader(t *testing.T) {
+	t.Run("behind a held round", func(t *testing.T) {
+		gate := newGateBackend()
+		b := &stackBackend{Backend: gate}
+		l, err := NewLog(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := holdOneCommitter(t, l, gate)
+		done := commitConcurrently(t, l, 7, 1)
+		awaitQueued(t, l, 7)
+		gate.release()
+		if err := awaitOutcome(t, first, "held committer"); err != nil {
+			t.Fatal(err)
+		}
+		if err := awaitOutcome(t, done, "queued committers"); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.leaders) != 2 || b.leaders[0] == b.leaders[1] {
+			t.Fatalf("rounds led by %q; want two rounds, the second led by a queued committer", b.leaders)
+		}
+		assertLedByCommitters(t, l, b)
+		if got := l.Stats().GroupedCommits.Load(); got != 8 {
+			t.Fatalf("grouped commits = %d, want 8", got)
+		}
+	})
+	t.Run("on a slow device", func(t *testing.T) {
+		b := &stackBackend{Backend: newSlowBackend(time.Millisecond)}
+		l, err := NewLog(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const committers, each = 8, 25
+		if err := awaitOutcome(t, commitConcurrently(t, l, committers, each), "committers"); err != nil {
+			t.Fatal(err)
+		}
+		assertLedByCommitters(t, l, b)
+		leaders := map[string]bool{}
+		for _, id := range b.leaders {
+			leaders[id] = true
+		}
+		st := l.Stats()
+		if len(leaders) < 2 || st.GroupFlushes.Load() >= committers*each {
+			t.Fatalf("%d commits in %d rounds led by %d committers; want groups, led by several",
+				st.GroupedCommits.Load(), st.GroupFlushes.Load(), len(leaders))
+		}
+	})
+}
+
+// commitConcurrently starts n committers that each append and await
+// `each` records, checking that every WaitDurable returns only once its
+// LSN is durable. The channel reports the first failure, or nil once
+// all have finished.
+func commitConcurrently(t *testing.T, l *Log, n, each int) <-chan error {
+	t.Helper()
+	errs := make(chan error, n)
+	for w := 0; w < n; w++ {
+		go func(w int) {
+			for i := 0; i < each; i++ {
+				lsn, err := l.Append(&Record{Type: RecCommit, TxnID: uint64(w*each + i)})
+				if err == nil {
+					err = l.WaitDurable(lsn)
+				}
+				if err == nil && l.FlushedLSN() < lsn {
+					err = errors.New("WaitDurable returned before its LSN was durable")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var first error
+		for w := 0; w < n; w++ {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		done <- first
+	}()
+	return done
+}
+
+// assertLedByCommitters checks that every sync of l ran inside a
+// committer's WaitDurable and that no round is left behind.
+func assertLedByCommitters(t *testing.T, l *Log, b *stackBackend) {
+	t.Helper()
+	for i, in := range b.inWaitDurable {
+		if !in {
+			t.Fatalf("sync %d ran outside WaitDurable", i)
+		}
+	}
+	l.gcMu.Lock()
+	defer l.gcMu.Unlock()
+	if l.gcBusy != nil || l.gcNext != nil || l.gcLinger != nil {
+		t.Fatal("a round is left behind")
 	}
 }
 
@@ -92,17 +228,20 @@ func holdOneCommitter(t *testing.T, l *Log, b *gateBackend) <-chan error {
 	select {
 	case <-b.entered:
 	case <-time.After(2 * time.Second):
-		t.Fatal("flusher never reached the held Sync")
+		t.Fatal("leader never reached the held Sync")
 	}
 	return done
 }
 
-// awaitQueued waits until n committers sit in the waiter queue.
+// awaitQueued waits until n committers are queued for the next round.
 func awaitQueued(t *testing.T, l *Log, n int) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
 		l.gcMu.Lock()
-		got := len(l.gcWaiters)
+		got := 0
+		if r := l.gcNext; r != nil && !r.led {
+			got = r.n
+		}
 		l.gcMu.Unlock()
 		if got >= n {
 			return
@@ -131,8 +270,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
-	defer l.StopGroupCommit()
 
 	first := holdOneCommitter(t, l, b)
 	const group = 8
@@ -198,51 +335,90 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStopCompletesWaiters: a committer still queued behind
-// an in-flight round when Stop arrives is flushed, not dropped.
-func TestGroupCommitStopCompletesWaiters(t *testing.T) {
+// TestGroupCommitCloseCompletesParkedCommitter: a committer parked behind
+// an in-flight round when Close arrives is flushed, not dropped.
+func TestGroupCommitCloseCompletesParkedCommitter(t *testing.T) {
 	b := newGateBackend()
 	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
 	first := holdOneCommitter(t, l, b)
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 2})
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
 	awaitQueued(t, l, 1)
-	stopped := make(chan struct{})
-	go func() { l.StopGroupCommit(); close(stopped) }()
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
 	b.release()
 	for _, d := range []<-chan error{first, done} {
-		if err := awaitOutcome(t, d, "waiter after StopGroupCommit"); err != nil {
-			t.Fatalf("waiter completed with error: %v", err)
+		if err := awaitOutcome(t, d, "committer beside Close"); err != nil {
+			t.Fatalf("committer completed with error: %v", err)
 		}
 	}
-	<-stopped
+	if err := awaitOutcome(t, closed, "Close"); err != nil {
+		t.Fatal(err)
+	}
 	if l.FlushedLSN() < lsn {
-		t.Fatal("final round did not flush the waiter's LSN")
+		t.Fatal("the parked committer's LSN is not durable")
+	}
+	l.gcMu.Lock()
+	defer l.gcMu.Unlock()
+	if l.gcBusy != nil || l.gcNext != nil {
+		t.Fatal("a round is left behind")
 	}
 }
 
-// A flush round can absorb committers whose wake signal is still sitting
-// in the channel. The flusher must shrug such a stale wake off and keep
-// watching the wake channel for the next committer.
-func TestGroupCommitStaleWakeDoesNotStallNextCommitter(t *testing.T) {
-	l, err := NewLog(NewMemBackend())
+// closeCheckBackend fails a Sync that returns after the backend was
+// closed, as a closed file would.
+type closeCheckBackend struct {
+	*gateBackend
+	closed atomic.Bool
+}
+
+func (b *closeCheckBackend) Sync() error {
+	err := b.gateBackend.Sync()
+	if b.closed.Load() {
+		return errors.New("sync of a closed backend")
+	}
+	return err
+}
+
+func (b *closeCheckBackend) Close() error {
+	b.closed.Store(true)
+	return nil
+}
+
+// TestCloseWaitsForRoundInFlight: Close does not close the backend under
+// a leader still inside its Sync, even when Close's own flush has
+// already made everything durable.
+func TestCloseWaitsForRoundInFlight(t *testing.T) {
+	b := &closeCheckBackend{gateBackend: newGateBackend()}
+	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
-	defer l.StopGroupCommit()
-	// Simulate the leftover signal: a wake with no waiter behind it.
-	l.gcWake <- struct{}{}
-	time.Sleep(20 * time.Millisecond) // let the flusher consume it
-	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(lsn) }()
-	if err := awaitOutcome(t, done, "committer behind a stale wake"); err != nil {
+	led := holdOneCommitter(t, l, b.gateBackend)
+	// Later syncs pass; the leader stays held.
+	b.mu.Lock()
+	leader := b.gate
+	b.gate = nil
+	b.mu.Unlock()
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a round in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(leader)
+	if err := awaitOutcome(t, led, "leader"); err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := awaitOutcome(t, closed, "Close"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Poisoned(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -253,8 +429,6 @@ func TestGroupCommitDeliversFlushErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
-	defer l.StopGroupCommit()
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := l.WaitDurable(lsn); err != nil {
 		t.Fatalf("first sync should succeed: %v", err)
@@ -346,9 +520,7 @@ func TestTornTailErrorIsErrTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = l.FlushAll()
-	b.mu.Lock()
-	b.buf = append(b.buf, 0xEE, 0x01, 0x02) // torn frame header
-	b.mu.Unlock()
+	b.Append([]byte{0xEE, 0x01, 0x02}) // torn frame header
 	r, err := l.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +639,7 @@ func contendedRound(t *testing.T, l *Log, peers *Peers, b *slowBackend) (a, x <-
 	return a, x
 }
 
-// awaitLinger waits until the flusher has begun holding a round open.
+// awaitLinger waits until a leader has begun holding a round open.
 func awaitLinger(t *testing.T, l *Log) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
@@ -488,8 +660,7 @@ func TestGroupCommitLingerGathersPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := new(Peers)
-	l.StartGroupCommit(peers)
-	defer l.StopGroupCommit()
+	l.SetPeers(peers)
 
 	peers.Add(1) // writer Y is in flight
 	a, x := contendedRound(t, l, peers, b)
@@ -527,8 +698,7 @@ func TestGroupCommitLoneCommitterNeverWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := new(Peers)
-	l.StartGroupCommit(peers)
-	defer l.StopGroupCommit()
+	l.SetPeers(peers)
 	peers.Add(1) // an idle open writer
 	const n = 20
 	for i := uint64(1); i <= n; i++ {
@@ -554,8 +724,7 @@ func TestGroupCommitLingerEndsAtBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := new(Peers)
-	l.StartGroupCommit(peers)
-	defer l.StopGroupCommit()
+	l.SetPeers(peers)
 	peers.Add(1) // a writer that never commits
 	a, x := contendedRound(t, l, peers, b)
 	if err := awaitOutcome(t, a, "A"); err != nil {
@@ -569,8 +738,8 @@ func TestGroupCommitLingerEndsAtBound(t *testing.T) {
 	if st.LingerRounds.Load() != 1 || st.LingerGathered.Load() != 0 {
 		t.Fatalf("linger rounds %d, gathered %d; want 1, 0", st.LingerRounds.Load(), st.LingerGathered.Load())
 	}
-	// The wait is counted from the flusher's wake-up, a little before it
-	// begins; a loaded host may fire the timer late.
+	// The wait is counted from a little before it begins; a loaded host
+	// may fire the timer late.
 	if w := time.Duration(st.LingerNs.Load()); w < bound/2 || w > bound+15*time.Millisecond {
 		t.Fatalf("round waited %v, want about the previous sync (%v)", w, bound)
 	}
@@ -587,7 +756,7 @@ func TestGroupCommitAbortDuringLinger(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := new(Peers)
-	l.StartGroupCommit(peers)
+	l.SetPeers(peers)
 	peers.Add(1) // a writer that never commits
 	a, x := contendedRound(t, l, peers, b)
 	if err := awaitOutcome(t, a, "A"); err != nil {
@@ -617,8 +786,7 @@ func TestGroupCommitMemBackendNeverParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := new(Peers)
-	l.StartGroupCommit(peers)
-	defer l.StopGroupCommit()
+	l.SetPeers(peers)
 	peers.Add(1) // an idle open writer
 	const writers, each = 4, 300
 	var wg sync.WaitGroup

@@ -38,9 +38,9 @@ var ErrPoisoned = errors.New("wal: log poisoned by a failed commit flush")
 // offset of a record's frame plus one (so LSN 0 means "nothing logged").
 // Appends buffer in memory; Flush persists buffered frames up to a target
 // LSN and syncs, implementing the write-ahead rule. Group commit is the
-// committer-facing layer on top: StartGroupCommit launches a flusher
-// goroutine and WaitDurable coalesces concurrent committers' durability
-// requests into single backend writes (see groupcommit.go).
+// committer-facing layer on top: in WaitDurable the concurrent
+// committers form groups among themselves, and one of each group
+// flushes for all of it on its own goroutine (see groupcommit.go).
 type Log struct {
 	backend Backend
 
@@ -60,18 +60,19 @@ type Log struct {
 
 	stats LogStats
 
-	// Group-commit pipeline state (groupcommit.go).
+	// Group-commit state (groupcommit.go). gcMu guards the plain fields,
+	// but syncEnd, which the leader of the round in flight writes.
 	gcMu      sync.Mutex
-	gcRunning bool
-	gcHalted  atomic.Bool // AbortGroupCommit ran: commit path is dead
-	gcWaiters []gcWaiter
-	gcWake    chan struct{}
-	gcStop    chan struct{}
-	gcDone    chan struct{}
-	peers     *Peers    // the log's count of writers, which a round may wait for
-	contended bool      // flusher-owned: the last round served several committers, or saw one arrive
-	syncEnd   time.Time // flusher-owned: when the last round's flush returned
-	idle      int64     // flusher-owned: writers outside a round presumed idle
+	gcHalted  atomic.Bool   // AbortGroupCommit ran: commit path is dead
+	gcNext    *gcRound      // the round committers join; nil when none forms
+	gcBusy    *gcRound      // the round whose leader is lingering or flushing
+	gcLinger  chan struct{} // closed to end a lingering leader's wait
+	peers     *Peers        // the log's count of writers, which a round may wait for
+	contended bool          // the last round served several committers, or saw one arrive
+	syncEnd   time.Time     // when the last round's flush returned
+	idle      int64         // writers outside a round presumed idle
+	released  atomic.Int64  // committers a finished round released, not yet out of WaitDurable
+	wakeNs    atomic.Int64  // how long the last committer a round released took to wake
 
 	groupSize  metrics.SizeHistogram    // committers coalesced per flush
 	commitWait metrics.LatencyHistogram // WaitDurable blocking time
@@ -85,12 +86,12 @@ type LogStats struct {
 	Flushes atomic.Int64
 	Bytes   atomic.Int64
 
-	// GroupFlushes / GroupedCommits count flusher rounds and the
+	// GroupFlushes / GroupedCommits count group-commit rounds and the
 	// committers they served; their ratio is the mean group size.
 	GroupFlushes   atomic.Int64
 	GroupedCommits atomic.Int64
 
-	// LingerRounds counts flusher rounds that held their sync open for
+	// LingerRounds counts rounds that held their sync open for
 	// writers in flight, LingerGathered those whose wait gathered a
 	// committer, and LingerNs the time spent waiting (groupcommit.go).
 	LingerRounds   atomic.Int64
@@ -202,7 +203,7 @@ func (l *Log) Flush(lsn uint64) error {
 	}
 	l.mu.Unlock()
 
-	// A racing flusher may have synced past lsn while we waited for the
+	// A racing flush may have synced past lsn while we waited for the
 	// buffer swap; skip the redundant Sync. (Our own freshly appended
 	// bytes beyond lsn stay buffered in the backend until a later sync.)
 	if l.flushedLSN.Load() >= lsn {
@@ -337,19 +338,21 @@ func (l *Log) Size() int64 {
 	return l.base + int64(len(l.pending))
 }
 
-// Close stops the group-commit flusher (if running), flushes, and
-// closes the backend. The backend is closed even when the final flush
-// fails — a poisoned log must still release its file handle — and the
-// returned error aggregates every failure (errors.Is sees each). A
-// poisoned log always reports its poisoning here, even though poison()
-// already emptied the buffered tail and a flush would trivially
-// "succeed": callers asking to close cleanly must learn the log died.
+// Close flushes and closes the backend. The backend is closed even
+// when the final flush fails — a poisoned log must still release its
+// file handle — and the returned error aggregates every failure
+// (errors.Is sees each). A poisoned log always reports its poisoning
+// here, even though poison() already emptied the buffered tail and a
+// flush would trivially "succeed": callers asking to close cleanly must
+// learn the log died. A group-commit round still in flight is waited
+// for first, so that its leader never syncs a closed backend.
 func (l *Log) Close() error {
-	l.StopGroupCommit()
 	var flushErr error
 	if l.Poisoned() == nil {
 		flushErr = l.FlushAll()
 	}
+	l.gcMu.Lock()
+	l.await(l.gcBusy)
 	return errors.Join(l.Poisoned(), flushErr, l.backend.Close())
 }
 
@@ -360,7 +363,6 @@ func (l *Log) Close() error {
 // when a halted engine's file handles must be freed so a fresh
 // incarnation can open the same paths.
 func (l *Log) CloseBackend() error {
-	l.StopGroupCommit()
 	return l.backend.Close()
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -164,9 +165,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte in the body.
-	b.mu.Lock()
-	b.buf[frameHeader+3] ^= 0xFF
-	b.mu.Unlock()
+	b.flip(frameHeader + 3)
 	r, err := l.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
@@ -280,9 +279,7 @@ func TestTornTailStopsIteration(t *testing.T) {
 	}
 	_ = l.FlushAll()
 	// Simulate a torn write: append garbage that looks like a frame start.
-	b.mu.Lock()
-	b.buf = append(b.buf, 0xEE, 0x00, 0x00, 0x00) // partial header
-	b.mu.Unlock()
+	b.Append([]byte{0xEE, 0x00, 0x00, 0x00}) // partial header
 	r, err := l.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
@@ -293,4 +290,43 @@ func TestTornTailStopsIteration(t *testing.T) {
 	if _, err := r.Next(); err == nil || err == io.EOF {
 		t.Fatalf("torn tail should error, got %v", err)
 	}
+}
+
+// TestMemBackendChunks: appends, reads and truncations that cross the
+// MemBackend's chunk boundaries see one contiguous log, and a clone is
+// independent of its source.
+func TestMemBackendChunks(t *testing.T) {
+	b := NewMemBackend()
+	want := make([]byte, 0, 3*memChunk)
+	for i := 0; len(want) < 2*memChunk+100; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 1+i*7919%(memChunk/3))
+		off, err := b.Append(p)
+		if err != nil || off != int64(len(want)) {
+			t.Fatalf("append at %d: off %d, %v", len(want), off, err)
+		}
+		want = append(want, p...)
+	}
+	check := func(b *MemBackend, want []byte) {
+		t.Helper()
+		if got := b.contents(); !bytes.Equal(got, want) {
+			t.Fatalf("backend holds %d bytes, differing from the %d appended", len(got), len(want))
+		}
+		p := make([]byte, 10)
+		if _, err := b.ReadAt(p, memChunk-5); err != nil || !bytes.Equal(p, want[memChunk-5:memChunk+5]) {
+			t.Fatalf("read across a chunk boundary: %v", err)
+		}
+	}
+	check(b, want)
+	c, orig := b.Clone(), append([]byte(nil), want...)
+	for _, n := range []int64{2*memChunk + 3, 2 * memChunk, memChunk + 17} {
+		if err := b.Truncate(n); err != nil {
+			t.Fatal(err)
+		}
+		want = want[:n]
+		check(b, want)
+	}
+	b.Append([]byte("tail"))
+	want = append(want, "tail"...)
+	check(b, want)
+	check(c, orig) // the clone did not change with its source
 }

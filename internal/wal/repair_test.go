@@ -157,9 +157,7 @@ func TestRepairTailRejectsMidLogCorruption(t *testing.T) {
 	}
 	// Flip a body byte of the FIRST frame: its CRC fails while two valid
 	// frames follow — a tear that cannot be a crash artifact.
-	b.mu.Lock()
-	b.buf[frameHeader] ^= 0xFF
-	b.mu.Unlock()
+	b.flip(frameHeader)
 	l2, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +173,6 @@ func TestGroupFlushFailurePoisonsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
-	defer l.StopGroupCommit()
 
 	lsn1, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := l.WaitDurable(lsn1); err != nil {
@@ -209,14 +205,15 @@ func TestGroupFlushFailurePoisonsLog(t *testing.T) {
 	}
 }
 
-func TestFallbackFlushFailurePoisonsLog(t *testing.T) {
+// TestLeaderFlushFailurePoisonsLog: a lone committer leads its round,
+// so the failure of the flush it runs itself is a failed commit all
+// the same.
+func TestLeaderFlushFailurePoisonsLog(t *testing.T) {
 	b := &flakySyncBackend{MemBackend: NewMemBackend()}
 	l, err := NewLog(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No pipeline: WaitDurable flushes directly; a failure there is a
-	// failed commit all the same.
 	b.fail.Store(true)
 	lsn, _ := l.Append(&Record{Type: RecCommit, TxnID: 1})
 	if err := l.WaitDurable(lsn); !errors.Is(err, ErrInjected) {
@@ -236,7 +233,7 @@ func TestAbortGroupCommitIsCrashExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartGroupCommit(new(Peers))
+	l.SetPeers(new(Peers))
 	// One round is in flight at the crash (its bytes written, its sync
 	// pending); the committer under test is queued behind it.
 	first := holdOneCommitter(t, l, b)

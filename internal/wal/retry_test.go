@@ -65,8 +65,6 @@ func TestGroupCommitSurvivesTransientFaults(t *testing.T) {
 	r := fault.NewRetrier(fault.Policy{MaxAttempts: 5})
 	r.Sleep = func(time.Duration) {}
 	l.SetRetrier(r)
-	l.StartGroupCommit(new(Peers))
-	defer l.StopGroupCommit()
 
 	fb.AddTransientSyncFaults(3)
 	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 1})

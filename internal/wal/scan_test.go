@@ -28,7 +28,24 @@ func (c *countingBackend) ReadAt(p []byte, off int64) (int, error) {
 
 // memOf returns a MemBackend holding a copy of data.
 func memOf(data []byte) *MemBackend {
-	return &MemBackend{buf: append([]byte(nil), data...)}
+	b := NewMemBackend()
+	b.Append(data)
+	return b
+}
+
+// contents returns a copy of everything b holds.
+func (b *MemBackend) contents() []byte {
+	size, _ := b.Size()
+	p := make([]byte, size)
+	b.ReadAt(p, 0)
+	return p
+}
+
+// flip inverts the byte at off, as a medium that corrupted it would.
+func (b *MemBackend) flip(off int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.chunks[off/memChunk][off%memChunk] ^= 0xFF
 }
 
 // scanRec is an IMRS insert whose redo image has n bytes, stamped with
@@ -239,7 +256,7 @@ func binaryFrame(rec Record) []byte {
 	if err := l.FlushAll(); err != nil {
 		panic(err)
 	}
-	return b.buf
+	return b.contents()
 }
 
 // TestRepairTailMidLogCorruptionBehindTear: a corrupt frame in the
@@ -258,7 +275,7 @@ func TestRepairTailMidLogCorruptionBehindTear(t *testing.T) {
 	for offs[bad] < blockSize+blockSize/2 {
 		bad++
 	}
-	b.buf[offs[bad]+frameHeader+5] ^= 0xFF
+	b.flip(offs[bad] + frameHeader + 5)
 	size, _ := b.Size()
 	l2, _ := NewLog(b)
 	if _, err := l2.RepairTail(); err == nil || !strings.Contains(err.Error(), "mid-log corruption") {
