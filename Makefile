@@ -46,13 +46,16 @@ test-commit:
 	$(GO) test -race -cpu 1,2,4 ./internal/shard/ -run 'Checkpoint'
 
 # Recovery pipeline tests (crash injection, parallel==serial
-# equivalence incl. one partition split into collect chunks, zero-filled
-# log tails, checkpoint-failure surfacing) and the WAL frame scanner
-# (block reads, torn tails, mid-log corruption) under the race detector
-# on one, two and four cores.
+# equivalence incl. one partition replayed in RID lanes, zero-filled
+# log tails, checkpoint-failure surfacing), the WAL frame scanner
+# (block reads, torn tails, mid-log corruption), the node's concurrent
+# shard recovery and its rolled-up stats under the race detector on
+# one, two and four cores.
 test-recovery:
 	$(GO) test -race -cpu 1,2,4 ./internal/wal/ -run 'Repair|Torn|Reader|Scan|Zero'
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt'
+	$(GO) test -race -cpu 1,2,4 ./internal/shard/ -run 'Recovery|InDoubt|Restart|Open'
+	$(GO) test -race -cpu 1,2,4 ./btrim/ -run 'TestNodeRecoveryStats'
 
 # IMRS-GC and allocator correctness under the race detector on one,
 # two and four cores: the reclamation rule (a reader registered before

@@ -110,8 +110,9 @@ type Config struct {
 	TuningWindowTxns uint64
 	// CheckpointEvery enables periodic background checkpoints.
 	CheckpointEvery time.Duration
-	// RecoveryThreads bounds the worker pool for the parallel recovery
-	// phases at Open (0 = GOMAXPROCS, 1 = serial recovery).
+	// RecoveryThreads bounds each shard's worker pool for the parallel
+	// recovery phases at Open (0 = GOMAXPROCS, 1 = serial recovery); the
+	// shards recover concurrently.
 	RecoveryThreads int
 	// ReadLatency/WriteLatency model device latency for in-memory devices.
 	ReadLatency, WriteLatency time.Duration

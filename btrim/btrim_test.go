@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/btrim"
 )
@@ -506,5 +507,70 @@ func TestPublicAPIHaltShard(t *testing.T) {
 	}
 	if got := db.Health().State; got != btrim.StateHalted {
 		t.Fatalf("Health() should report the worst shard, got %v", got)
+	}
+}
+
+// TestNodeRecoveryStats: the shards of a node recover concurrently, so
+// the node's recovery Total is the wall time of its open: no less than
+// the slowest shard's recovery and no more than all of them one after
+// the other. The phases merge by name across the shards.
+func TestNodeRecoveryStats(t *testing.T) {
+	cfg := btrim.Config{Dir: t.TempDir(), Shards: 2, IMRSCacheBytes: 32 << 20}
+	db, err := btrim.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(accountsSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; batch < 10; batch++ {
+		err := db.Update(func(tx *btrim.Tx) error {
+			for i := int64(1); i <= 1000; i++ {
+				id := int64(batch)*1000 + i
+				if err := tx.Insert("accounts", btrim.Values(
+					btrim.Int64(id), btrim.String(fmt.Sprintf("owner-%d", id%7)), btrim.Float64(float64(id)),
+				)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := btrim.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	s := db2.Stats()
+	var slowest, sum time.Duration
+	for _, sh := range s.Shards {
+		if !sh.Recovery.Ran {
+			t.Fatalf("shard %d did not recover", sh.Shard)
+		}
+		slowest = max(slowest, sh.Recovery.Total)
+		sum += sh.Recovery.Total
+	}
+	if s.Recovery.Total < slowest || s.Recovery.Total > sum {
+		t.Fatalf("node recovery Total = %v, want within [%v, %v] (slowest shard, sum of shards)",
+			s.Recovery.Total, slowest, sum)
+	}
+	if len(s.Recovery.Phases) == 0 {
+		t.Fatal("node recovery stats carry no phases")
+	}
+	var replayed int64
+	for _, p := range s.Recovery.Phases {
+		if p.Name == "imrs-replay" {
+			replayed += p.Items
+		}
+	}
+	if replayed != s.Recovery.IMRSRecords || replayed < 10000 {
+		t.Fatalf("merged imrs-replay items = %d, want the node's %d IMRS records (≥ 10000)", replayed, s.Recovery.IMRSRecords)
 	}
 }

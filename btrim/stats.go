@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // WALStats is one write-ahead log's activity, including how well the
@@ -38,7 +39,11 @@ type RecoveryStats struct {
 	Ran bool
 	// Threads is the configured recovery worker bound.
 	Threads int
-	// Total is the recovery pipeline's wall time; Phases breaks it down.
+	// Total is the recovery's wall time. With several shards it is the
+	// wall time of the node's open, over which the shards recover
+	// concurrently. Phases breaks it down, merged by name across the
+	// shards: their durations add, so with several shards they can sum
+	// to more than Total.
 	Total  time.Duration
 	Phases []RecoveryPhase
 
@@ -224,6 +229,9 @@ func (db *DB) Stats() Stats {
 		per[i] = statsFromSnapshot(db.node.Engine(i).Stats())
 	}
 	s := aggregateShardStats(per)
+	if len(per) > 1 {
+		s.Recovery.Total = db.node.OpenTime()
+	}
 	c := db.node.Counters()
 	s.SingleShardCommits = c.SingleShardCommits
 	s.CrossShardCommits = c.CrossShardCommits
@@ -346,11 +354,12 @@ func mergeWALStats(dst *WALStats, src WALStats) {
 }
 
 // aggregateShardStats rolls per-shard snapshots up into one node view:
-// counters and footprints sum, table/index maps merge by name, the hit
-// rate is recomputed from the merged operation counts, and Health
-// reports the worst shard. The rollup of one shard equals that shard's
-// stats; with several, recovery phases stay per shard (under Shards) and
-// the rollup keeps only the summed counters and total time.
+// counters and footprints sum, table/index maps and recovery phases
+// merge by name, the hit rate is recomputed from the merged operation
+// counts, and Health reports the worst shard. The rollup of one shard
+// equals that shard's stats. The shards recover concurrently, so the
+// rollup's recovery Total is the slowest shard's; with several shards
+// DB.Stats replaces it with the wall time of the node's open.
 func aggregateShardStats(per []Stats) Stats {
 	agg := Stats{
 		Tables:  make(map[string]TableStats),
@@ -358,6 +367,7 @@ func aggregateShardStats(per []Stats) Stats {
 		Shards:  make([]ShardStats, len(per)),
 	}
 	var imrsOps, pageOps int64
+	var phases metrics.PhaseSet // merges the shards' phases by name
 	for i, s := range per {
 		agg.Shards[i] = ShardStats{Shard: i, Stats: s}
 
@@ -390,7 +400,10 @@ func aggregateShardStats(per []Stats) Stats {
 
 		agg.Recovery.Ran = agg.Recovery.Ran || s.Recovery.Ran
 		agg.Recovery.Threads = s.Recovery.Threads
-		agg.Recovery.Total += s.Recovery.Total
+		agg.Recovery.Total = max(agg.Recovery.Total, s.Recovery.Total)
+		for _, p := range s.Recovery.Phases {
+			phases.Observe(p.Name, p.Duration, p.Items, p.Workers)
+		}
 		agg.Recovery.SyslogRecords += s.Recovery.SyslogRecords
 		agg.Recovery.IMRSRecords += s.Recovery.IMRSRecords
 		agg.Recovery.RedoConflicts += s.Recovery.RedoConflicts
@@ -447,8 +460,8 @@ func aggregateShardStats(per []Stats) Stats {
 	if total := imrsOps + pageOps; total > 0 {
 		agg.IMRSHitRate = float64(imrsOps) / float64(total)
 	}
-	if len(per) == 1 {
-		agg.Recovery.Phases = per[0].Recovery.Phases
+	for _, p := range phases.Snapshot() {
+		agg.Recovery.Phases = append(agg.Recovery.Phases, RecoveryPhase(p))
 	}
 	return agg
 }

@@ -69,9 +69,9 @@ type Config struct {
 	CheckpointEvery time.Duration
 
 	// RecoveryThreads bounds the worker pool for the parallel recovery
-	// phases (sysimrslogs replay partitioned by partition id, index
-	// rebuild per partition/index). 0 takes GOMAXPROCS; 1 recovers
-	// serially.
+	// phases (sysimrslogs replay in lanes by RID, index rebuild by RID
+	// map chunk and by index, queue sort). 0 takes GOMAXPROCS; 1
+	// recovers serially.
 	RecoveryThreads int
 
 	// ReadLatency/WriteLatency apply to the default in-memory device,

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,8 @@ import (
 	"repro/internal/index/btree"
 	"repro/internal/metrics"
 	"repro/internal/rid"
+	"repro/internal/ridmap"
+	"repro/internal/row"
 	"repro/internal/storage/colseg"
 	"repro/internal/storage/page"
 	"repro/internal/wal"
@@ -82,17 +86,18 @@ func (e *Engine) recoveryWorkers(jobs int) int {
 }
 
 // runParallel executes jobs [0, n) on up to threads workers and returns
-// the first error. Jobs are handed out through an atomic cursor so
-// uneven job sizes balance across workers; with one worker (or one job)
-// it degenerates to a plain loop, which is also the serial baseline the
-// equivalence tests compare against.
-func runParallel(threads, n int, fn func(job int) error) error {
+// the first error; fn learns which worker (in [0, threads)) runs the
+// job. Jobs are handed out through an atomic cursor so uneven job sizes
+// balance across workers; with one worker (or one job) it degenerates
+// to a plain loop, which is also the serial baseline the equivalence
+// tests compare against.
+func runParallel(threads, n int, fn func(worker, job int) error) error {
 	if threads > n {
 		threads = n
 	}
 	if threads <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -110,7 +115,7 @@ func runParallel(threads, n int, fn func(job int) error) error {
 				if j >= n {
 					return
 				}
-				if err := fn(j); err != nil {
+				if err := fn(w, j); err != nil {
 					errs[w] = err
 					return
 				}
@@ -606,9 +611,9 @@ func (e *Engine) redoSyslogs(ckptLSN uint64, winners map[uint64]uint64) (int64, 
 	}
 }
 
-// imrsRedoOp is one committed IMRS operation awaiting application, with
-// its transaction's commit timestamp. Replay holds every committed
-// operation at once, so it keeps only the wal.Record fields it uses.
+// imrsRedoOp is one IMRS operation awaiting its transaction's commit
+// (which sets ts) and then its application. It keeps only the
+// wal.Record fields the apply uses.
 type imrsRedoOp struct {
 	after     []byte
 	rid       rid.RID
@@ -617,38 +622,83 @@ type imrsRedoOp struct {
 	aux       uint8
 }
 
+// replayBatch is how many committed operations the replay scan hands a
+// lane at once.
+const replayBatch = 1024
+
 // replayIMRSLog redoes sysimrslogs from the beginning. A serial scan
-// pass determines transaction outcomes exactly as commit order dictates:
-// ops buffer per transaction and are scheduled at their IMRSCommit (a
-// mixed transaction — Aux=1 — applies only if its syslogs Commit also
-// survived). Committed ops are then demultiplexed by partition id and
-// applied on the recovery worker pool. That parallelization is sound
-// because records for different partitions commute — a RID lives in
-// exactly one partition, so the per-entry apply order (insert before
-// update before delete of the same RID) is preserved by applying each
-// partition's ops in commit-log order on a single worker, and the
-// structures shared across partitions (RID map, IMRS store accounting,
-// catalog virtual-sequence bumps) are all concurrency-safe. The max
-// commit timestamp is taken from the serial scan, before the fan-out.
+// determines transaction outcomes exactly as commit order dictates: ops
+// buffer per transaction and are scheduled at their IMRSCommit (a mixed
+// transaction — Aux=1 — applies only if its syslogs Commit also
+// survived). Committed ops are split into one lane per recovery worker
+// by RID hash and handed over in batches while the scan goes on, so scan
+// and apply overlap and only the batches in flight are held. That is
+// sound because the apply only needs each RID's ops in log order, which
+// a lane keeps; the structures lanes share (RID map, IMRS store
+// accounting, catalog virtual-sequence bumps) are all safe for
+// concurrent use. The max commit timestamp is taken by the scan.
 func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, workers int, err error) {
 	rdr, err := e.imrslog.NewReader(0)
 	if err != nil {
 		return 0, 1, err
 	}
-	pending := make(map[uint64][]wal.Record)
-	perPart := make(map[rid.PartitionID][]imrsRedoOp)
-	for {
+	workers = max(e.cfg.RecoveryThreads, 1)
+	errs := make([]error, workers)
+	var failed atomic.Bool
+	apply := func(lane int, ops []imrsRedoOp) {
+		for j := 0; j < len(ops) && errs[lane] == nil; j++ {
+			if errs[lane] = e.applyIMRSRedo(&ops[j]); errs[lane] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	// hand gives lane w its full batch: with one worker the scan applies
+	// it in place, otherwise the lane's goroutine does.
+	batches := make([][]imrsRedoOp, workers)
+	hand := func(w int) { apply(w, batches[w]); batches[w] = batches[w][:0] }
+	lanes := make([]chan []imrsRedoOp, workers)
+	var wg sync.WaitGroup
+	if workers > 1 {
+		for w := range lanes {
+			// Two queued batches keep a lane busy while the scan fills
+			// its next one; the bound is what caps the replay's heap.
+			lanes[w] = make(chan []imrsRedoOp, 2)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ops := range lanes[w] {
+					apply(w, ops)
+				}
+			}()
+		}
+		hand = func(w int) { lanes[w] <- batches[w]; batches[w] = make([]imrsRedoOp, 0, replayBatch) }
+	}
+	defer func() {
+		for _, ch := range lanes {
+			if ch != nil {
+				close(ch)
+			}
+		}
+		wg.Wait()
+		for _, laneErr := range errs {
+			err = cmp.Or(err, laneErr)
+		}
+	}()
+
+	pending := make(map[uint64][]imrsRedoOp)
+	for !failed.Load() {
 		rec, err := rdr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return 0, 1, fmt.Errorf("core: sysimrslogs replay: %w", err)
+			return maxTS, workers, fmt.Errorf("core: sysimrslogs replay: %w", err)
 		}
 		e.bumpTxnID(rec.TxnID)
 		switch rec.Type {
 		case wal.RecIMRSInsert, wal.RecIMRSUpdate, wal.RecIMRSDelete:
-			pending[rec.TxnID] = append(pending[rec.TxnID], rec)
+			pending[rec.TxnID] = append(pending[rec.TxnID], imrsRedoOp{after: rec.After, rid: rec.RID,
+				txnID: rec.TxnID, typ: rec.Type, aux: rec.Aux})
 		case wal.RecIMRSCommit:
 			ops := pending[rec.TxnID]
 			delete(pending, rec.TxnID)
@@ -661,31 +711,28 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 				maxTS = rec.CommitTS
 			}
 			for _, op := range ops {
-				part := op.RID.Partition()
-				perPart[part] = append(perPart[part], imrsRedoOp{after: op.After, rid: op.RID,
-					txnID: op.TxnID, ts: rec.CommitTS, typ: op.Type, aux: op.Aux})
-				e.recovery.imrsRecords++
+				op.ts = rec.CommitTS
+				w := laneOf(op.rid, workers)
+				batches[w] = append(batches[w], op)
+				if len(batches[w]) == replayBatch {
+					hand(w)
+				}
 			}
+			e.recovery.imrsRecords += int64(len(ops))
 		}
 	}
+	for w := range batches {
+		if len(batches[w]) > 0 {
+			hand(w)
+		}
+	}
+	return maxTS, workers, nil
+}
 
-	parts := make([]rid.PartitionID, 0, len(perPart))
-	for p := range perPart {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-	workers = e.recoveryWorkers(len(parts))
-	err = runParallel(workers, len(parts), func(i int) error {
-		ops := perPart[parts[i]]
-		for j := range ops {
-			if err := e.applyIMRSRedo(&ops[j]); err != nil {
-				return err
-			}
-			ops[j].after = nil // applied: the IMRS holds its own copy
-		}
-		return nil
-	})
-	return maxTS, workers, err
+// laneOf maps a RID to one of n replay lanes.
+func laneOf(r rid.RID, n int) int {
+	h := uint64(r) * 0x9e3779b97f4a7c15
+	return int((h >> 32) % uint64(n))
 }
 
 func (e *Engine) applyIMRSRedo(op *imrsRedoOp) error {
@@ -746,38 +793,64 @@ func (e *Engine) applyIMRSRedo(op *imrsRedoOp) error {
 	return nil
 }
 
-// indexFeed accumulates the bulk-load input for one index tree across
-// the parallel collect tasks.
-type indexFeed struct {
-	ix    *indexRT
-	mu    sync.Mutex
-	items []btree.Item
+// keyRef is one (key, RID) pair of an index run; the key lies at
+// [off, end) of its collector's key arena. Runs hold no pointers, so
+// sorting them costs the garbage collector nothing.
+type keyRef struct {
+	off, end int
+	rid      rid.RID
 }
 
-// collectChunk is the most recovered IMRS entries one collect task
-// indexes, so that a table with one partition still spreads its rebuild
-// over every recovery worker.
-const collectChunk = 8192
+// stamp is a live recovered entry's queue-sort input: its access stamp,
+// read once, its RID, and where it is (live[i] of collector w).
+type stamp struct {
+	at   uint64
+	rid  rid.RID
+	w, i int32
+}
+
+// coldestFirst orders recovered entries by (last access, RID): the
+// relaxed-LRU queues are consumed head-first by the packer, so ascending
+// last access restores the pre-crash coldness order, and the RID breaks
+// ties (entries committed at one timestamp) independently of the RID
+// map's iteration order.
+func coldestFirst(a, b stamp) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rid, b.rid)
+}
+
+func byKey(a, b btree.Item) int { return bytes.Compare(a.Key, b.Key) }
+
+// collector is one index-rebuild worker: it decodes each row once and
+// appends a (key, RID) pair to its run for each of the row's indexes.
+// IMRS-backed rows also populate the hash fast path (puts are safe for
+// concurrent use and order-independent).
+type collector struct {
+	e      *Engine
+	w      int32
+	feedOf map[*tableRT]int // the feed number of the table's first index
+	keys   []byte           // key arena
+	runs   [][]keyRef       // by feed number
+	rw     row.Row          // reused by decode
+	rows   int64
+	live   []*imrs.Entry
+	stamps []stamp // one per live entry
+	dead   []*imrs.Entry
+}
 
 // rebuildDerivedState runs the last two recovery phases. Index rebuild:
-// parallel collect tasks, one per (partition, chunk of its live IMRS
-// entries), decode each row once and emit (key, RID) pairs per index —
-// a partition's first task also indexes its cold segments and heap;
-// then each index sorts its pairs and bulk-loads its B+tree (index-
-// parallel — a tree is fed by one worker, so no tree-level concurrency
-// is needed). Queue rebuild: every live IMRS entry is re-enqueued on
-// its pack queue in coldness order.
-//
-// Two recovered-entry defects are fixed here. Entries whose newest
-// committed image is nil (a committed tombstone that was never swept)
-// used to be skipped before the enqueue, leaking them permanently —
-// invisible to lookups, absent from every pack queue, never reclaimed;
-// they are now reclaimed once the collect is done (until then they
-// shadow their RIDs' heap and segment copies). And entries used to be
-// enqueued in rmap iteration (i.e. map-random) order, destroying the
-// relaxed-LRU coldness order the packer depends on; they are now sorted
-// by last access so the first post-restart pack cycle evicts
-// actually-cold rows.
+// each hash fast path is sized to its table's recovered entry count;
+// collect tasks — one per partition for its cold segments and heap, one
+// per RID-map chunk for the IMRS entries — run on the recovery workers;
+// each B+tree is bulk-loaded from a merge of the workers' sorted runs
+// (index-parallel: a tree is fed by one worker). Dead entries (a
+// committed tombstone never swept) are reclaimed once the collect is
+// done — until then they shadow their RIDs' heap and segment copies —
+// so they do not stay resident outside every pack queue. Queue rebuild:
+// every live IMRS entry is enqueued in coldness order, from a merge of
+// the workers' sorted lists.
 func (e *Engine) rebuildDerivedState() error {
 	e.mu.RLock()
 	tables := make([]*tableRT, 0, len(e.byID))
@@ -786,75 +859,81 @@ func (e *Engine) rebuildDerivedState() error {
 	}
 	e.mu.RUnlock()
 
-	// Demux live recovered entries by partition for the collect tasks.
-	entriesByPart := make(map[rid.PartitionID][]*imrs.Entry)
-	var live, dead []*imrs.Entry
-	var rErr error
-	e.rmap.Range(func(r0 rid.RID, en *imrs.Entry) bool {
-		if e.partByID(r0.Partition()) == nil {
-			if e.cat.DroppedPartition(r0.Partition()) {
-				return true // entry of a dropped table; leave it out of derived state
-			}
-			rErr = fmt.Errorf("core: recovered entry in unknown partition %v", r0)
-			return false
-		}
-		if v := en.Visible(math.MaxUint64, 0); v == nil || v.Data() == nil {
-			// Committed tombstone (or fully reclaimed image) that survived
-			// in the log: nothing to index, and leaving it in the RID map
-			// with no queue membership would leak it forever.
-			dead = append(dead, en)
-			return true
-		}
-		entriesByPart[r0.Partition()] = append(entriesByPart[r0.Partition()], en)
-		live = append(live, en)
-		return true
-	})
-	if rErr != nil {
-		return rErr
-	}
-
-	var tasks []func() error // collect tasks
-	var feeds []*indexFeed
-	feedOf := make(map[*indexRT]*indexFeed)
+	var feeds []*indexRT
+	feedOf := make(map[*tableRT]int)
+	owner := make(map[rid.PartitionID]*tableRT)
+	var tasks []func(*collector) error
 	for _, rt := range tables {
+		feedOf[rt] = len(feeds)
+		feeds = append(feeds, rt.indexes...)
 		for _, prt := range rt.parts {
-			ents := entriesByPart[prt.cat.ID]
-			for i := 0; i == 0 || i < len(ents); i += collectChunk {
-				chunk, first := ents[i:min(i+collectChunk, len(ents))], i == 0
-				tasks = append(tasks, func() error { return e.collect(rt, prt, chunk, first, feedOf) })
-			}
+			owner[prt.cat.ID] = rt
+			tasks = append(tasks, func(c *collector) error { return c.base(rt, prt) })
 		}
-		for _, ix := range rt.indexes {
-			f := &indexFeed{ix: ix}
-			feeds = append(feeds, f)
-			feedOf[ix] = f
-		}
+	}
+	for i := 0; i < ridmap.Chunks; i++ {
+		tasks = append(tasks, func(c *collector) error { return c.imrsChunk(i, owner) })
 	}
 
 	collectWorkers := e.recoveryWorkers(len(tasks))
 	buildWorkers := e.recoveryWorkers(len(feeds))
 	workers := max(collectWorkers, buildWorkers)
+	collectors := make([]*collector, collectWorkers)
+	for w := range collectors {
+		collectors[w] = &collector{e: e, w: int32(w), feedOf: feedOf, runs: make([][]keyRef, len(feeds))}
+	}
 
 	err := e.recovery.phase(PhaseIndexRebuild, func() (int64, int, error) {
-		err := runParallel(collectWorkers, len(tasks), func(i int) error { return tasks[i]() })
+		for _, rt := range tables {
+			var n int64
+			for _, prt := range rt.parts {
+				n += e.store.Part(prt.cat.ID).Rows.Load()
+			}
+			for _, ix := range rt.indexes {
+				if ix.hash != nil {
+					ix.hash.Reserve(int(n))
+				}
+			}
+		}
+		err := runParallel(collectWorkers, len(tasks), func(w, i int) error { return tasks[i](collectors[w]) })
 		if err != nil {
 			return e.recovery.rowsIndexed.Load(), workers, err
 		}
-		for _, en := range dead {
-			en.MarkPacked()
-			e.rmap.Delete(en.RID, en)
-			e.store.RemoveEntry(en)
-		}
-		e.recovery.entriesReclaimed.Add(int64(len(dead)))
-		err = runParallel(buildWorkers, len(feeds), func(i int) error {
-			f := feeds[i]
-			sort.Slice(f.items, func(a, b int) bool {
-				return bytes.Compare(f.items[a].Key, f.items[b].Key) < 0
-			})
-			if err := f.ix.tree.BulkLoad(f.items); err != nil {
-				return fmt.Errorf("core: index rebuild %s: %w", f.ix.def.Name, err)
+		for _, c := range collectors {
+			for _, en := range c.dead {
+				en.MarkPacked()
+				e.rmap.Delete(en.RID, en)
+				e.store.RemoveEntry(en)
 			}
-			f.ix.def.Root = f.ix.tree.Root()
+			e.recovery.entriesReclaimed.Add(int64(len(c.dead)))
+			e.recovery.rowsIndexed.Add(c.rows)
+		}
+		// Each worker sorts its runs and turns them into B+tree items.
+		items := make([][][]btree.Item, len(feeds)) // feed → worker → run
+		for f := range items {
+			items[f] = make([][]btree.Item, len(collectors))
+		}
+		_ = runParallel(collectWorkers, len(collectors), func(_, w int) error {
+			c := collectors[w]
+			for f, run := range c.runs {
+				slices.SortFunc(run, func(a, b keyRef) int {
+					return bytes.Compare(c.keys[a.off:a.end], c.keys[b.off:b.end])
+				})
+				out := make([]btree.Item, len(run))
+				for j, k := range run {
+					out[j] = btree.Item{Key: c.keys[k.off:k.end:k.end], RID: k.rid}
+				}
+				items[f][w] = out
+			}
+			c.runs = nil
+			return nil
+		})
+		err = runParallel(buildWorkers, len(feeds), func(_, f int) error {
+			ix := feeds[f]
+			if err := ix.tree.BulkLoad(mergeRuns(items[f], byKey)); err != nil {
+				return fmt.Errorf("core: index rebuild %s: %w", ix.def.Name, err)
+			}
+			ix.def.Root = ix.tree.Root()
 			return nil
 		})
 		return e.recovery.rowsIndexed.Load(), workers, err
@@ -864,124 +943,160 @@ func (e *Engine) rebuildDerivedState() error {
 	}
 
 	return e.recovery.phase(PhaseQueueRebuild, func() (int64, int, error) {
-		// Coldest first: the relaxed-LRU queues are consumed head-first by
-		// the packer, so ascending last-access restores the pre-crash
-		// coldness order. RID breaks ties deterministically (entries
-		// committed at the same timestamp), which keeps the rebuilt order
-		// independent of the RID map's iteration order.
-		sort.Slice(live, func(i, j int) bool {
-			ai, aj := live[i].LastAccess(), live[j].LastAccess()
-			if ai != aj {
-				return ai < aj
-			}
-			return live[i].RID < live[j].RID
-		})
-		for _, en := range live {
-			e.queues.Enqueue(en)
+		runs := make([][]stamp, len(collectors))
+		for w, c := range collectors {
+			runs[w] = c.stamps
 		}
-		e.recovery.entriesEnqueued = int64(len(live))
-		return int64(len(live)), 1, nil
+		_ = runParallel(len(runs), len(runs), func(_, w int) error {
+			slices.SortFunc(runs[w], coldestFirst)
+			return nil
+		})
+		order := mergeRuns(runs, coldestFirst)
+		for _, s := range order {
+			e.queues.Enqueue(collectors[s.w].live[s.i])
+		}
+		e.recovery.entriesEnqueued = int64(len(order))
+		return int64(len(order)), len(runs), nil
 	})
 }
 
-// collect gathers one collect task's index keys: when first, the
-// partition's segment and heap rows not shadowed by an IMRS entry; then
-// the newest committed image of each of the given live IMRS entries.
-// Runs on the recovery worker pool; tasks are disjoint (a RID maps to
-// one partition, and each entry to one chunk of it), and the shared
-// feeds are mutex-guarded.
-func (e *Engine) collect(rt *tableRT, prt *partRT, entries []*imrs.Entry, first bool,
-	feedOf map[*indexRT]*indexFeed) error {
-	local := make([][]btree.Item, len(rt.indexes))
-	var rows int64
-	if first {
-		// Segment pass: index every live, newest cold copy. Frozen rows keep
-		// their RIDs, so (key, RID) pairs come straight off the segments.
-		for _, seg := range e.cold.AppendSegments(nil, prt.cat.ID) {
-			if seg.TableID() != rt.cat.ID {
-				continue
-			}
-			for i := 0; i < seg.Rows(); i++ {
-				r0 := seg.RIDAt(i)
-				if seg.KillTS(i) != 0 || !seg.NewestAt(i, math.MaxUint64) {
-					continue
-				}
-				if e.rmap.Get(r0) != nil {
-					continue // a newer IMRS image indexes the RID
-				}
-				enc, err := seg.EncodeRowAt(i, nil)
-				if err != nil {
-					return err
-				}
-				if err := e.collectRowKeys(rt, r0, enc, nil, local); err != nil {
-					return err
-				}
-				rows++
-			}
-		}
-
-		var scanErr error
-		err := prt.heap.Scan(func(r0 rid.RID, data []byte) bool {
-			if e.rmap.Get(r0) != nil {
-				return true // indexed from its IMRS image
-			}
-			if _, _, k, ok := e.cold.Lookup(r0); ok && k == 0 {
-				return true // stale heap copy shadowed by a live segment row
-			}
-			if err := e.collectRowKeys(rt, r0, data, nil, local); err != nil {
-				scanErr = err
-				return false
-			}
-			rows++
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return err
+// mergeRuns merges one or more sorted runs into one sorted slice,
+// pairwise; on equal elements the earlier run's comes first.
+func mergeRuns[T any](runs [][]T, cmp func(a, b T) int) []T {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	a, b := mergeRuns(runs[:len(runs)/2], cmp), mergeRuns(runs[len(runs)/2:], cmp)
+	out := make([]T, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if cmp(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
 		}
 	}
-
-	for _, en := range entries {
-		if err := e.collectRowKeys(rt, en.RID, en.Visible(math.MaxUint64, 0).Data(), en, local); err != nil {
-			return err
-		}
-		rows++
-	}
-
-	for i, ix := range rt.indexes {
-		if len(local[i]) == 0 {
-			continue
-		}
-		f := feedOf[ix]
-		f.mu.Lock()
-		f.items = append(f.items, local[i]...)
-		f.mu.Unlock()
-	}
-	e.recovery.rowsIndexed.Add(rows)
-	return nil
+	return append(append(out, a...), b...)
 }
 
-// collectRowKeys decodes one recovered row and appends its key for each
-// of the table's indexes to local (parallel to rt.indexes). IMRS-backed
-// rows (en != nil) also populate the hash fast path here — hash puts
-// are concurrency-safe and order-independent, so they need no separate
-// build step.
-func (e *Engine) collectRowKeys(rt *tableRT, r0 rid.RID, data []byte, en *imrs.Entry, local [][]btree.Item) error {
-	rw, err := e.decode(rt, data)
+// base indexes a partition's segment and heap rows that no IMRS entry
+// shadows.
+func (c *collector) base(rt *tableRT, prt *partRT) error {
+	e := c.e
+	// Segment pass: index every live, newest cold copy. Frozen rows keep
+	// their RIDs, so (key, RID) pairs come straight off the segments.
+	for _, seg := range e.cold.AppendSegments(nil, prt.cat.ID) {
+		if seg.TableID() != rt.cat.ID {
+			continue
+		}
+		for i := 0; i < seg.Rows(); i++ {
+			r0 := seg.RIDAt(i)
+			if seg.KillTS(i) != 0 || !seg.NewestAt(i, math.MaxUint64) {
+				continue
+			}
+			if e.rmap.Get(r0) != nil {
+				continue // a newer IMRS image indexes the RID
+			}
+			enc, err := seg.EncodeRowAt(i, nil)
+			if err != nil {
+				return err
+			}
+			if err := c.row(rt, r0, enc, nil); err != nil {
+				return err
+			}
+		}
+	}
+
+	var scanErr error
+	err := prt.heap.Scan(func(r0 rid.RID, data []byte) bool {
+		if e.rmap.Get(r0) != nil {
+			return true // indexed from its IMRS image
+		}
+		if _, _, k, ok := e.cold.Lookup(r0); ok && k == 0 {
+			return true // stale heap copy shadowed by a live segment row
+		}
+		scanErr = c.row(rt, r0, data, nil)
+		return scanErr == nil
+	})
+	if err == nil {
+		err = scanErr
+	}
+	return err
+}
+
+// imrsChunk indexes the newest committed image of every live IMRS entry
+// in chunk i of the RID map, and sorts the entries into live and dead.
+func (c *collector) imrsChunk(i int, owner map[rid.PartitionID]*tableRT) error {
+	var err error
+	c.e.rmap.RangeChunk(i, func(r0 rid.RID, en *imrs.Entry) bool {
+		rt := owner[r0.Partition()]
+		if rt == nil {
+			if !c.e.cat.DroppedPartition(r0.Partition()) {
+				err = fmt.Errorf("core: recovered entry in unknown partition %v", r0)
+			}
+			return err == nil // an entry of a dropped table stays out of derived state
+		}
+		v := en.Visible(math.MaxUint64, 0)
+		if v == nil || v.Data() == nil {
+			// Committed tombstone (or fully reclaimed image) that survived
+			// in the log: nothing to index, and leaving it in the RID map
+			// with no queue membership would leak it forever.
+			c.dead = append(c.dead, en)
+			return true
+		}
+		c.stamps = append(c.stamps, stamp{at: en.LastAccess(), rid: r0, w: c.w, i: int32(len(c.live))})
+		c.live = append(c.live, en)
+		err = c.row(rt, r0, v.Data(), en)
+		return err == nil
+	})
+	return err
+}
+
+// row decodes one recovered row and appends its key to the run of each
+// of the table's indexes.
+func (c *collector) row(rt *tableRT, r0 rid.RID, data []byte, en *imrs.Entry) error {
+	rw, err := c.decode(rt, data)
 	if err != nil {
 		return err
 	}
+	first := c.feedOf[rt]
 	for i, ix := range rt.indexes {
-		k, err := indexKey(ix, rw, r0)
-		if err != nil {
-			return err
+		off := len(c.keys)
+		for _, o := range ix.def.ColOrds {
+			if o < 0 || o >= len(rw) {
+				return fmt.Errorf("row: key ordinal %d out of range", o)
+			}
+			c.keys = row.EncodeKey(c.keys, rw[o])
 		}
-		local[i] = append(local[i], btree.Item{Key: k, RID: r0})
+		if !ix.def.Unique {
+			c.keys = ridSuffix(c.keys, r0)
+		}
+		c.runs[first+i] = append(c.runs[first+i], keyRef{off: off, end: len(c.keys), rid: r0})
 		if ix.hash != nil && en != nil {
-			ix.hash.Put(k, en)
+			ix.hash.Put(c.keys[off:], en)
 		}
 	}
+	c.rows++
 	return nil
+}
+
+// decode decodes data into the collector's reused row without copying:
+// string and bytes columns alias data, both as bytes values, which
+// encode to the same index keys. The row is only good while data is.
+func (c *collector) decode(rt *tableRT, data []byte) (row.Row, error) {
+	rw := c.rw[:0]
+	err := row.VisitEncoded(rt.cat.Schema, data, func(_ int, k row.Kind, i int64, f float64, b []byte) error {
+		switch k {
+		case row.KindInt64:
+			rw = append(rw, row.Int64(i))
+		case row.KindFloat64:
+			rw = append(rw, row.Float64(f))
+		case row.KindString, row.KindBytes:
+			rw = append(rw, row.Bytes(b))
+		default:
+			rw = append(rw, row.Null)
+		}
+		return nil
+	})
+	c.rw = rw
+	return rw, err
 }

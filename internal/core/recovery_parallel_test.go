@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -243,10 +244,89 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 		})
 	}
 	t.Run("chunked", testChunkedRecoveryEquivalence)
+	t.Run("chains", testChainRecoveryEquivalence)
+}
+
+// testChainRecoveryEquivalence: one partition whose rows go through
+// chains of updates, deletes and re-inserts, each chain spread over many
+// transactions and its rows over every replay lane, recovers with one
+// worker and with eight to the same rows, indexes, hash entries and
+// pack-queue order. The replay keeps each RID's operations in log order
+// only; this is the input where that order matters.
+func testChainRecoveryEquivalence(t *testing.T) {
+	st := newSharedStorage()
+	e, err := Open(st.config(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	createItems(t, e)
+	const keys = 400
+	live := make(map[int64]bool)
+	rng := rand.New(rand.NewSource(35))
+	for round := 0; round < 60; round++ {
+		tx := e.Begin()
+		was := maps.Clone(live)
+		deleted := make(map[int64]bool) // re-inserted by a later transaction
+		for op := 0; op < 40; op++ {
+			id := int64(rng.Intn(keys))
+			if deleted[id] {
+				continue
+			}
+			switch {
+			case !live[id]:
+				if err := tx.Insert("items", itemRow(id, fmt.Sprintf("c%d-%d", id%7, round), int64(round))); err != nil {
+					t.Fatal(err)
+				}
+				live[id] = true
+			case rng.Intn(3) == 0:
+				if _, err := tx.Delete("items", pk(id)); err != nil {
+					t.Fatal(err)
+				}
+				live[id], deleted[id] = false, true
+			default:
+				if _, err := tx.Update("items", pk(id), func(r row.Row) (row.Row, error) {
+					r[1] = row.String(fmt.Sprintf("u%d-%d", id%5, round))
+					r[2] = row.Int64(r[2].Int() + 1)
+					return r, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if round%9 == 4 {
+			tx.Abort()
+			live = was
+			continue
+		}
+		mustCommit(t, tx)
+	}
+	if err := e.Halt(); err != nil {
+		t.Fatal(err)
+	}
+
+	fp := func(threads int) string {
+		e2, err := Open(st.config(func(c *Config) {
+			c.RecoveryThreads = threads
+			c.PackInterval = time.Hour
+		}))
+		if err != nil {
+			t.Fatalf("recovery with %d threads: %v", threads, err)
+		}
+		defer e2.Halt()
+		if ph := e2.Stats().Recovery.Phases; ph[len(ph)-3].Name != PhaseIMRSReplay || ph[len(ph)-3].Workers != threads {
+			t.Fatalf("%d threads: replay phase %+v, want %d lanes", threads, ph[len(ph)-3], threads)
+		}
+		return recoveryFingerprint(t, e2)
+	}
+	serial, parallel := fp(1), fp(8)
+	if serial != parallel {
+		t.Errorf("lane-parallel replay diverged from serial.\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
+	}
 }
 
 // testChunkedRecoveryEquivalence: one single-partition table whose
-// recovered IMRS entries span more than three collect chunks, beside
+// recovered IMRS entries span more than three blocks of 8192 (so many
+// replay batches per lane and every RID-map chunk of the collect), beside
 // heap rows, frozen rows, migrated and un-frozen rows and deletes,
 // recovers to the same index contents, hash entries and queue order
 // with one worker and with four.
@@ -286,12 +366,13 @@ func testChunkedRecoveryEquivalence(t *testing.T) {
 	// Frozen rows, then more than three chunks of IMRS rows.
 	insert(101, 400, "cold")
 	freezeRows(t, e, 300)
-	const hot = 3*collectChunk + 500
+	const chunk = 8 * replayBatch
+	const hot = 3*chunk + 500
 	insert(1001, 1000+hot, "hot")
 	// Migrate heap rows and un-freeze frozen ones into the IMRS, update
 	// hot rows, and delete rows from all three homes.
 	tx := e.Begin()
-	for _, id := range []int64{3, 5, 150, 160, 1001, 1002 + collectChunk, 1000 + hot} {
+	for _, id := range []int64{3, 5, 150, 160, 1001, 1002 + chunk, 1000 + hot} {
 		if _, err := tx.Update("items", pk(id), func(r row.Row) (row.Row, error) {
 			r[2] = row.Int64(r[2].Int() + 7)
 			return r, nil
@@ -299,7 +380,7 @@ func testChunkedRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range []int64{7, 170, 1003, 1003 + 2*collectChunk} {
+	for _, id := range []int64{7, 170, 1003, 1003 + 2*chunk} {
 		if _, err := tx.Delete("items", pk(id)); err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +401,7 @@ func testChunkedRecoveryEquivalence(t *testing.T) {
 		}
 		defer e2.Halt()
 		rec := e2.Stats().Recovery
-		if rec.EntriesEnqueued <= 3*collectChunk {
+		if rec.EntriesEnqueued <= 3*chunk {
 			t.Fatalf("recovered %d live IMRS entries, want more than three chunks", rec.EntriesEnqueued)
 		}
 		if cs := e2.Stats().ColdStore; cs.RowsLive == 0 {
@@ -658,10 +739,19 @@ func TestRecoveryStatsPhases(t *testing.T) {
 	if len(rec.Phases) != len(want) {
 		t.Fatalf("phases = %+v, want %v", rec.Phases, want)
 	}
+	var timed time.Duration
 	for i, ph := range rec.Phases {
 		if ph.Name != want[i] {
 			t.Fatalf("phase %d = %q, want %q", i, ph.Name, want[i])
 		}
+		timed += ph.Duration
+	}
+	// One partition still replays on every worker: lanes split by RID.
+	if ph := rec.Phases[4]; ph.Workers <= 1 {
+		t.Fatalf("%s ran on %d workers for a one-partition table, want > 1", ph.Name, ph.Workers)
+	}
+	if timed > rec.Total {
+		t.Fatalf("phases sum to %v, more than Total %v", timed, rec.Total)
 	}
 	if rec.RowsIndexed != 20 || rec.EntriesEnqueued != 20 || rec.IMRSRecords != 20 {
 		t.Fatalf("indexed=%d enqueued=%d imrsRecords=%d, want 20/20/20",

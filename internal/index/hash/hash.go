@@ -125,7 +125,7 @@ func (ix *Index) Put(key []byte, e *imrs.Entry) {
 	// Grow before counting the new entry, so that count ≤ buckets holds
 	// at every instant an observer could sample the two.
 	if s.count.Load() == int64(len(t.buckets)) {
-		s.table.Store(t.doubled())
+		s.table.Store(t.resized(2 * len(t.buckets)))
 	}
 	s.count.Add(1)
 }
@@ -150,11 +150,11 @@ func (ix *Index) Delete(key []byte, e *imrs.Entry) {
 	}
 }
 
-// doubled returns a table of twice t's buckets holding t's mappings in
-// fresh nodes, so that readers still walking t's chains are undisturbed.
+// resized returns a table of size buckets holding t's mappings in fresh
+// nodes, so that readers still walking t's chains are undisturbed.
 // The caller holds the segment mutex.
-func (t *table) doubled() *table {
-	nt := &table{buckets: make([]atomic.Pointer[node], 2*len(t.buckets))}
+func (t *table) resized(size int) *table {
+	nt := &table{buckets: make([]atomic.Pointer[node], size)}
 	for i := range t.buckets {
 		for n := t.buckets[i].Load(); n != nil; n = n.next {
 			b := nt.bucket(n.hash)
@@ -162,6 +162,24 @@ func (t *table) doubled() *table {
 		}
 	}
 	return nt
+}
+
+// Reserve grows the index so that it can hold n mappings without
+// growing again (recovery sizes it to the recovered entry count before
+// it fills it). It never shrinks the index.
+func (ix *Index) Reserve(n int) {
+	per := 1
+	for per*segments < n {
+		per <<= 1
+	}
+	for i := range ix.segs {
+		s := &ix.segs[i]
+		s.mu.Lock()
+		if t := s.table.Load(); len(t.buckets) < per {
+			s.table.Store(t.resized(per))
+		}
+		s.mu.Unlock()
+	}
 }
 
 // copyWithout returns a chain equal to head minus any node keyed k, and

@@ -112,24 +112,38 @@ func (m *Map) LenRaw() int {
 
 // Range calls fn for every live entry until fn returns false.
 func (m *Map) Range(fn func(rid.RID, *imrs.Entry) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		type kv struct {
-			r rid.RID
-			e *imrs.Entry
-		}
-		items := make([]kv, 0, len(s.m))
-		for r, e := range s.m {
-			if !e.Packed() {
-				items = append(items, kv{r, e})
-			}
-		}
-		s.mu.RUnlock()
-		for _, it := range items {
-			if !fn(it.r, it.e) {
-				return
-			}
+	for i := 0; i < Chunks; i++ {
+		if !m.RangeChunk(i, fn) {
+			return
 		}
 	}
+}
+
+// Chunks is the number of disjoint chunks RangeChunk splits the map into.
+const Chunks = shards
+
+// RangeChunk calls fn for every live entry of chunk i (0 ≤ i < Chunks)
+// until fn returns false, and reports whether it ran to the end. The
+// chunks partition the map, so workers may range different chunks at
+// once; fn runs with no lock held.
+func (m *Map) RangeChunk(i int, fn func(rid.RID, *imrs.Entry) bool) bool {
+	s := &m.shards[i]
+	s.mu.RLock()
+	type kv struct {
+		r rid.RID
+		e *imrs.Entry
+	}
+	items := make([]kv, 0, len(s.m))
+	for r, e := range s.m {
+		if !e.Packed() {
+			items = append(items, kv{r, e})
+		}
+	}
+	s.mu.RUnlock()
+	for _, it := range items {
+		if !fn(it.r, it.e) {
+			return false
+		}
+	}
+	return true
 }

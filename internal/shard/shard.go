@@ -138,6 +138,9 @@ type Node struct {
 	resolveDone chan struct{}
 	stopOnce    sync.Once
 
+	// openTime is the wall time Open took to recover every shard.
+	openTime time.Duration
+
 	// Cross-shard commit accounting.
 	singleCommits   atomic.Int64 // transactions with ≤1 writing shard
 	crossCommits    atomic.Int64 // 2PC transactions committed
@@ -315,10 +318,11 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
+	// Shards recover concurrently: first every shard's decision scan,
+	// which the resolver reads, then every engine's open.
+	start := time.Now()
 	decisions := make([]decisionSet, nShards)
-	for i := range confs {
-		decisions[i] = scanDecisions(&confs[i])
-	}
+	eachShard(nShards, func(i int) { decisions[i] = scanDecisions(&confs[i]) })
 	resolver := func(gid uint64, coord uint32) core.TwoPCOutcome {
 		k := decKey{coord: coord, gid: gid}
 		for i := range decisions {
@@ -345,20 +349,30 @@ func Open(cfg Config) (*Node, error) {
 		r:       router{n: uint64(nShards)},
 		journal: journal,
 	}
-	for i := range confs {
+	engines := make([]*core.Engine, nShards)
+	errs := make([]error, nShards)
+	eachShard(nShards, func(i int) {
 		c := confs[i]
 		c.TwoPCResolver = resolver
-		e, err := core.Open(c)
+		if engines[i], errs[i] = core.Open(c); errs[i] == nil {
+			engines[i].ShareQuiesceGate(&n.quiesceGate)
+		}
+	})
+	for i, err := range errs {
 		if err != nil {
-			for j := 0; j < i; j++ {
-				_ = n.slots[j].Load().Close()
+			for _, e := range engines {
+				if e != nil {
+					_ = e.Close()
+				}
 			}
 			journal.close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		e.ShareQuiesceGate(&n.quiesceGate)
+	}
+	for i, e := range engines {
 		n.slots[i].Store(e)
 	}
+	n.openTime = time.Since(start)
 
 	if !cfg.DisableRouteRetry {
 		p := cfg.RouteRetry
@@ -392,6 +406,23 @@ func Open(cfg Config) (*Node, error) {
 	}
 	return n, nil
 }
+
+// eachShard runs fn(i) for every shard i at once and waits for all.
+func eachShard(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// OpenTime returns the wall time Open took to recover every shard; the
+// shards recover concurrently, so it is not the sum of their times.
+func (n *Node) OpenTime() time.Duration { return n.openTime }
 
 // engine returns shard i's live engine incarnation.
 func (n *Node) engine(i int) *core.Engine { return n.slots[i].Load() }
