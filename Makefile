@@ -77,34 +77,30 @@ test-cold:
 	$(GO) test -race -cpu 1,2,4 ./internal/storage/colseg/
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'TestCold|TestScan'
 
-# Randomized fault-injection soak (internal/chaos) under the race
-# detector: transient device/WAL glitches, hard log deaths, and
-# crash/recover cycles against a live workload. Longer soaks and seed
-# sweeps: go run ./cmd/chaos -seeds 8 -cycles 1000.
+# Every chaos scenario (internal/chaos) under the race detector, once:
+# the engine soak (transient device/WAL glitches, hard log deaths,
+# crash/recover), shard-halt, the coordinator and participant 2PC
+# crashes and connection drops, over the node and over SQL on loopback
+# TCP. Longer sweeps: go run ./cmd/chaos -seeds 8 -cycles 1000
+# [-scenario name,...].
 test-chaos:
 	$(GO) test -race ./internal/chaos/
 
-# Full-stack chaos over the wire under the race detector: seeded shard
-# halts/restarts, client aborts, oversized frames, and statement storms
-# against a live TCP server, plus the deterministic coordinator-crash
-# and server-limits suites it builds on. Longer sweeps:
-# go run ./cmd/chaos -server -seeds 8; availability numbers:
-# go run ./cmd/chaos -avail.
+# The resolver and decision-journal tests and the server-limits suite
+# (deadlines, connection caps, idle reaping, panic isolation, oversized
+# frames, goroutine leaks) under the race detector. The wire chaos
+# scenarios run in test-chaos.
 test-chaos-server:
-	$(GO) test -race ./internal/chaos/ -run 'ServerChaos'
 	$(GO) test -race ./internal/shard/ -run 'Resolver|Journal'
 	$(GO) test -race ./internal/server/ -run 'Limits|Deadline|MaxConns|IdleReap|Panic|Oversized|GoroutineLeak'
 
 # Node tests under the race detector: the router/2PC/in-doubt recovery
 # and fan-out suite, the public API on one and on three shards (with the
-# directory-layout checks), the engine-level prepare/decide/resolve
-# tests, and the shard-crash chaos scenario (one shard killed
-# mid-workload; cross-shard atomicity and survivor availability
-# asserted).
+# directory-layout checks) and the engine-level prepare/decide/resolve
+# tests. The shard-halt chaos scenario runs in test-chaos.
 test-shard:
 	$(GO) test -race ./internal/shard/ ./btrim/
 	$(GO) test -race ./internal/core/ -run 'Prepare|InDoubt|TwoPC|LocalOutcome'
-	$(GO) test -race ./internal/chaos/ -run 'ShardCrash'
 
 # SQL front end, wire server, and shell tests under the race detector:
 # lexer/parser/planner/executor suites, the protocol round-trip and

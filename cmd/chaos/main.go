@@ -1,95 +1,57 @@
-// Command chaos runs the randomized fault-injection soak from
-// internal/chaos for as long as you like — the short version runs in
-// `go test ./internal/chaos`; this binary is for overnight soaks and
+// Command chaos runs the seeded fault-injection scenarios of
+// internal/chaos for as long as you like — the short versions run in
+// `go test ./internal/chaos`; this binary is for overnight sweeps and
 // for replaying a failing seed.
 //
-//	chaos [-seed 1] [-seeds 8] [-cycles 1000] [-ops 25] [-v]
-//	chaos -server [-seed 1] [-seeds 8] [-v]   full-stack chaos over TCP
-//	chaos -avail  [-seed 1]                   availability measurement
+//	chaos [-scenario name[,name...]] [-seed 1] [-seeds 8] [-cycles 1000] [-v]
+//
+// The default scenarios are the engine soak (calm, transient-device,
+// transient-wal, log-death, crash-recover). shard-halt also prints the
+// committed transfers/s before and after one of four shards halts;
+// conn-drop runs every transfer as SQL over loopback TCP. An unknown
+// name exits 2 and lists the valid ones.
 //
 // With -seeds N it runs N consecutive seeds (seed, seed+1, ...) and
 // stops at the first invariant violation, printing the seed to replay.
-//
-// -server drives SQL over a real TCP connection against a sharded node
-// while killing shards mid-2PC, crashing the coordinator between
-// prepare and decide, and dropping connections (internal/chaos
-// ServerChaosRun). -avail measures ops/s over the wire healthy versus
-// with one of eight shards down.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/chaos"
 )
 
 func main() {
+	list := flag.String("scenario", "calm,transient-device,transient-wal,log-death,crash-recover", "comma-separated scenario names")
 	seed := flag.Int64("seed", 1, "base random seed")
 	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run")
-	cycles := flag.Int("cycles", 1000, "fault cycles per seed")
-	ops := flag.Int("ops", 25, "transactions per cycle")
-	serverMode := flag.Bool("server", false, "run the full-stack wire chaos instead of the engine soak")
-	availMode := flag.Bool("avail", false, "measure availability under one-shard failure")
+	cycles := flag.Int("cycles", 1000, "scenario steps per seed")
 	verbose := flag.Bool("v", false, "log progress")
 	flag.Parse()
 
-	if *availMode {
-		cfg := chaos.ServerAvailabilityConfig{Seed: *seed, Phase: time.Second}
+	names, err := chaos.ParseScenarios(*list)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(2)
+	}
+	for i := 0; i < *seeds; i++ {
+		cfg := chaos.Config{Seed: *seed + int64(i), Scenarios: names, Cycles: *cycles}
 		if *verbose {
 			cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 		}
-		res, err := chaos.ServerAvailabilityRun(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos -avail: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("healthy: %.0f ops/s (%d ops)\n", res.HealthyPerSec, res.HealthyOps)
-		fmt.Printf("1-of-8 down: %.0f ops/s (%d ops, %d dead-shard failures, %.1f%% retained)\n",
-			res.DegradedPerSec, res.DegradedOps, res.DownFailures,
-			100*res.DegradedPerSec/res.HealthyPerSec)
-		return
-	}
-
-	if *serverMode {
-		for i := 0; i < *seeds; i++ {
-			s := *seed + int64(i)
-			cfg := chaos.ServerChaosConfig{Seed: s}
-			if *verbose {
-				cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-			}
-			res, err := chaos.ServerChaosRun(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos -server: seed %d FAILED: %v\n", s, err)
-				fmt.Fprintf(os.Stderr, "replay with: go run ./cmd/chaos -server -seed %d -v\n", s)
-				os.Exit(1)
-			}
-			fmt.Printf("seed %d: %d commits, %d clean aborts, %d commit errors, %d retryable wire errors, %d partial selects, %d redials, %d in-doubt resolved, %d RO exits, %d shard restarts\n",
-				s, res.Commits, res.CleanAborts, res.CommitErrors, res.RetryableErrors,
-				res.PartialSelects, res.Redials, res.InDoubtResolved, res.ReadOnlyExits, res.ShardRestarts)
-		}
-		return
-	}
-
-	for i := 0; i < *seeds; i++ {
-		s := *seed + int64(i)
-		cfg := chaos.Config{Seed: s, Cycles: *cycles, OpsPerCycle: *ops}
-		if *verbose {
-			cfg.Logf = func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			}
-		}
 		res, err := chaos.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: seed %d FAILED: %v\n", s, err)
-			fmt.Fprintf(os.Stderr, "replay with: go run ./cmd/chaos -seed %d -cycles %d -ops %d -v\n",
-				s, *cycles, *ops)
+			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+			fmt.Fprintf(os.Stderr, "replay with: go run ./cmd/chaos -scenario %s -seed %d -cycles %d -v\n",
+				*list, cfg.Seed, *cycles)
 			os.Exit(1)
 		}
-		fmt.Printf("seed %d: %d cycles, %d commits (%d failed), %d recoveries, %d read-only events, %d transient faults, %d rows verified\n",
-			s, res.Cycles, res.Commits, res.FailedCommits, res.Recoveries,
-			res.ReadOnlyEvents, res.TransientFaults, res.RowsVerified)
+		fmt.Printf("seed %d: %+v\n", cfg.Seed, res)
+		if res.HealthyPerSec > 0 {
+			fmt.Printf("shard-halt: %.0f committed transfers/s healthy, %.0f with one shard down (%.1f%% retained)\n",
+				res.HealthyPerSec, res.DegradedPerSec, 100*res.DegradedPerSec/res.HealthyPerSec)
+		}
 	}
 }

@@ -262,3 +262,18 @@ func (r *Retrier) Do(op func() error) error {
 	}
 	return ex
 }
+
+// TakeBudget consumes one unit of an injected-fault budget, never going
+// below zero under concurrent callers: the fault-injecting device and
+// log wrappers fail one operation per unit taken.
+func TakeBudget(budget *atomic.Int64) bool {
+	for {
+		n := budget.Load()
+		if n <= 0 {
+			return false
+		}
+		if budget.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}

@@ -3,6 +3,8 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -155,5 +157,29 @@ func TestNilRetrier(t *testing.T) {
 	}
 	if s := r.Stats(); s != (Stats{}) {
 		t.Fatalf("nil retrier stats = %+v", s)
+	}
+}
+
+// Concurrent takers consume a budget exactly: n succeed, none goes
+// below zero.
+func TestTakeBudget(t *testing.T) {
+	var budget atomic.Int64
+	budget.Store(100)
+	var took atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if TakeBudget(&budget) {
+					took.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if took.Load() != 100 || budget.Load() != 0 {
+		t.Fatalf("took %d, budget left %d; want 100 and 0", took.Load(), budget.Load())
 	}
 }

@@ -47,27 +47,13 @@ func (d *FaultyDevice) AddTransientWriteFaults(n int64) { d.transientWrites.Add(
 // Injected returns the total number of faults injected so far.
 func (d *FaultyDevice) Injected() int64 { return d.injected.Load() }
 
-// takeTransient consumes one unit of a transient budget, never going
-// below zero under concurrent callers.
-func takeTransient(budget *atomic.Int64) bool {
-	for {
-		n := budget.Load()
-		if n <= 0 {
-			return false
-		}
-		if budget.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
 // ReadPage implements Device.
 func (d *FaultyDevice) ReadPage(id uint32, buf []byte) error {
 	if d.FailReadsAfter > 0 && d.reads.Add(1) > d.FailReadsAfter {
 		d.injected.Add(1)
 		return ErrInjected
 	}
-	if takeTransient(&d.transientReads) {
+	if fault.TakeBudget(&d.transientReads) {
 		d.injected.Add(1)
 		return ErrInjectedTransient
 	}
@@ -80,7 +66,7 @@ func (d *FaultyDevice) WritePage(id uint32, buf []byte) error {
 		d.injected.Add(1)
 		return ErrInjected
 	}
-	if takeTransient(&d.transientWrites) {
+	if fault.TakeBudget(&d.transientWrites) {
 		d.injected.Add(1)
 		return ErrInjectedTransient
 	}

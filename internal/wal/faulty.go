@@ -63,20 +63,6 @@ func (b *FaultyBackend) AddTransientSyncFaults(n int64) { b.transientSyncs.Add(n
 // Injected returns the total number of faults injected so far.
 func (b *FaultyBackend) Injected() int64 { return b.injected.Load() }
 
-// takeBudget consumes one unit of a transient budget, never going below
-// zero under concurrent callers.
-func takeBudget(budget *atomic.Int64) bool {
-	for {
-		n := budget.Load()
-		if n <= 0 {
-			return false
-		}
-		if budget.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
 // Append implements Backend.
 func (b *FaultyBackend) Append(p []byte) (int64, error) {
 	if b.killed.Load() {
@@ -95,7 +81,7 @@ func (b *FaultyBackend) Append(p []byte) (int64, error) {
 		b.injected.Add(1)
 		return 0, ErrInjected
 	}
-	if takeBudget(&b.transientAppends) {
+	if fault.TakeBudget(&b.transientAppends) {
 		b.injected.Add(1)
 		return 0, ErrInjectedTransient
 	}
@@ -130,7 +116,7 @@ func (b *FaultyBackend) Sync() error {
 		b.injected.Add(1)
 		return ErrInjected
 	}
-	if takeBudget(&b.transientSyncs) {
+	if fault.TakeBudget(&b.transientSyncs) {
 		b.injected.Add(1)
 		return ErrInjectedTransient
 	}
