@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke loc ci
+.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke examples loc ci
 
 build:
 	$(GO) build ./...
@@ -155,6 +155,17 @@ test-bench:
 bench-smoke:
 	bash bench/run.sh -smoke
 
+# Build every program under examples/ and run it with a timeout. The
+# examples print stats through the public API, so a renamed field or a
+# hung database fails here rather than in a reader's terminal. Each run
+# takes about a second.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in examples/*/; do \
+		e=$$(basename $$d); echo "== examples/$$e"; \
+		$(GO) build -o "$$tmp/$$e" ./$$d && timeout 60s "$$tmp/$$e" || { echo "examples/$$e failed"; exit 1; }; \
+	done
+
 # Non-test Go lines of the root module (bench/ excluded) — the figure
 # CHANGES.md tracks.
 loc:
@@ -164,7 +175,7 @@ loc:
 # detector pass stays within runner budgets; drop -short locally for
 # the full suite. The fuzz targets run with a small budget here — the
 # checked-in corpora replay as plain seeds, the extra seconds only probe
-# for fresh crashers.
-ci: build vet fmt-check bench-build test-race-internal test-race-readpath test-commit test-sql-prepared
+# for fresh crashers. Every example program runs once (make examples).
+ci: build vet fmt-check bench-build examples test-race-internal test-race-readpath test-commit test-sql-prepared
 	$(GO) test -race -short ./...
 	$(MAKE) fuzz-proto FUZZTIME=10s

@@ -213,9 +213,8 @@ func TestPublicAPIDuplicateKey(t *testing.T) {
 
 // checkRollup asserts the shape of a node snapshot: one Shards entry per
 // shard, and on a one-shard node a rollup equal to that shard's own
-// stats field for field (the node counters, which only the rollup
-// carries, aside) — so the shell and btrimd print what the engine
-// reports.
+// snapshot field for field — so the shell and btrimd print what the
+// engine reports.
 func checkRollup(t *testing.T, s btrim.Stats, shards int) {
 	t.Helper()
 	if len(s.Shards) != shards {
@@ -224,12 +223,7 @@ func checkRollup(t *testing.T, s btrim.Stats, shards int) {
 	if shards != 1 {
 		return
 	}
-	got := s
-	got.Shards = nil
-	got.SingleShardCommits, got.CrossShardCommits, got.CrossShardAborts, got.CrossShardCommitErrors = 0, 0, 0, 0
-	got.InDoubtResolved, got.ReadOnlyExits, got.ShardRestarts, got.PartialResults = 0, 0, 0, 0
-	want := s.Shards[0].Stats
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	gv, wv := reflect.ValueOf(s.Snapshot), reflect.ValueOf(s.Shards[0])
 	for i := 0; i < gv.NumField(); i++ {
 		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
 			t.Errorf("one-shard rollup: %s = %+v, shard 0 has %+v",
@@ -249,22 +243,21 @@ func TestPublicAPIStats(t *testing.T) {
 		if s.IMRSRows != 20 {
 			t.Fatalf("IMRSRows = %d", s.IMRSRows)
 		}
-		ts, ok := s.Tables["accounts"]
-		if !ok || ts.IMRSRows != 20 || !ts.IMRSEnabled {
-			t.Fatalf("table stats = %+v", ts)
+		if ps := s.Partition("accounts"); ps.IMRSRows != 20 || !ps.InsertEnabled {
+			t.Fatalf("partition stats = %+v", ps)
 		}
-		if s.IMRSHitRate == 0 {
+		if s.IMRSHitRate() == 0 {
 			t.Fatal("hit rate should be positive after IMRS inserts")
 		}
 		checkRollup(t, s, shards)
 		// The one insert transaction wrote every shard: a plain commit on
 		// one shard, two-phase commit on three.
 		if shards == 1 {
-			if s.SingleShardCommits != 1 || s.CrossShardCommits != 0 || s.Prepares != 0 {
-				t.Fatalf("one shard: single=%d cross=%d prepares=%d", s.SingleShardCommits, s.CrossShardCommits, s.Prepares)
+			if s.SingleShardCommits != 1 || s.CrossShardCommits != 0 || s.TwoPC.Prepares != 0 {
+				t.Fatalf("one shard: single=%d cross=%d prepares=%d", s.SingleShardCommits, s.CrossShardCommits, s.TwoPC.Prepares)
 			}
-		} else if s.CrossShardCommits != 1 || s.Prepares == 0 || s.Decisions == 0 {
-			t.Fatalf("2PC rollup: cross=%d prepares=%d decisions=%d", s.CrossShardCommits, s.Prepares, s.Decisions)
+		} else if s.CrossShardCommits != 1 || s.TwoPC.Prepares == 0 || s.TwoPC.Decisions == 0 {
+			t.Fatalf("2PC rollup: cross=%d prepares=%d decisions=%d", s.CrossShardCommits, s.TwoPC.Prepares, s.TwoPC.Decisions)
 		}
 	})
 }
@@ -304,14 +297,14 @@ func TestPublicAPIAdminFanOut(t *testing.T) {
 		if err := db.PinTable("accounts", false); err != nil {
 			t.Fatal(err)
 		}
-		if db.Stats().Tables["accounts"].IMRSEnabled {
+		if db.Stats().Partition("accounts").InsertEnabled {
 			t.Fatal("table pinned out still IMRS-enabled on some shard")
 		}
 		if err := db.UnpinTable("accounts"); err != nil {
 			t.Fatal(err)
 		}
 		for i, sh := range db.Stats().Shards {
-			if !sh.Tables["accounts"].IMRSEnabled {
+			if !sh.Partition("accounts").InsertEnabled {
 				t.Fatalf("shard %d still pinned out after UnpinTable", i)
 			}
 		}
@@ -550,9 +543,9 @@ func TestNodeRecoveryStats(t *testing.T) {
 	defer db2.Close()
 	s := db2.Stats()
 	var slowest, sum time.Duration
-	for _, sh := range s.Shards {
+	for i, sh := range s.Shards {
 		if !sh.Recovery.Ran {
-			t.Fatalf("shard %d did not recover", sh.Shard)
+			t.Fatalf("shard %d did not recover", i)
 		}
 		slowest = max(slowest, sh.Recovery.Total)
 		sum += sh.Recovery.Total

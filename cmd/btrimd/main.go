@@ -47,9 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)
 	}
-	eng := sql.Wrap(db)
-
-	srv := server.NewWithConfig(eng, server.Config{
+	srv := server.NewWithConfig(sql.Wrap(db), server.Config{
 		MaxConns:         *maxConns,
 		StatementTimeout: *stmtTimeout,
 		IdleTimeout:      *idleTimeout,
@@ -94,9 +92,9 @@ func main() {
 		fmt.Printf("pipeline: frames=%d statements=%d skipped=%d sizes=%v\n",
 			st.BatchFrames, st.BatchedStatements, st.SkippedStatements, st.BatchSizes)
 	}
-	es := eng.Stats()
+	es := db.Stats()
 	fmt.Printf("engine: imrs-rows=%d imrs-used=%dB hit-rate=%.2f health=%v\n",
-		es.IMRSRows, es.IMRSUsedBytes, es.IMRSHitRate, es.Health.State)
+		es.IMRSRows, es.IMRSUsedBytes, es.IMRSHitRate(), es.Health.State)
 	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "close:", err)
 		os.Exit(1)

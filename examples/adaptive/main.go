@@ -83,20 +83,18 @@ func main() {
 
 		if round%30 == 29 {
 			s := db.Stats()
+			ev, ss := s.Partition("events"), s.Partition("sessions")
 			fmt.Printf("  round %3d: events IMRS-enabled=%v (%5d rows in mem, %d packed) | sessions enabled=%v (%d rows in mem)\n",
-				round+1,
-				s.Tables["events"].IMRSEnabled, s.Tables["events"].IMRSRows, s.Tables["events"].PackedRows,
-				s.Tables["sessions"].IMRSEnabled, s.Tables["sessions"].IMRSRows)
+				round+1, ev.InsertEnabled, ev.IMRSRows, ev.PackedRows, ss.InsertEnabled, ss.IMRSRows)
 		}
 	}
 
 	s := db.Stats()
-	fmt.Printf("\nresult: events enabled=%v, sessions enabled=%v\n",
-		s.Tables["events"].IMRSEnabled, s.Tables["sessions"].IMRSEnabled)
+	ev, ss := s.Partition("events"), s.Partition("sessions")
+	fmt.Printf("\nresult: events enabled=%v, sessions enabled=%v\n", ev.InsertEnabled, ss.InsertEnabled)
 	fmt.Printf("IMRS utilization %.0f%%; events consumed %.2f MB of memory for %d total rows\n",
-		100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacityBytes),
-		float64(s.Tables["events"].IMRSBytes)/(1<<20), eventID)
-	if !s.Tables["sessions"].IMRSEnabled {
+		100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacity), float64(ev.IMRSBytes)/(1<<20), eventID)
+	if !ss.InsertEnabled {
 		fmt.Println("note: tuner also disabled sessions (small table guard should normally prevent this)")
 	}
 }

@@ -14,13 +14,12 @@ import (
 	"repro/btrim"
 )
 
-const dir = "/tmp/btrim-banking-example"
-
 func main() {
-	_ = os.RemoveAll(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := os.MkdirTemp("", "btrim-banking-")
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
 
 	cfg := btrim.Config{Dir: dir, IMRSCacheBytes: 8 << 20}
 	db, err := btrim.Open(cfg)

@@ -106,9 +106,9 @@ func main() {
 			s := db.Stats()
 			fmt.Printf("round %2d: %6d orders total | IMRS %4.1f%% full | orders in-mem: %5d rows (%.2f MB) | dispatch in-mem: %d rows | packed: %d rows\n",
 				round+1, nextID,
-				100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacityBytes),
-				s.Tables["orders"].IMRSRows, float64(s.Tables["orders"].IMRSBytes)/(1<<20),
-				s.Tables["dispatch"].IMRSRows,
+				100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacity),
+				s.Partition("orders").IMRSRows, float64(s.Partition("orders").IMRSBytes)/(1<<20),
+				s.Partition("dispatch").IMRSRows,
 				s.RowsPacked)
 		}
 	}
@@ -125,7 +125,7 @@ func main() {
 	}))
 	s := db.Stats()
 	fmt.Printf("final: %d of %d orders in memory; the dispatch board (%d lanes) never left it\n",
-		s.Tables["orders"].IMRSRows, nextID, s.Tables["dispatch"].IMRSRows)
+		s.Partition("orders").IMRSRows, nextID, s.Partition("dispatch").IMRSRows)
 }
 
 func must(err error) {

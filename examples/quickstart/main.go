@@ -82,5 +82,5 @@ func main() {
 		})
 	})
 	s := db.Stats()
-	fmt.Printf("IMRS: %d rows in memory, hit rate %.0f%%\n", s.IMRSRows, 100*s.IMRSHitRate)
+	fmt.Printf("IMRS: %d rows in memory, hit rate %.0f%%\n", s.IMRSRows, 100*s.IMRSHitRate())
 }

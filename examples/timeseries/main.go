@@ -82,10 +82,10 @@ func main() {
 		s := db.Stats()
 		fmt.Printf("epoch %d (%6d readings): IMRS %4.0f%% full, packed %6d rows | in-memory per partition:",
 			epoch+1, ts,
-			100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacityBytes), s.RowsPacked)
+			100*float64(s.IMRSUsedBytes)/float64(s.IMRSCapacity), s.RowsPacked)
 		for p := 0; p < 4; p++ {
 			name := fmt.Sprintf("readings/p%d", p)
-			fmt.Printf("  p%d=%d", p, s.Tables[name].IMRSRows)
+			fmt.Printf("  p%d=%d", p, s.Partition(name).IMRSRows)
 		}
 		fmt.Println()
 	}

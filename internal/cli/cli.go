@@ -111,18 +111,13 @@ func PrintResult(w io.Writer, res *sql.Result) {
 }
 
 func (s *Shell) tables() error {
-	stats := s.db.Stats()
-	names := make([]string, 0, len(stats.Tables))
-	for n := range stats.Tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	parts := s.db.Stats().Partitions
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Name < parts[j].Name })
 	tw := tabwriter.NewWriter(s.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "table\tIMRS-rows\tIMRS-KB\treuse-ops\tpage-ops\tpacked\tenabled")
-	for _, n := range names {
-		t := stats.Tables[n]
+	for _, p := range parts {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			n, t.IMRSRows, t.IMRSBytes/1024, t.ReuseOps, t.PageOps, t.PackedRows, t.IMRSEnabled)
+			p.Name, p.IMRSRows, p.IMRSBytes/1024, p.ReuseOps(), p.PageOps, p.PackedRows, p.InsertEnabled)
 	}
 	return tw.Flush()
 }
@@ -130,9 +125,9 @@ func (s *Shell) tables() error {
 func (s *Shell) stats() error {
 	st := s.db.Stats()
 	fmt.Fprintf(s.out, "IMRS: %d rows, %d/%d KB (%.0f%%), hit rate %.1f%%\n",
-		st.IMRSRows, st.IMRSUsedBytes/1024, st.IMRSCapacityBytes/1024,
-		100*float64(st.IMRSUsedBytes)/float64(st.IMRSCapacityBytes),
-		100*st.IMRSHitRate)
+		st.IMRSRows, st.IMRSUsedBytes/1024, st.IMRSCapacity/1024,
+		100*float64(st.IMRSUsedBytes)/float64(st.IMRSCapacity),
+		100*st.IMRSHitRate())
 	fmt.Fprintf(s.out, "pack: %d rows (%d KB) packed, %d hot rows skipped\n",
 		st.RowsPacked, st.BytesPacked/1024, st.RowsSkipped)
 	return nil

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,9 +11,11 @@ import (
 	"repro/internal/sql"
 )
 
-func newShell(t *testing.T) (*Shell, *bytes.Buffer) {
+func newShell(t *testing.T) (*Shell, *bytes.Buffer) { return newShellOn(t, 1) }
+
+func newShellOn(t *testing.T, shards int) (*Shell, *bytes.Buffer) {
 	t.Helper()
-	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 8 << 20})
+	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 8 << 20, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,13 @@ func mustExec(t *testing.T, s *Shell, lines ...string) {
 }
 
 func TestShellEndToEnd(t *testing.T) {
-	s, buf := newShell(t)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shellEndToEnd(t, shards) })
+	}
+}
+
+func shellEndToEnd(t *testing.T, shards int) {
+	s, buf := newShellOn(t, shards)
 	mustExec(t, s,
 		`create table users (id int, name string, score float) key (id)`,
 		`insert into users values (1, "ada", 99.5)`,
@@ -52,8 +61,22 @@ func TestShellEndToEnd(t *testing.T) {
 		t.Fatalf("scan output: %s", buf.String())
 	}
 	buf.Reset()
+	mustExec(t, s, `insert into users values (3, "edsger", 77)`, `tables`)
+	// table, IMRS-rows, IMRS-KB, reuse-ops, page-ops, packed, enabled:
+	// three rows in memory summed over the shards, and the table still
+	// takes IMRS inserts.
+	if f := tableLine(t, buf.String(), "users"); f[1] != "3" || f[6] != "true" {
+		t.Fatalf("tables: users row = %q, want 3 IMRS rows and enabled=true:\n%s", f, buf.String())
+	}
+	buf.Reset()
+	mustExec(t, s, `stats`)
+	// Every operation so far was served in memory.
+	if !strings.HasPrefix(buf.String(), "IMRS: 3 rows, ") || !strings.Contains(buf.String(), ", hit rate 100.0%\n") {
+		t.Fatalf("stats output: %s", buf.String())
+	}
+	buf.Reset()
 	mustExec(t, s, `delete from users where id = 2`, `select * from users`)
-	if !strings.Contains(buf.String(), "DELETE 1") || !strings.Contains(buf.String(), "(1 rows)") {
+	if !strings.Contains(buf.String(), "DELETE 1") || !strings.Contains(buf.String(), "(2 rows)") {
 		t.Fatalf("delete not applied: %s", buf.String())
 	}
 	buf.Reset()
@@ -62,12 +85,29 @@ func TestShellEndToEnd(t *testing.T) {
 		t.Fatalf("missing-row select: %s", buf.String())
 	}
 	buf.Reset()
-	mustExec(t, s, `tables`, `stats`, `checkpoint`, `pin users in`, `unpin users`, `help`)
-	for _, want := range []string{"users", "IMRS:", "pack:", "admin commands"} {
+	mustExec(t, s, `pin users out`, `tables`)
+	if f := tableLine(t, buf.String(), "users"); f[6] != "false" {
+		t.Fatalf("tables after pin out: users row = %q, want enabled=false", f)
+	}
+	buf.Reset()
+	mustExec(t, s, `stats`, `checkpoint`, `pin users in`, `unpin users`, `help`)
+	for _, want := range []string{"IMRS:", "pack:", "admin commands"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("meta-command output lacks %q: %s", want, buf.String())
 		}
 	}
+}
+
+// tableLine returns the fields of the `tables` output row naming table.
+func tableLine(t *testing.T, out, table string) []string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 7 && f[0] == table {
+			return f
+		}
+	}
+	t.Fatalf("tables output has no %q row:\n%s", table, out)
+	return nil
 }
 
 func TestShellErrors(t *testing.T) {

@@ -132,9 +132,9 @@ type Engine struct {
 	ckptConsecFail int
 	ckptLastErr    error
 
-	// recovery records the phases of the last recovery run (recovery.go);
-	// written before Open returns, copied into Stats afterwards.
-	recovery recoveryInfo
+	// recovery records the last recovery run (recovery.go); written
+	// before Open returns, reported by Stats afterwards.
+	recovery recoveryRecord
 
 	// twopc is the cross-shard commit accounting (twopc.go).
 	twopc twopcCounters

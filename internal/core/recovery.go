@@ -40,32 +40,26 @@ const (
 	PhaseQueueRebuild = "queue-rebuild"
 )
 
-// recoveryInfo is the observable record of the last recovery run. It is
-// fully written before Open returns (the parallel phases use the atomic
-// fields), and read-only afterwards; Stats copies it into the Snapshot.
-type recoveryInfo struct {
-	ran     bool // false on a fresh database (nothing to recover)
-	threads int  // configured worker-pool bound
-	total   time.Duration
-	phases  metrics.PhaseSet
+// recoveryRecord is where recovery writes as it runs: the reported
+// snapshot in place, and the phases through a PhaseSet that folds a
+// phase observed twice into one entry. It is fully written before Open
+// returns (recovery's parallel workers hand their counts to the phase
+// runner) and read-only afterwards.
+type recoveryRecord struct {
+	RecoverySnapshot
+	phases metrics.PhaseSet
+}
 
-	syslogRecords    int64 // records scanned by analyze
-	imrsRecords      int64 // committed IMRS ops applied by replay
-	redoConflicts    int64 // slot conflicts reconciled (durable losers)
-	rowsIndexed      atomic.Int64
-	entriesEnqueued  int64
-	entriesReclaimed atomic.Int64
-
-	// In-doubt 2PC resolution (the conditional PhaseInDoubt).
-	inDoubt           int64 // prepared txns with no local outcome
-	inDoubtCommitted  int64 // resolved commit via the coordinator
-	inDoubtAborted    int64 // resolved abort (explicit or presumed)
-	inDoubtUnresolved int64 // coordinator unreachable → shard parked ReadOnly
+// snapshot returns the recorded run with its phases.
+func (ri *recoveryRecord) snapshot() RecoverySnapshot {
+	s := ri.RecoverySnapshot
+	s.Phases = ri.phases.Snapshot()
+	return s
 }
 
 // phase runs fn as the named recovery phase, recording its wall time,
 // item count, and worker count.
-func (ri *recoveryInfo) phase(name string, fn func() (items int64, workers int, err error)) error {
+func (ri *recoveryRecord) phase(name string, fn func() (items int64, workers int, err error)) error {
 	t0 := time.Now()
 	items, workers, err := fn()
 	ri.phases.Observe(name, time.Since(t0), items, workers)
@@ -146,9 +140,9 @@ func runParallel(threads, n int, fn func(worker, job int) error) error {
 // workers; the others are inherently sequential scans.
 func (e *Engine) recover() error {
 	ri := &e.recovery
-	ri.threads = e.cfg.RecoveryThreads
+	ri.Threads = e.cfg.RecoveryThreads
 	start := time.Now()
-	defer func() { ri.total = time.Since(start) }()
+	defer func() { ri.Total = time.Since(start) }()
 
 	if err := ri.phase(PhaseTailRepair, func() (int64, int, error) {
 		n, err := e.repairLogTails()
@@ -161,7 +155,7 @@ func (e *Engine) recover() error {
 	if err := ri.phase(PhaseAnalyze, func() (int64, int, error) {
 		var err error
 		an, err = e.analyzeSyslogs()
-		return ri.syslogRecords, 1, err
+		return ri.SyslogRecords, 1, err
 	}); err != nil {
 		return err
 	}
@@ -183,7 +177,7 @@ func (e *Engine) recover() error {
 		e.cat = catalog.New()
 		return nil
 	}
-	ri.ran = true
+	ri.Ran = true
 	if ckptGen != e.imrsGen {
 		// The last checkpoint pinned a compacted sysimrslogs generation:
 		// replay from that generation, not the original backend.
@@ -241,7 +235,7 @@ func (e *Engine) recover() error {
 		var workers int
 		var err error
 		imrsMax, workers, err = e.replayIMRSLog(sysWinners)
-		return ri.imrsRecords, workers, err
+		return ri.IMRSRecords, workers, err
 	}); err != nil {
 		return err
 	}
@@ -341,7 +335,7 @@ func (e *Engine) analyzeSyslogs() (sysAnalysis, error) {
 			// recovery — fail loudly rather than silently drop the suffix.
 			return an, fmt.Errorf("core: syslogs analysis: %w", err)
 		}
-		e.recovery.syslogRecords++
+		e.recovery.SyslogRecords++
 		switch rec.Type {
 		case wal.RecCheckpoint:
 			an.ckptLSN = rec.LSN
@@ -399,7 +393,7 @@ func (e *Engine) analyzeSyslogs() (sysAnalysis, error) {
 // never be compounded by new writes (DESIGN.md §12).
 func (e *Engine) resolveInDoubt(an *sysAnalysis) (int64, error) {
 	ri := &e.recovery
-	ri.inDoubt = int64(len(an.prepared))
+	ri.InDoubt = int64(len(an.prepared))
 	ids := make([]uint64, 0, len(an.prepared))
 	for id := range an.prepared {
 		ids = append(ids, id)
@@ -417,7 +411,7 @@ func (e *Engine) resolveInDoubt(an *sysAnalysis) (int64, error) {
 			if prep.ts > an.maxTS {
 				an.maxTS = prep.ts
 			}
-			ri.inDoubtCommitted++
+			ri.InDoubtCommitted++
 			// Write the resolved outcome back into our own log (buffered;
 			// flushed by the first post-recovery group commit) so the next
 			// recovery resolves locally even if the coordinator is gone.
@@ -425,11 +419,11 @@ func (e *Engine) resolveInDoubt(an *sysAnalysis) (int64, error) {
 			cr := wal.Record{Type: wal.RecCommit, TxnID: id, CommitTS: prep.ts}
 			_, _ = e.syslog.Append(&cr)
 		case TwoPCAbort:
-			ri.inDoubtAborted++
+			ri.InDoubtAborted++
 			ar := wal.Record{Type: wal.RecAbort, TxnID: id}
 			_, _ = e.syslog.Append(&ar)
 		default:
-			ri.inDoubtUnresolved++
+			ri.InDoubtUnresolved++
 			e.inDoubtPending = append(e.inDoubtPending, InDoubtTxn{
 				LocalID: id, GID: prep.gid, Coord: prep.coord, TS: prep.ts,
 			})
@@ -442,7 +436,7 @@ func (e *Engine) resolveInDoubt(an *sysAnalysis) (int64, error) {
 				id, prep.gid, prep.coord))
 		}
 	}
-	return ri.inDoubt, nil
+	return ri.InDoubt, nil
 }
 
 // rebuildColdStore replays the buffered cold-store ops of committed
@@ -576,7 +570,7 @@ func (e *Engine) redoSyslogs(ckptLSN uint64, winners map[uint64]uint64) (int64, 
 				// A durable loser's replayed insert holds the slot the
 				// live engine handed to this row; the later record is
 				// the state surviving transactions saw.
-				e.recovery.redoConflicts++
+				e.recovery.RedoConflicts++
 				err = prt.heap.Update(rec.RID, rec.After)
 			}
 			if err != nil {
@@ -588,7 +582,7 @@ func (e *Engine) redoSyslogs(ckptLSN uint64, winners map[uint64]uint64) (int64, 
 				// A durable loser's delete emptied the slot; the updater
 				// ran against the rolled-back (live) row, so revive it
 				// with the updater's image.
-				e.recovery.redoConflicts++
+				e.recovery.RedoConflicts++
 				err = prt.heap.InsertAt(rec.RID, rec.After)
 			}
 			if err != nil {
@@ -600,7 +594,7 @@ func (e *Engine) redoSyslogs(ckptLSN uint64, winners map[uint64]uint64) (int64, 
 				// Double delete: a durable loser already emptied the
 				// slot its rollback had restored live. The intent — row
 				// gone — already holds.
-				e.recovery.redoConflicts++
+				e.recovery.RedoConflicts++
 				err = nil
 			}
 			if err != nil {
@@ -718,7 +712,7 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 					hand(w)
 				}
 			}
-			e.recovery.imrsRecords += int64(len(ops))
+			e.recovery.IMRSRecords += int64(len(ops))
 		}
 	}
 	for w := range batches {
@@ -897,7 +891,7 @@ func (e *Engine) rebuildDerivedState() error {
 		}
 		err := runParallel(collectWorkers, len(tasks), func(w, i int) error { return tasks[i](collectors[w]) })
 		if err != nil {
-			return e.recovery.rowsIndexed.Load(), workers, err
+			return e.recovery.RowsIndexed, workers, err
 		}
 		for _, c := range collectors {
 			for _, en := range c.dead {
@@ -905,8 +899,8 @@ func (e *Engine) rebuildDerivedState() error {
 				e.rmap.Delete(en.RID, en)
 				e.store.RemoveEntry(en)
 			}
-			e.recovery.entriesReclaimed.Add(int64(len(c.dead)))
-			e.recovery.rowsIndexed.Add(c.rows)
+			e.recovery.EntriesReclaimed += int64(len(c.dead))
+			e.recovery.RowsIndexed += c.rows
 		}
 		// Each worker sorts its runs and turns them into B+tree items.
 		items := make([][][]btree.Item, len(feeds)) // feed → worker → run
@@ -936,7 +930,7 @@ func (e *Engine) rebuildDerivedState() error {
 			ix.def.Root = ix.tree.Root()
 			return nil
 		})
-		return e.recovery.rowsIndexed.Load(), workers, err
+		return e.recovery.RowsIndexed, workers, err
 	})
 	if err != nil {
 		return err
@@ -955,7 +949,7 @@ func (e *Engine) rebuildDerivedState() error {
 		for _, s := range order {
 			e.queues.Enqueue(collectors[s.w].live[s.i])
 		}
-		e.recovery.entriesEnqueued = int64(len(order))
+		e.recovery.EntriesEnqueued = int64(len(order))
 		return int64(len(order)), len(runs), nil
 	})
 }

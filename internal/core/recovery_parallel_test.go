@@ -542,7 +542,7 @@ func TestRecoveryReclaimsDeadEntries(t *testing.T) {
 	if e.store.Rows() != 1 {
 		t.Fatalf("store rows after rebuild = %d, want 1 (dead entry leaked)", e.store.Rows())
 	}
-	if got := e.recovery.entriesReclaimed.Load(); got != 1 {
+	if got := e.recovery.EntriesReclaimed; got != 1 {
 		t.Fatalf("entriesReclaimed = %d, want 1", got)
 	}
 	// The live row survived the rebuild intact.

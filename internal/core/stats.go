@@ -4,7 +4,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/rid"
+	"repro/internal/storage/colseg"
 	"repro/internal/wal"
 )
 
@@ -26,6 +28,23 @@ type LogSnapshot struct {
 	// Commit-wait latency as observed by WaitDurable callers.
 	CommitWaitMean time.Duration
 	CommitWaitP95  time.Duration
+}
+
+// add merges another shard's log: counters sum, the mean group size is
+// recomputed from the sums, and the quantile and waits keep the worst
+// shard (a node commits only as fast as its slowest log).
+func (l *LogSnapshot) add(o LogSnapshot) {
+	l.Appends += o.Appends
+	l.Flushes += o.Flushes
+	l.Bytes += o.Bytes
+	l.GroupFlushes += o.GroupFlushes
+	l.GroupedCommits += o.GroupedCommits
+	if l.GroupFlushes > 0 {
+		l.MeanGroupSize = float64(l.GroupedCommits) / float64(l.GroupFlushes)
+	}
+	l.GroupSizeP95 = max(l.GroupSizeP95, o.GroupSizeP95)
+	l.CommitWaitMean = max(l.CommitWaitMean, o.CommitWaitMean)
+	l.CommitWaitP95 = max(l.CommitWaitP95, o.CommitWaitP95)
 }
 
 func logSnapshot(l *wal.Log) LogSnapshot {
@@ -74,45 +93,56 @@ type PartitionSnapshot struct {
 	// InsertEnabled reflects the auto-partition-tuning state.
 	InsertEnabled bool
 
-	// Cold-store residency: rows frozen into this partition's column
-	// segments and the raw-vs-compressed footprint.
-	ColdSegments        int64
-	ColdRows            int64
-	ColdLiveRows        int64
-	ColdRawBytes        int64
-	ColdCompressedBytes int64
+	// Cold is the partition's cold-store residency: rows frozen into its
+	// column segments and their raw-vs-compressed footprint.
+	Cold colseg.PartStats
 }
 
-// ColdRatio returns compressed/raw for this partition's segments
-// (0 when nothing is frozen).
-func (p PartitionSnapshot) ColdRatio() float64 {
-	if p.ColdRawBytes == 0 {
-		return 0
-	}
-	return float64(p.ColdCompressedBytes) / float64(p.ColdRawBytes)
+// add merges the same-named partition of another shard: counters and
+// footprints sum, and the partition takes IMRS inserts if either does.
+// ID stays the first shard's (DDL runs on every shard in one order).
+func (p *PartitionSnapshot) add(o PartitionSnapshot) {
+	p.IMRSRows += o.IMRSRows
+	p.IMRSBytes += o.IMRSBytes
+	p.IMRSInserts += o.IMRSInserts
+	p.IMRSSelects += o.IMRSSelects
+	p.IMRSUpdates += o.IMRSUpdates
+	p.IMRSDeletes += o.IMRSDeletes
+	p.PageOps += o.PageOps
+	p.NewRows += o.NewRows
+	p.Migrations += o.Migrations
+	p.Cachings += o.Cachings
+	p.PackedRows += o.PackedRows
+	p.PackedBytes += o.PackedBytes
+	p.SkippedHot += o.SkippedHot
+	p.Contention += o.Contention
+	p.IndexContention += o.IndexContention
+	p.InsertEnabled = p.InsertEnabled || o.InsertEnabled
+	p.Cold.Segments += o.Cold.Segments
+	p.Cold.Rows += o.Cold.Rows
+	p.Cold.LiveRows += o.Cold.LiveRows
+	p.Cold.RawBytes += o.Cold.RawBytes
+	p.Cold.CompressedBytes += o.Cold.CompressedBytes
 }
 
-// ColdStoreSnapshot is the engine-wide cold-store view: segment counts,
-// row residency, compression footprint, and the un-freeze traffic that
-// pulls rows back out of segments.
+// ColdStoreSnapshot is the engine-wide cold-store view: the store's own
+// totals plus the un-freeze traffic that pulls rows back out of
+// segments.
 type ColdStoreSnapshot struct {
-	Segments        int64 // segments currently published
-	SegmentsWritten int64 // segments ever published (includes superseded)
-	RowsFrozen      int64 // rows ever frozen into segments
-	RowsLive        int64 // segment rows still live (not killed)
-	Kills           int64 // segment-row kills (un-freeze, delete, re-freeze)
-	Unfreezes       int64 // updates that pulled a frozen row back out
-	RawBytes        int64 // pre-compression footprint of published segments
-	CompressedBytes int64 // on-blob footprint of published segments
+	colseg.Stats
+	Unfreezes int64 // updates that pulled a frozen row back out
 }
 
-// Ratio returns compressed/raw across all published segments (0 when
-// nothing is frozen).
-func (c ColdStoreSnapshot) Ratio() float64 {
-	if c.RawBytes == 0 {
-		return 0
-	}
-	return float64(c.CompressedBytes) / float64(c.RawBytes)
+// add sums another shard's cold store.
+func (c *ColdStoreSnapshot) add(o ColdStoreSnapshot) {
+	c.Segments += o.Segments
+	c.SegmentsWritten += o.SegmentsWritten
+	c.RowsFrozen += o.RowsFrozen
+	c.RowsLive += o.RowsLive
+	c.Kills += o.Kills
+	c.RawBytes += o.RawBytes
+	c.CompressedBytes += o.CompressedBytes
+	c.Unfreezes += o.Unfreezes
 }
 
 // IndexSnapshot is one index's observable state: B+tree latch traffic
@@ -135,6 +165,20 @@ type IndexSnapshot struct {
 	HashMisses     int64
 }
 
+// add merges the same index on another shard: counters and occupancy
+// sum, and the load factor is recomputed from the sums.
+func (ix *IndexSnapshot) add(o IndexSnapshot) {
+	ix.LatchWaits += o.LatchWaits
+	ix.Restarts += o.Restarts
+	ix.HashEntries += o.HashEntries
+	ix.HashBuckets += o.HashBuckets
+	if ix.HashBuckets > 0 {
+		ix.HashLoadFactor = float64(ix.HashEntries) / float64(ix.HashBuckets)
+	}
+	ix.HashHits += o.HashHits
+	ix.HashMisses += o.HashMisses
+}
+
 // ReuseOps returns IMRS S+U+D (the paper's reuse operations).
 func (p PartitionSnapshot) ReuseOps() int64 {
 	return p.IMRSSelects + p.IMRSUpdates + p.IMRSDeletes
@@ -145,27 +189,18 @@ func (p PartitionSnapshot) IMRSOps() int64 {
 	return p.IMRSInserts + p.ReuseOps()
 }
 
-// RecoveryPhase is one timed phase of the last recovery run.
-type RecoveryPhase struct {
-	Name     string
-	Duration time.Duration
-	// Items is what the phase processed: bytes truncated (tail repair),
-	// records scanned/applied (analyze, redo, replay), rows indexed, or
-	// entries enqueued.
-	Items int64
-	// Workers is how many worker goroutines ran the phase (1 = serial).
-	Workers int
-}
-
 // RecoverySnapshot describes the last recovery run (Open time).
 type RecoverySnapshot struct {
 	// Ran is false when Open found a fresh database.
 	Ran bool
 	// Threads is the configured Config.RecoveryThreads bound.
 	Threads int
-	// Total is the wall time of the whole recovery pipeline.
+	// Total is the wall time of the whole recovery pipeline. Phases
+	// breaks it down; a phase's Items is what it processed: bytes
+	// truncated (tail repair), records scanned/applied (analyze, redo,
+	// replay), rows indexed, or entries enqueued.
 	Total  time.Duration
-	Phases []RecoveryPhase
+	Phases []metrics.PhaseStat
 
 	SyslogRecords int64 // syslogs records scanned by analysis
 	IMRSRecords   int64 // committed IMRS operations replayed
@@ -185,12 +220,38 @@ type RecoverySnapshot struct {
 	InDoubtUnresolved int64 // unresolvable → engine parked ReadOnly
 }
 
+// add merges another shard's recovery. The shards recover concurrently,
+// so Total is the slowest shard's; counters sum. Rollup merges Phases.
+func (r *RecoverySnapshot) add(o RecoverySnapshot) {
+	r.Ran = r.Ran || o.Ran
+	r.Threads = max(r.Threads, o.Threads)
+	r.Total = max(r.Total, o.Total)
+	r.SyslogRecords += o.SyslogRecords
+	r.IMRSRecords += o.IMRSRecords
+	r.RedoConflicts += o.RedoConflicts
+	r.RowsIndexed += o.RowsIndexed
+	r.EntriesEnqueued += o.EntriesEnqueued
+	r.EntriesReclaimed += o.EntriesReclaimed
+	r.InDoubt += o.InDoubt
+	r.InDoubtCommitted += o.InDoubtCommitted
+	r.InDoubtAborted += o.InDoubtAborted
+	r.InDoubtUnresolved += o.InDoubtUnresolved
+}
+
 // TwoPCSnapshot is the engine's cross-shard commit accounting.
 type TwoPCSnapshot struct {
 	Prepares        int64 // participant prepares made durable
 	PreparedCommits int64 // prepared transactions committed
 	PreparedAborts  int64 // prepared transactions rolled back
 	Decisions       int64 // coordinator decision records logged
+}
+
+// add sums another shard's 2PC counters.
+func (t *TwoPCSnapshot) add(o TwoPCSnapshot) {
+	t.Prepares += o.Prepares
+	t.PreparedCommits += o.PreparedCommits
+	t.PreparedAborts += o.PreparedAborts
+	t.Decisions += o.Decisions
 }
 
 // Snapshot is an engine-wide stats snapshot.
@@ -285,31 +346,117 @@ func (s Snapshot) IMRSHitRate() float64 {
 	return float64(imrsOps) / float64(total)
 }
 
-// recoverySnapshot copies the last recovery run's record.
-func (e *Engine) recoverySnapshot() RecoverySnapshot {
-	ri := &e.recovery
-	rs := RecoverySnapshot{
-		Ran:              ri.ran,
-		Threads:          ri.threads,
-		Total:            ri.total,
-		SyslogRecords:    ri.syslogRecords,
-		IMRSRecords:      ri.imrsRecords,
-		RedoConflicts:    ri.redoConflicts,
-		RowsIndexed:      ri.rowsIndexed.Load(),
-		EntriesEnqueued:  ri.entriesEnqueued,
-		EntriesReclaimed: ri.entriesReclaimed.Load(),
+// Partition returns the partition named name (the zero value if there
+// is none).
+func (s Snapshot) Partition(name string) PartitionSnapshot {
+	for _, p := range s.Partitions {
+		if p.Name == name {
+			return p
+		}
+	}
+	return PartitionSnapshot{}
+}
 
-		InDoubt:           ri.inDoubt,
-		InDoubtCommitted:  ri.inDoubtCommitted,
-		InDoubtAborted:    ri.inDoubtAborted,
-		InDoubtUnresolved: ri.inDoubtUnresolved,
+// Rollup merges the snapshots of a node's shards into one node view.
+// One rule per field kind:
+//   - counters and footprints sum;
+//   - ratios are recomputed from the summed parts (MeanGroupSize,
+//     HashLoadFactor; IMRSHitRate is a method over the merged
+//     partitions);
+//   - gauges, quantiles and waits keep the largest shard value
+//     (CommitTS, TSFTau, GroupSizeP95, CommitWaitMean/P95, recovery
+//     Threads and Total);
+//   - flags are true if any shard's is (AcceptNewRows, InsertEnabled,
+//     recovery Ran);
+//   - Health is the worst shard's (WorstHealth), and LastCheckpointError
+//     the first one reported;
+//   - partitions merge by name, indexes by table and name, recovery
+//     phases by name (metrics.PhaseSet), IndexLevelLatchWaits by level.
+//
+// The rollup of one shard equals that shard's snapshot.
+func Rollup(per []Snapshot) Snapshot {
+	var n Snapshot
+	var phases metrics.PhaseSet
+	partAt := make(map[string]int)
+	indexAt := make(map[[2]string]int)
+	for _, s := range per {
+		n.CommitTS = max(n.CommitTS, s.CommitTS)
+		n.IMRSUsedBytes += s.IMRSUsedBytes
+		n.IMRSCapacity += s.IMRSCapacity
+		n.IMRSRows += s.IMRSRows
+		n.RowsPacked += s.RowsPacked
+		n.BytesPacked += s.BytesPacked
+		n.RowsSkipped += s.RowsSkipped
+		n.PackCycles += s.PackCycles
+		n.TSFTau = max(n.TSFTau, s.TSFTau)
+		n.TSFLearned += s.TSFLearned
+		n.BufferHits += s.BufferHits
+		n.BufferMisses += s.BufferMisses
+		n.LatchWaits += s.LatchWaits
+		n.GCVersions += s.GCVersions
+		n.GCEntries += s.GCEntries
+		n.GCPasses += s.GCPasses
+		n.AcceptNewRows = n.AcceptNewRows || s.AcceptNewRows
+		n.IMRSAllocs += s.IMRSAllocs
+		n.IMRSFrees += s.IMRSFrees
+		n.IMRSSlabGrabs += s.IMRSSlabGrabs
+		n.RIDMapLive += s.RIDMapLive
+		for lvl, w := range s.IndexLevelLatchWaits {
+			if lvl == len(n.IndexLevelLatchWaits) {
+				n.IndexLevelLatchWaits = append(n.IndexLevelLatchWaits, 0)
+			}
+			n.IndexLevelLatchWaits[lvl] += w
+		}
+		n.SysLog.add(s.SysLog)
+		n.IMRSLog.add(s.IMRSLog)
+		n.Recovery.add(s.Recovery)
+		for _, p := range s.Recovery.Phases {
+			phases.Observe(p.Name, p.Duration, p.Items, p.Workers)
+		}
+		n.TwoPC.add(s.TwoPC)
+		n.Checkpoints += s.Checkpoints
+		n.CheckpointFailures += s.CheckpointFailures
+		if n.LastCheckpointError == "" {
+			n.LastCheckpointError = s.LastCheckpointError
+		}
+		n.PackRelocErrors += s.PackRelocErrors
+		n.ColdStore.add(s.ColdStore)
+		for _, p := range s.Partitions {
+			if i, ok := partAt[p.Name]; ok {
+				n.Partitions[i].add(p)
+			} else {
+				partAt[p.Name] = len(n.Partitions)
+				n.Partitions = append(n.Partitions, p)
+			}
+		}
+		for _, ix := range s.Indexes {
+			key := [2]string{ix.Table, ix.Name}
+			if i, ok := indexAt[key]; ok {
+				n.Indexes[i].add(ix)
+			} else {
+				indexAt[key] = len(n.Indexes)
+				n.Indexes = append(n.Indexes, ix)
+			}
+		}
 	}
-	for _, p := range ri.phases.Snapshot() {
-		rs.Phases = append(rs.Phases, RecoveryPhase{
-			Name: p.Name, Duration: p.Duration, Items: p.Items, Workers: p.Workers,
-		})
+	n.Recovery.Phases = phases.Snapshot()
+	if len(per) > 0 {
+		n.Health = per[WorstHealth(len(per), func(i int) HealthState { return per[i].Health.State })].Health
 	}
-	return rs
+	return n
+}
+
+// WorstHealth returns which of n shards is in the most severe health
+// state, the lowest index among equals. A node reports that shard's
+// health as its own.
+func WorstHealth(n int, state func(i int) HealthState) int {
+	worst := 0
+	for i := 1; i < n; i++ {
+		if state(i) > state(worst) {
+			worst = i
+		}
+	}
+	return worst
 }
 
 // Stats collects a consistent-enough snapshot of the engine state.
@@ -340,7 +487,7 @@ func (e *Engine) Stats() Snapshot {
 		AcceptNewRows: e.packer.AcceptNewRows(),
 		SysLog:        logSnapshot(syslog),
 		IMRSLog:       logSnapshot(imrslog),
-		Recovery:      e.recoverySnapshot(),
+		Recovery:      e.recovery.snapshot(),
 		Checkpoints:   e.ckptCompleted.Load(),
 		TwoPC: TwoPCSnapshot{
 			Prepares:        e.twopc.prepares.Load(),
@@ -350,17 +497,7 @@ func (e *Engine) Stats() Snapshot {
 		},
 	}
 	s.PackRelocErrors = e.packer.RelocErrors.Load()
-	cs := e.cold.Stats()
-	s.ColdStore = ColdStoreSnapshot{
-		Segments:        int64(cs.Segments),
-		SegmentsWritten: cs.SegmentsWritten,
-		RowsFrozen:      cs.RowsFrozen,
-		RowsLive:        cs.RowsLive,
-		Kills:           cs.Kills,
-		Unfreezes:       e.unfreezes.Load(),
-		RawBytes:        cs.RawBytes,
-		CompressedBytes: cs.CompressedBytes,
-	}
+	s.ColdStore = ColdStoreSnapshot{Stats: e.cold.Stats(), Unfreezes: e.unfreezes.Load()}
 	s.Health = e.Health()
 	s.CheckpointFailures = e.ckptFailed.Load()
 	e.ckptFailMu.Lock()
@@ -394,12 +531,7 @@ func (e *Engine) Stats() Snapshot {
 		if ps.IndexContentionFn != nil {
 			snap.IndexContention = ps.IndexContentionFn()
 		}
-		pcs := e.cold.PartStats(ps.ID)
-		snap.ColdSegments = int64(pcs.Segments)
-		snap.ColdRows = pcs.Rows
-		snap.ColdLiveRows = pcs.LiveRows
-		snap.ColdRawBytes = pcs.RawBytes
-		snap.ColdCompressedBytes = pcs.CompressedBytes
+		snap.Cold = e.cold.PartStats(ps.ID)
 		s.Partitions = append(s.Partitions, snap)
 	}
 	s.RIDMapLive = int64(e.rmap.Len())

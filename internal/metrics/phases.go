@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,18 +47,5 @@ func (s *PhaseSet) Observe(name string, d time.Duration, items int64, workers in
 func (s *PhaseSet) Snapshot() []PhaseStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]PhaseStat, len(s.phases))
-	copy(out, s.phases)
-	return out
-}
-
-// Total returns the summed duration of all phases.
-func (s *PhaseSet) Total() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var d time.Duration
-	for _, p := range s.phases {
-		d += p.Duration
-	}
-	return d
+	return slices.Clone(s.phases)
 }

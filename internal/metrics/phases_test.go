@@ -21,9 +21,6 @@ func TestPhaseSetOrderAndFold(t *testing.T) {
 	if ps[0].Duration != 15*time.Millisecond || ps[0].Items != 110 || ps[0].Workers != 2 {
 		t.Fatalf("folded analyze = %+v", ps[0])
 	}
-	if got, want := s.Total(), 35*time.Millisecond; got != want {
-		t.Fatalf("Total = %v, want %v", got, want)
-	}
 }
 
 func TestPhaseSetSnapshotIsCopy(t *testing.T) {

@@ -34,7 +34,6 @@ type Engine interface {
 	// statement against it, never against a cached copy, so tables created
 	// by other sessions are visible immediately.
 	Catalog() *catalog.Catalog
-	Stats() btrim.Stats
 }
 
 type engine struct{ db *btrim.DB }
@@ -49,7 +48,6 @@ func WrapSharded(db *btrim.DB) Engine { return Wrap(db) }
 func (e engine) CreateTable(spec btrim.TableSpec) error { return e.db.CreateTable(spec) }
 func (e engine) DropTable(name string) error            { return e.db.DropTable(name) }
 func (e engine) Begin() Txn                             { return e.db.Begin() }
-func (e engine) Stats() btrim.Stats                     { return e.db.Stats() }
 
 // Catalog returns shard 0's catalog: DDL applies to every shard, so any
 // shard's catalog describes the node.

@@ -230,7 +230,7 @@ func TestDriverWithTinyIMRSAndPack(t *testing.T) {
 		t.Fatalf("hard errors under memory pressure: %d", errs)
 	}
 	stats := b.DB.Stats()
-	if float64(stats.IMRSUsedBytes) > float64(stats.IMRSCapacityBytes) {
+	if float64(stats.IMRSUsedBytes) > float64(stats.IMRSCapacity) {
 		t.Fatal("utilization exceeded capacity")
 	}
 }
