@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto bench-build test-bench bench-smoke examples loc ci
+.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto fuzz-row bench-build test-bench bench-smoke examples loc ci
 
 build:
 	$(GO) build ./...
@@ -27,12 +27,13 @@ test-race-internal:
 	$(GO) test -race -short ./internal/...
 
 # The packages a point read crosses (hash index, B+tree, RID map, row
-# codec) under the race detector on one, two and four cores: several
-# defects only show on more than one. The full ./internal/... pass at
-# -cpu 1,2,4 waits for the 2PC restart flake in internal/chaos
-# (ROADMAP 0(e)).
+# codec, the lock table, whose entries are recycled, and the buffer
+# pool, whose frames hand out a pointer to their page) under the race
+# detector on one, two and four cores: several defects only show on
+# more than one. The full ./internal/... pass at -cpu 1,2,4 waits for
+# the 2PC restart flake in internal/chaos (ROADMAP 0(e)).
 test-race-readpath:
-	$(GO) test -race -cpu 1,2,4 ./internal/index/... ./internal/ridmap/ ./internal/row/
+	$(GO) test -race -cpu 1,2,4 ./internal/index/... ./internal/ridmap/ ./internal/row/ ./internal/txn/ ./internal/storage/buffer/
 
 # The commit pipeline under the race detector on one, two and four
 # cores: group commit, whose committers lead their own rounds (wal), and
@@ -122,10 +123,9 @@ test-sql-prepared:
 # row codec, cold-store segments) for a short smoke window each; seed
 # corpora live in testdata/fuzz.
 FUZZTIME ?= 30s
-fuzz: fuzz-proto
+fuzz: fuzz-proto fuzz-row
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzScanFrames -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/row/ -run '^$$' -fuzz FuzzRowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/colseg/ -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME)
 
 # Fuzz the wire-protocol decoders: the client-side response parser
@@ -135,6 +135,11 @@ fuzz: fuzz-proto
 fuzz-proto:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
+
+# Fuzz the row decoder, whose strings share one copy of the row image:
+# run by fuzz at full length and by ci for a short window.
+fuzz-row:
+	$(GO) test ./internal/row/ -run '^$$' -fuzz FuzzRowDecode -fuzztime $(FUZZTIME)
 
 # bench/ is frozen outside benchmark PRs but compiles against btrim,
 # internal/sql and internal/shard: vet and build it so that a rename
@@ -178,4 +183,4 @@ loc:
 # for fresh crashers. Every example program runs once (make examples).
 ci: build vet fmt-check bench-build examples test-race-internal test-race-readpath test-commit test-sql-prepared
 	$(GO) test -race -short ./...
-	$(MAKE) fuzz-proto FUZZTIME=10s
+	$(MAKE) fuzz-proto fuzz-row FUZZTIME=10s

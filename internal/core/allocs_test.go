@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/row"
@@ -18,10 +19,11 @@ import (
 // string payloads, closure captures, and the WAL/commit machinery.
 // For reference, the pre-pooling path (deleted with its selector)
 // measured 6.0 reads and 37.0 updates on the same workload; the pooled
-// path measures 3.0 and 28.0.
+// path measured 3.0 and 28.0, and with lock entries recycled and
+// frames keeping their page it measures 3.0 and 15.0.
 const (
 	pointReadAllocBudget = 5
-	updateAllocBudget    = 34
+	updateAllocBudget    = 20
 )
 
 func allocBudgetEngine(t *testing.T) *Engine {
@@ -107,5 +109,47 @@ func TestUpdateAllocBudget(t *testing.T) {
 	t.Logf("single-row update: %.1f allocs/op (budget %d)", avg, updateAllocBudget)
 	if avg > updateAllocBudget {
 		t.Fatalf("single-row update allocates %.1f/op, budget %d — the hot write path regressed", avg, updateAllocBudget)
+	}
+}
+
+// lookupAllAllocBudget bounds one transaction running a 10-row
+// LookupAll on a non-unique index whose leaf holds 200 more keys past
+// the prefix: about 3 per row plus a constant. Measured 30.0: per row
+// the decoded row and its one string backing, plus the transaction,
+// the prefix, the scan's arena and batch, the key buffer and the
+// growing result slice.
+const lookupAllAllocBudget = 3*10 + 10
+
+func TestLookupAllAllocBudget(t *testing.T) {
+	e := allocBudgetEngine(t)
+	createItems(t, e)
+
+	tx := e.Begin()
+	for i := int64(0); i < 210; i++ {
+		name := fmt.Sprintf("zz-%03d", i) // sorts after the prefix
+		if i < 10 {
+			name = "target"
+		}
+		if err := tx.Insert("items", itemRow(i, name, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+
+	lookup := func() {
+		tx := e.Begin()
+		rows, err := tx.LookupAll("items", "items_name", []row.Value{row.String("target")})
+		if err != nil || len(rows) != 10 {
+			t.Fatalf("lookup: %d rows, %v", len(rows), err)
+		}
+		mustCommit(t, tx)
+	}
+	for i := 0; i < 100; i++ {
+		lookup()
+	}
+	avg := testing.AllocsPerRun(500, lookup)
+	t.Logf("10-row LookupAll: %.1f allocs/op (budget %d)", avg, lookupAllAllocBudget)
+	if avg > lookupAllAllocBudget {
+		t.Fatalf("10-row LookupAll allocates %.1f/op, budget %d — the index read path allocates per key again", avg, lookupAllAllocBudget)
 	}
 }

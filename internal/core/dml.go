@@ -55,14 +55,14 @@ func ridSuffix(k row.Key, r rid.RID) row.Key {
 
 // indexKey builds the B-tree key for row r under index ix.
 func indexKey(ix *indexRT, rw row.Row, r rid.RID) (row.Key, error) {
-	k, err := row.KeyOf(rw, ix.def.ColOrds)
+	if ix.def.Unique {
+		return row.KeyOf(rw, ix.def.ColOrds)
+	}
+	k, err := row.AppendKeyOf(make(row.Key, 0, row.KeySize(rw, ix.def.ColOrds)+8), rw, ix.def.ColOrds)
 	if err != nil {
 		return nil, err
 	}
-	if !ix.def.Unique {
-		k = ridSuffix(k, r)
-	}
-	return k, nil
+	return ridSuffix(k, r), nil
 }
 
 func (e *Engine) decode(rt *tableRT, data []byte) (row.Row, error) {

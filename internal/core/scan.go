@@ -57,8 +57,6 @@ func (t *Txn) IndexScan(table, index string, from []row.Value, fn func(row.Row) 
 	// Rows are resolved directly inside the scan callback: ScanFrom
 	// latch-couples leaf to leaf and holds NO latch while yielding, so
 	// row-lock acquisition here cannot deadlock against index writers.
-	// (The old tree-wide-lock scan had to batch keys and restart the
-	// scan per batch to get the same safety.)
 	start := row.EncodeKey(nil, from...)
 	var ierr error
 	if err := ix.tree.ScanFrom(start, func(k []byte, r rid.RID) bool {
@@ -94,12 +92,10 @@ func (t *Txn) LookupAll(table, index string, vals []row.Value) ([]row.Row, error
 	}
 	prefix := row.EncodeKey(nil, vals...)
 	var out []row.Row
+	var vk row.Key // the visible image's key, one buffer for every row
 	var ierr error
 	// Resolve rows in-line: the scan yields without holding any latch.
-	if err := ix.tree.ScanFrom(prefix, func(k []byte, r rid.RID) bool {
-		if !bytes.HasPrefix(k, prefix) {
-			return false
-		}
+	if err := ix.tree.ScanPrefix(prefix, func(k []byte, r rid.RID) bool {
 		rw, ok, _, err := t.readRowAt(rt, r, nil, false)
 		if err != nil {
 			ierr = err
@@ -109,8 +105,9 @@ func (t *Txn) LookupAll(table, index string, vals []row.Value) ([]row.Row, error
 			return true
 		}
 		// Re-verify against the visible image: index entries for
-		// uncommitted key changes are filtered here.
-		vk, err := indexKey(ix, rw, r)
+		// uncommitted key changes are filtered here. The RID suffix of a
+		// non-unique key lies past any prefix of its columns.
+		vk, err = row.AppendKeyOf(vk[:0], rw, ix.def.ColOrds)
 		if err != nil {
 			ierr = err
 			return false

@@ -2,6 +2,7 @@ package imrs
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -192,18 +193,19 @@ type PartStats struct {
 type Store struct {
 	alloc *Allocator
 
-	mu    sync.RWMutex
-	parts map[rid.PartitionID]*PartStats
+	// parts is copied on write: the row path reads it without a lock,
+	// and it changes only when a partition gains IMRS state.
+	parts  atomic.Pointer[map[rid.PartitionID]*PartStats]
+	partMu sync.Mutex // serializes the copies
 
 	rows metrics.Gauge
 }
 
 // NewStore creates a store over an allocator of the given capacity.
 func NewStore(capacityBytes int64) *Store {
-	return &Store{
-		alloc: NewAllocator(capacityBytes),
-		parts: make(map[rid.PartitionID]*PartStats),
-	}
+	s := &Store{alloc: NewAllocator(capacityBytes)}
+	s.parts.Store(&map[rid.PartitionID]*PartStats{})
+	return s
 }
 
 // Allocator exposes the fragment memory manager.
@@ -214,27 +216,25 @@ func (s *Store) Rows() int64 { return s.rows.Load() }
 
 // Part returns (creating on first use) the stats block for a partition.
 func (s *Store) Part(p rid.PartitionID) *PartStats {
-	s.mu.RLock()
-	ps, ok := s.parts[p]
-	s.mu.RUnlock()
-	if ok {
+	if ps, ok := (*s.parts.Load())[p]; ok {
 		return ps
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ps, ok = s.parts[p]; ok {
+	s.partMu.Lock()
+	defer s.partMu.Unlock()
+	old := *s.parts.Load()
+	if ps, ok := old[p]; ok {
 		return ps
 	}
-	ps = &PartStats{}
-	s.parts[p] = ps
+	next := maps.Clone(old)
+	ps := &PartStats{}
+	next[p] = ps
+	s.parts.Store(&next)
 	return ps
 }
 
 // Partitions calls fn for every partition with IMRS state.
 func (s *Store) Partitions(fn func(rid.PartitionID, *PartStats)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for p, ps := range s.parts {
+	for p, ps := range *s.parts.Load() {
 		fn(p, ps)
 	}
 }

@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -536,7 +538,8 @@ func (t *Tree) splitInternal(f *buffer.Frame, csep []byte, cright uint32) ([]byt
 }
 
 // ScanFrom visits entries with key >= start in ascending key order until
-// fn returns false. fn receives aliased key bytes it must not retain.
+// fn returns false. fn receives key bytes that stay valid only during
+// the call: it must copy what it keeps.
 //
 // The scan holds at most one leaf latch at a time and holds NO latch
 // while fn runs, so fn may re-enter the engine (resolve rows, take row
@@ -549,15 +552,38 @@ func (t *Tree) splitInternal(f *buffer.Frame, csep []byte, cright uint32) ([]byt
 // below the resume bound. Keys inserted concurrently with the scan may
 // or may not be seen.
 func (t *Tree) ScanFrom(start []byte, fn func(key []byte, r rid.RID) bool) error {
+	return t.scan(start, false, fn)
+}
+
+// ScanPrefix visits the entries whose key begins with prefix in
+// ascending key order until fn returns false, under ScanFrom's rules.
+// It copies out only the keys that carry the prefix and stops at the
+// first key that does not, without fetching the next leaf.
+func (t *Tree) ScanPrefix(prefix []byte, fn func(key []byte, r rid.RID) bool) error {
+	return t.scan(prefix, true, fn)
+}
+
+// leafEntry is one key of a scanned leaf: arena[off:end] and its RID.
+type leafEntry struct {
+	off, end int
+	r        rid.RID
+}
+
+// scan is ScanFrom, and ScanPrefix when prefix is set (start is then
+// the prefix). Each leaf's keys are copied into one arena and entry
+// batch, sized from the leaf and reused from leaf to leaf, so a scan
+// allocates only when a leaf needs more room than the ones before it,
+// never per key.
+func (t *Tree) scan(start []byte, prefix bool, fn func(key []byte, r rid.RID) bool) error {
 	f, err := t.descendShared(start)
 	if err != nil {
 		return err
 	}
-	type kv struct {
-		k []byte
-		v rid.RID
-	}
-	var bound []byte // last key yielded; resume strictly after it
+	var (
+		arena []byte
+		batch []leafEntry
+		bound []byte // copy of the last key yielded; resume strictly after it
+	)
 	first := true
 	for {
 		buf := f.Page().Bytes()
@@ -571,24 +597,39 @@ func (t *Tree) ScanFrom(start []byte, fn func(key []byte, r rid.RID) bool) error
 				pos++
 			}
 		}
+		// Size the arena and batch for this leaf's keys in [pos, end),
+		// then copy them.
 		n := numKeys(buf)
-		batch := make([]kv, 0, n-pos)
-		for i := pos; i < n; i++ {
-			batch = append(batch, kv{append([]byte(nil), keyAt(buf, i)...), leafValAt(buf, i)})
+		end, size := pos, 0
+		for ; end < n; end++ {
+			k := keyAt(buf, end)
+			if prefix && !bytes.HasPrefix(k, start) {
+				break
+			}
+			size += len(k)
+		}
+		ended := end < n // only a prefix scan stops inside a leaf
+		arena = slices.Grow(arena[:0], size)
+		batch = slices.Grow(batch[:0], end-pos)
+		for i := pos; i < end; i++ {
+			off := len(arena)
+			arena = append(arena, keyAt(buf, i)...)
+			batch = append(batch, leafEntry{off, len(arena), leafValAt(buf, i)})
 		}
 		next := f.Page().Next()
 		t.release(f, false)
 		for _, it := range batch {
-			if !fn(it.k, it.v) {
+			if !fn(arena[it.off:it.end:it.end], it.r) {
 				return nil
 			}
 		}
-		if len(batch) > 0 {
-			bound = batch[len(batch)-1].k
-			first = false
-		}
-		if next == noChild {
+		if ended || next == noChild {
 			return nil
+		}
+		if len(batch) > 0 {
+			last := batch[len(batch)-1]
+			bound = append(bound[:0], arena[last.off:last.end]...)
+			first = false
 		}
 		nf, err := t.pool.Fetch(next)
 		if err != nil {

@@ -66,8 +66,13 @@ func uvarintLen(x uint64) int {
 
 // Decode parses an encoded row per schema s. The returned Row's string
 // and bytes payloads copy out of buf, so buf may be reused by the caller.
+// Every string column of the row is backed by one copy of buf from the
+// first string payload on; each bytes column gets a copy of its own,
+// because callers may write to it.
 func Decode(s *Schema, buf []byte) (Row, error) {
 	r := make(Row, s.NumColumns())
+	var backing string // buf[base:], copied at the first string
+	base := 0
 	pos := 0
 	for i := 0; i < s.NumColumns(); i++ {
 		if pos >= len(buf) {
@@ -106,7 +111,11 @@ func Decode(s *Schema, buf []byte) (Row, error) {
 			payload := buf[pos : pos+int(n)]
 			pos += int(n)
 			if k == KindString {
-				r[i] = String(string(payload))
+				if backing == "" {
+					base = pos - int(n)
+					backing = string(buf[base:])
+				}
+				r[i] = String(backing[pos-int(n)-base : pos-base])
 			} else {
 				cp := make([]byte, len(payload))
 				copy(cp, payload)

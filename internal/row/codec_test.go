@@ -173,3 +173,43 @@ func TestValueSize(t *testing.T) {
 		t.Fatalf("Value is %d bytes, want <= 32", n)
 	}
 }
+
+// TestDecodeStringsShareOneCopy checks that Decode backs all string
+// columns of a row with one copy of the input (two allocations per row
+// whatever its string count: the row and that copy), while each bytes
+// column keeps a copy of its own.
+func TestDecodeStringsShareOneCopy(t *testing.T) {
+	s, err := NewSchema(
+		Column{Name: "a", Kind: KindString},
+		Column{Name: "b", Kind: KindBytes},
+		Column{Name: "c", Kind: KindString},
+		Column{Name: "d", Kind: KindString},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Row{String("first"), Bytes([]byte("blob")), String(""), String("third")}
+	buf, err := Encode(s, in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(s, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 3 {
+		t.Fatalf("decode of a row with three strings and one bytes column allocates %.1f, want 3", avg)
+	}
+	r, err := Decode(s, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r[1].Raw()[0] = 'X'
+	for i := range buf {
+		buf[i] = 0
+	}
+	if want := (Row{String("first"), Bytes([]byte("Xlob")), String(""), String("third")}); !r.Equal(want) {
+		t.Fatalf("decoded %v, want %v", r, want)
+	}
+}

@@ -23,7 +23,9 @@ func fuzzSchema(t interface{ Fatal(...any) }) *Schema {
 // FuzzRowDecode hammers the row codec with arbitrary bytes. Decode
 // parses row images straight off WAL replay and page reads: it must
 // reject malformed input with an error, never panic, and stay canonical
-// (a successful decode re-encodes to the identical bytes).
+// (a successful decode re-encodes to the identical bytes). The row must
+// own its payloads: its strings share one copy of the input, so writing
+// to the input or to a bytes column must not change them.
 func FuzzRowDecode(f *testing.F) {
 	s := fuzzSchema(f)
 	for _, r := range []Row{
@@ -55,6 +57,25 @@ func FuzzRowDecode(f *testing.F) {
 		}
 		if !bytes.Equal(got, buf) {
 			t.Fatalf("decode/encode round trip drifted:\n in  %x\n out %x", buf, got)
+		}
+		want, err := Decode(s, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] ^= 0xff
+		}
+		for _, v := range r {
+			if v.Kind() == KindBytes {
+				for i := range v.Raw() {
+					v.Raw()[i] ^= 0xff
+				}
+			}
+		}
+		for i, v := range r {
+			if v.Kind() == KindString && v.Str() != want[i].Str() {
+				t.Fatalf("column %d = %q after writes to the input and to bytes columns, want %q", i, v.Str(), want[i].Str())
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/btrim"
 )
@@ -22,14 +23,21 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// decodeString consumes a uvarint-length-prefixed string.
-func decodeString(b []byte) (string, []byte, error) {
+// decodeString consumes a uvarint-length-prefixed string. The string
+// is sliced out of s, a frame's payload copied once into a string whose
+// tail holds the same bytes as b (see tail), so it allocates nothing.
+func decodeString(b []byte, s string) (string, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
 		return "", nil, io.ErrUnexpectedEOF
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	s = tail(s, b)
+	return s[sz : sz+int(n)], b[sz+int(n):], nil
 }
+
+// tail returns the end of s that holds b, the unread rest of the
+// payload s is a copy of.
+func tail(s string, b []byte) string { return s[len(s)-len(b):] }
 
 // appendBatchMsg appends one encoded batch message.
 func appendBatchMsg(b []byte, m *batchMsg) []byte {
@@ -75,6 +83,10 @@ func decodeBatch(b []byte, scratch []batchMsg) ([]batchMsg, error) {
 	if count > uint64(len(b)) {
 		return nil, io.ErrUnexpectedEOF
 	}
+	// The frame buffer is reused: names and bind values are sliced out
+	// of one copy of it. Statement text gets a copy of its own, because
+	// the plan cache and prepared statements keep parts of it.
+	str := string(b)
 	msgs := scratch[:0]
 	for i := uint64(0); i < count; i++ {
 		if len(b) == 0 {
@@ -89,13 +101,15 @@ func decodeBatch(b []byte, scratch []batchMsg) ([]batchMsg, error) {
 		var err error
 		switch m.kind {
 		case msgSQL:
-			m.sql, b, err = decodeString(b)
+			m.sql, b, err = decodeString(b, str)
+			m.sql = strings.Clone(m.sql)
 		case msgPrepare:
-			if m.name, b, err = decodeString(b); err == nil {
-				m.sql, b, err = decodeString(b)
+			if m.name, b, err = decodeString(b, str); err == nil {
+				m.sql, b, err = decodeString(b, str)
+				m.name, m.sql = strings.Clone(m.name), strings.Clone(m.sql)
 			}
 		case msgBind:
-			if m.name, b, err = decodeString(b); err != nil {
+			if m.name, b, err = decodeString(b, str); err != nil {
 				break
 			}
 			var nargs uint64
@@ -114,13 +128,13 @@ func decodeBatch(b []byte, scratch []batchMsg) ([]batchMsg, error) {
 			}
 			for j := uint64(0); j < nargs; j++ {
 				var v btrim.Value
-				if v, b, err = decodeValue(b); err != nil {
+				if v, b, err = decodeValue(b, str); err != nil {
 					break
 				}
 				m.args = append(m.args, v)
 			}
 		case msgDeallocate:
-			m.name, b, err = decodeString(b)
+			m.name, b, err = decodeString(b, str)
 		default:
 			err = fmt.Errorf("server: bad batch message kind %q", m.kind)
 		}

@@ -312,7 +312,10 @@ func appendValue(b []byte, v btrim.Value) []byte {
 	return b
 }
 
-func decodeValue(b []byte) (btrim.Value, []byte, error) {
+// decodeValue consumes one value. Strings are sliced out of s, as in
+// decodeString; bytes values get a copy of their own, which the caller
+// may write to.
+func decodeValue(b []byte, s string) (btrim.Value, []byte, error) {
 	if len(b) == 0 {
 		return btrim.Null, nil, io.ErrUnexpectedEOF
 	}
@@ -336,11 +339,11 @@ func decodeValue(b []byte) (btrim.Value, []byte, error) {
 		if sz <= 0 || uint64(len(b)-sz) < n {
 			return btrim.Null, nil, io.ErrUnexpectedEOF
 		}
-		data := b[sz : sz+int(n)]
 		if tag == 's' {
-			return btrim.String(string(data)), b[sz+int(n):], nil
+			s = tail(s, b)
+			return btrim.String(s[sz : sz+int(n)]), b[sz+int(n):], nil
 		}
-		return btrim.Bytes(append([]byte(nil), data...)), b[sz+int(n):], nil
+		return btrim.Bytes(append([]byte(nil), b[sz:sz+int(n)]...)), b[sz+int(n):], nil
 	default:
 		return btrim.Null, nil, fmt.Errorf("server: bad value tag %q", tag)
 	}
@@ -383,6 +386,26 @@ func encodeResponse(buf []byte, res *sql.Result, err error) []byte {
 	return buf
 }
 
+// okMsg returns the message of an OK response, without an allocation
+// for the verbs a transaction sends over and over.
+func okMsg(b []byte) string {
+	switch string(b) {
+	case "INSERT":
+		return "INSERT"
+	case "UPDATE":
+		return "UPDATE"
+	case "DELETE":
+		return "DELETE"
+	case "BEGIN":
+		return "BEGIN"
+	case "COMMIT":
+		return "COMMIT"
+	case "ROLLBACK":
+		return "ROLLBACK"
+	}
+	return string(b)
+}
+
 // decodeResponse is the client-side inverse of encodeResponse.
 func decodeResponse(b []byte) (*sql.Result, error) {
 	if len(b) == 0 {
@@ -401,7 +424,7 @@ func decodeResponse(b []byte) (*sql.Result, error) {
 		if sz <= 0 {
 			return nil, io.ErrUnexpectedEOF
 		}
-		return &sql.Result{Affected: int64(aff), Msg: string(b[sz:])}, nil
+		return &sql.Result{Affected: int64(aff), Msg: okMsg(b[sz:])}, nil
 	case tagRows:
 		ncols, sz := binary.Uvarint(b)
 		if sz <= 0 {
@@ -414,14 +437,17 @@ func decodeResponse(b []byte) (*sql.Result, error) {
 		if ncols > uint64(len(b)) {
 			return nil, io.ErrUnexpectedEOF
 		}
+		// Every string of the response (column names, values, warning)
+		// is sliced out of one copy of the payload.
+		str := string(b)
 		res := &sql.Result{Cols: make([]string, 0, ncols)}
 		for i := uint64(0); i < ncols; i++ {
-			n, sz := binary.Uvarint(b)
-			if sz <= 0 || uint64(len(b)-sz) < n {
-				return nil, io.ErrUnexpectedEOF
+			var c string
+			var err error
+			if c, b, err = decodeString(b, str); err != nil {
+				return nil, err
 			}
-			res.Cols = append(res.Cols, string(b[sz:sz+int(n)]))
-			b = b[sz+int(n):]
+			res.Cols = append(res.Cols, c)
 		}
 		nrows, sz := binary.Uvarint(b)
 		if sz <= 0 {
@@ -434,12 +460,19 @@ func decodeResponse(b []byte) (*sql.Result, error) {
 		if ncols == 0 && nrows > 0 || ncols > 0 && nrows > uint64(len(b))/ncols {
 			return nil, io.ErrUnexpectedEOF
 		}
+		// One backing array for every row of the response, each row
+		// capped at its own width.
+		var vals []btrim.Value
+		if nrows > 0 {
+			vals = make([]btrim.Value, nrows*ncols)
+			res.Rows = make([]btrim.Row, 0, nrows)
+		}
 		for i := uint64(0); i < nrows; i++ {
-			r := make(btrim.Row, ncols)
+			r := btrim.Row(vals[i*ncols : (i+1)*ncols : (i+1)*ncols])
 			for j := range r {
 				var v btrim.Value
 				var err error
-				v, b, err = decodeValue(b)
+				v, b, err = decodeValue(b, str)
 				if err != nil {
 					return nil, err
 				}
@@ -449,9 +482,8 @@ func decodeResponse(b []byte) (*sql.Result, error) {
 		}
 		// Optional trailing warning (absent in frames from older servers).
 		if len(b) > 0 {
-			n, sz := binary.Uvarint(b)
-			if sz > 0 && uint64(len(b)-sz) >= n {
-				res.Warning = string(b[sz : sz+int(n)])
+			if w, _, err := decodeString(b, str); err == nil {
+				res.Warning = w
 			}
 		}
 		return res, nil

@@ -232,7 +232,11 @@ func (t *Txn) LookupAll(table, index string, vals []row.Value) ([]row.Row, error
 	var out []row.Row
 	err := t.fanOut(func(s *core.Txn) (bool, error) {
 		rows, err := s.LookupAll(table, index, vals)
-		out = append(out, rows...)
+		if out == nil {
+			out = rows // the common case: one shard has matches
+		} else {
+			out = append(out, rows...)
+		}
 		return true, err
 	})
 	if err != nil && !errors.Is(err, ErrPartialResult) {

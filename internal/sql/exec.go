@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/btrim"
@@ -250,13 +251,42 @@ func compileSelect(cat *catalog.Catalog, st *Select) (func(Txn, []btrim.Value) (
 	return p.run, nil
 }
 
+// rowArena carves the rows of one result out of shared backing arrays.
+// Each row is capped at its own width, so an append to one row cannot
+// run into the next.
+type rowArena struct{ buf []btrim.Value }
+
+// reserve makes room for rows more rows of width values in one array.
+func (a *rowArena) reserve(rows, width int) {
+	if cap(a.buf)-len(a.buf) < rows*width {
+		a.buf = make([]btrim.Value, 0, rows*width)
+	}
+}
+
+// next returns a fresh row of width values. Without a reserve in
+// force, each new array is twice the last, so a result of n rows takes
+// O(log n) arrays.
+func (a *rowArena) next(width int) btrim.Row {
+	if cap(a.buf)-len(a.buf) < width {
+		a.reserve(max(2*cap(a.buf)/width, 1), width)
+	}
+	n := len(a.buf)
+	a.buf = a.buf[:n+width]
+	return a.buf[n : n+width : n+width]
+}
+
 // project copies the output columns of a full schema row.
-func project(r btrim.Row, ords []int) btrim.Row {
-	out := make(btrim.Row, len(ords))
+func (a *rowArena) project(r btrim.Row, ords []int) btrim.Row {
+	out := a.next(len(ords))
 	for i, o := range ords {
 		out[i] = r[o]
 	}
 	return out
+}
+
+// atLimit reports whether res holds the LIMIT's rows.
+func (p *selPlan) atLimit(res *Result) bool {
+	return p.limit >= 0 && int64(len(res.Rows)) >= p.limit
 }
 
 func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
@@ -266,7 +296,6 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 	}
 	sc := scratchPool.Get().(*bindScratch)
 	defer scratchPool.Put(sc)
-	atLimit := func() bool { return p.limit >= 0 && int64(len(res.Rows)) >= p.limit }
 
 	if p.kind == selScan {
 		rps, err := resolvePreds(p.scanPreds, args, sc.preds)
@@ -275,6 +304,7 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		}
 		sc.preds = rps[:0]
 		stop := false
+		var arena rowArena
 		err = tx.ScanBatches(p.meta.name, p.scanCols, 0, func(b *btrim.Batch) bool {
 		rows:
 			for i := 0; i < b.Len(); i++ {
@@ -283,12 +313,12 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 						continue rows
 					}
 				}
-				out := make(btrim.Row, len(p.scanOutOrds))
+				out := arena.next(len(p.scanOutOrds))
 				for j, o := range p.scanOutOrds {
 					out[j] = b.Cols[o].Value(i) // owned: the batch is reused
 				}
 				res.Rows = append(res.Rows, out)
-				if atLimit() {
+				if p.atLimit(res) {
 					stop = true
 					return false
 				}
@@ -313,10 +343,19 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		return nil, err
 	}
 	sc.preds = rps[:0]
+	var arena rowArena
 	emit := func(r btrim.Row) {
 		if rowMatches(rps, r) {
-			res.Rows = append(res.Rows, project(r, p.outOrds))
+			res.Rows = append(res.Rows, arena.project(r, p.outOrds))
 		}
+	}
+	// reserve sizes the result for n more fetched rows, up to the limit.
+	reserve := func(n int) {
+		if p.limit >= 0 {
+			n = min(n, int(p.limit)-len(res.Rows))
+		}
+		arena.reserve(n, len(p.outOrds))
+		res.Rows = slices.Grow(res.Rows, n)
 	}
 	switch p.kind {
 	case selPoint:
@@ -339,6 +378,7 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		}
 		sc.vals = vals[:0]
 		vals = dedupValues(vals)
+		reserve(len(vals))
 		for _, v := range vals {
 			r, ok, err := tx.Get(p.meta.name, v)
 			if err != nil {
@@ -347,7 +387,7 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 			if ok {
 				emit(r)
 			}
-			if atLimit() {
+			if p.atLimit(res) {
 				break
 			}
 		}
@@ -361,9 +401,10 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		reserve(len(rows))
 		for _, r := range rows {
 			emit(r)
-			if atLimit() {
+			if p.atLimit(res) {
 				break
 			}
 		}
@@ -380,9 +421,10 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			reserve(len(rows))
 			for _, r := range rows {
 				emit(r)
-				if atLimit() {
+				if p.atLimit(res) {
 					break outer
 				}
 			}

@@ -22,7 +22,7 @@ import (
 type Frame struct {
 	mu    sync.RWMutex // the page latch
 	id    uint32       // page id; only valid while mapped
-	data  []byte
+	pg    page.Page    // wraps the frame's buffer for its whole life
 	pins  atomic.Int32
 	dirty atomic.Bool
 	ref   atomic.Bool // clock reference bit
@@ -33,9 +33,9 @@ type Frame struct {
 // ID returns the page id held by this frame.
 func (f *Frame) ID() uint32 { return f.id }
 
-// Page wraps the frame's buffer as a slotted page. Callers must hold the
-// latch.
-func (f *Frame) Page() *page.Page { return page.Wrap(f.data) }
+// Page returns the frame's buffer as a slotted page. Callers must hold
+// the latch.
+func (f *Frame) Page() *page.Page { return &f.pg }
 
 // Latch acquires the frame latch (exclusive when excl). It reports
 // whether the caller had to wait — the latch-contention signal.
@@ -215,7 +215,7 @@ func (p *Pool) Fetch(id uint32) (*Frame, error) {
 	f.mu.Lock() // block readers until the fill completes
 	p.mu.Unlock()
 
-	err = p.dev.ReadPage(id, f.data)
+	err = p.dev.ReadPage(id, f.pg.Bytes())
 	f.mu.Unlock()
 	if err != nil {
 		p.mu.Lock()
@@ -267,7 +267,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 // victimLocked returns a free or evictable frame. Pool mutex held.
 func (p *Pool) victimLocked() (*Frame, error) {
 	if len(p.frames) < p.capacity {
-		f := &Frame{data: make([]byte, disk.PageSize), pool: p}
+		f := p.newFrame()
 		p.frames = append(p.frames, f)
 		return f, nil
 	}
@@ -298,10 +298,15 @@ func (p *Pool) victimLocked() (*Frame, error) {
 	// Every frame is pinned (or, under no-steal, dirty): grow past
 	// capacity rather than fail the fetch or violate no-steal. The
 	// overflow is bounded by the number of concurrently pinned frames.
-	f := &Frame{data: make([]byte, disk.PageSize), pool: p}
+	f := p.newFrame()
 	p.frames = append(p.frames, f)
 	p.stats.Overflows.Add(1)
 	return f, nil
+}
+
+// newFrame returns an unmapped frame over a fresh page buffer.
+func (p *Pool) newFrame() *Frame {
+	return &Frame{pg: *page.Wrap(make([]byte, disk.PageSize)), pool: p}
 }
 
 // flushFrameLocked writes back a dirty frame. The caller must hold
@@ -309,11 +314,11 @@ func (p *Pool) victimLocked() (*Frame, error) {
 // with f pinned (FlushAll); both exclude mutators and remapping.
 func (p *Pool) flushFrameLocked(f *Frame) error {
 	if p.gate != nil {
-		if err := p.gate(page.Wrap(f.data).LSN()); err != nil {
+		if err := p.gate(f.pg.LSN()); err != nil {
 			return err
 		}
 	}
-	if err := p.dev.WritePage(f.id, f.data); err != nil {
+	if err := p.dev.WritePage(f.id, f.pg.Bytes()); err != nil {
 		return err
 	}
 	f.dirty.Store(false)

@@ -347,3 +347,39 @@ func TestFlushAllConcurrentWithLatchedFetches(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestFramePageAllocs gates Frame.Page: the frame keeps its page value
+// for its whole life and hands out a pointer to it, so fetching a
+// cached page and reading it through Page allocates nothing.
+func TestFramePageAllocs(t *testing.T) {
+	p, _ := newPool(t, 4)
+	id, f, err := p.NewPage(page.TypeHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, err := f.Page().Insert([]byte("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Unlatch(true)
+	p.Unpin(f, true)
+
+	avg := testing.AllocsPerRun(1000, func() {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Latch(false)
+		if rec, err := f.Page().Read(slot); err != nil || string(rec) != "abc" {
+			t.Fatalf("Read = %q, %v", rec, err)
+		}
+		if f.Page() != f.Page() {
+			t.Fatal("Page returns a new page on every call")
+		}
+		f.Unlatch(false)
+		p.Unpin(f, false)
+	})
+	if avg != 0 {
+		t.Fatalf("fetch + Page allocates %.1f per call, want 0", avg)
+	}
+}

@@ -17,22 +17,32 @@ const DefaultLockTimeout = 5 * time.Second
 
 const lockShards = 64
 
+// lockFreeMax bounds each shard's list of recycled entries.
+const lockFreeMax = 16
+
 type lockEntry struct {
 	holder  uint64 // owning transaction id; 0 when free
 	count   int    // reentrancy count
 	waiters int
-	release chan struct{} // closed and replaced on every release
+	// release is made by the first waiter and closed (then cleared) on
+	// the release that follows; an uncontended lock never makes one.
+	release chan struct{}
 }
 
 type lockShard struct {
 	mu      sync.Mutex
 	entries map[rid.RID]*lockEntry
+	free    []*lockEntry // recycled entries, all fields zero
 }
 
 // LockManager grants exclusive row locks keyed by RID. Locks are
 // reentrant per transaction. TryLock implements the conditional lock
 // acquisition used by Pack: if a row lock cannot be granted immediately,
 // the row is skipped (paper Section VII-B).
+//
+// An entry is referenced only under its shard's mutex (a waiter keeps
+// just the release channel), so an entry that has neither holder nor
+// waiters is deleted and recycled at once.
 type LockManager struct {
 	shards  [lockShards]lockShard
 	timeout time.Duration
@@ -59,28 +69,60 @@ func (m *LockManager) shard(r rid.RID) *lockShard {
 	return &m.shards[h%lockShards]
 }
 
+// entry returns r's entry, adding a recycled or new one. Shard mutex
+// held.
+func (s *lockShard) entry(r rid.RID) *lockEntry {
+	if e, ok := s.entries[r]; ok {
+		return e
+	}
+	var e *lockEntry
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		e = &lockEntry{}
+	}
+	s.entries[r] = e
+	return e
+}
+
+// retire deletes r's entry once nothing holds or waits for it, and
+// recycles it. Shard mutex held.
+func (s *lockShard) retire(r rid.RID, e *lockEntry) {
+	if e.holder != 0 || e.waiters != 0 || e.count != 0 {
+		return
+	}
+	delete(s.entries, r)
+	if len(s.free) < lockFreeMax {
+		*e = lockEntry{}
+		s.free = append(s.free, e)
+	}
+}
+
 // Lock acquires the exclusive lock on r for txnID, blocking up to the
 // manager timeout. It is reentrant for the same transaction.
 func (m *LockManager) Lock(txnID uint64, r rid.RID) error {
 	s := m.shard(r)
-	deadline := time.Now().Add(m.timeout)
+	var deadline time.Time // set by the first wait
 	for {
 		s.mu.Lock()
-		e, ok := s.entries[r]
-		if !ok {
-			e = &lockEntry{release: make(chan struct{})}
-			s.entries[r] = e
-		}
+		e := s.entry(r)
 		if e.holder == 0 || e.holder == txnID {
 			e.holder = txnID
 			e.count++
 			s.mu.Unlock()
 			return nil
 		}
+		if e.release == nil {
+			e.release = make(chan struct{})
+		}
 		wait := e.release
 		e.waiters++
 		s.mu.Unlock()
 
+		if deadline.IsZero() {
+			deadline = time.Now().Add(m.timeout)
+		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			m.dropWaiter(s, r)
@@ -102,9 +144,7 @@ func (m *LockManager) dropWaiter(s *lockShard, r rid.RID) {
 	s.mu.Lock()
 	if e, ok := s.entries[r]; ok {
 		e.waiters--
-		if e.holder == 0 && e.waiters == 0 && e.count == 0 {
-			delete(s.entries, r)
-		}
+		s.retire(r, e)
 	}
 	s.mu.Unlock()
 }
@@ -114,11 +154,7 @@ func (m *LockManager) TryLock(txnID uint64, r rid.RID) bool {
 	s := m.shard(r)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[r]
-	if !ok {
-		e = &lockEntry{release: make(chan struct{})}
-		s.entries[r] = e
-	}
+	e := s.entry(r)
 	if e.holder == 0 || e.holder == txnID {
 		e.holder = txnID
 		e.count++
@@ -142,11 +178,11 @@ func (m *LockManager) Unlock(txnID uint64, r rid.RID) {
 		return
 	}
 	e.holder = 0
-	close(e.release)
-	e.release = make(chan struct{})
-	if e.waiters == 0 {
-		delete(s.entries, r)
+	if e.release != nil {
+		close(e.release)
+		e.release = nil
 	}
+	s.retire(r, e)
 }
 
 // HeldBy reports whether txnID currently holds r (tests).
