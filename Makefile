@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared fuzz fuzz-proto fuzz-row bench-build test-bench bench-smoke examples loc ci
+.PHONY: build vet fmt-check test test-race test-race-internal test-race-readpath test-commit test-recovery test-gc test-cold test-chaos test-chaos-server test-shard test-server test-sql-prepared test-allocs fuzz fuzz-proto fuzz-row bench-build test-bench bench-smoke examples loc ci
 
 build:
 	$(GO) build ./...
@@ -119,6 +119,13 @@ test-sql-prepared:
 	$(GO) test -race ./internal/sql/ -run 'Prepare|Prepared|PlanCache|Transparent|INAndIndex|DropTable'
 	$(GO) test -race ./internal/server/ -run 'Pipeline|Batch'
 
+# Every allocation gate (testing.AllocsPerRun budgets of the read,
+# write, commit, WAL, index and wire-decode paths) without the race
+# detector, whose instrumentation allocates and which the gates skip,
+# on one and on two cores.
+test-allocs:
+	$(GO) test -cpu 1,2 -run 'Allocs|AllocBudget|DoesNotAllocate|ZeroAllocs' ./...
+
 # Fuzz the byte-level decoders (WAL record bodies, WAL frame scanner,
 # row codec, cold-store segments) for a short smoke window each; seed
 # corpora live in testdata/fuzz.
@@ -181,6 +188,6 @@ loc:
 # the full suite. The fuzz targets run with a small budget here — the
 # checked-in corpora replay as plain seeds, the extra seconds only probe
 # for fresh crashers. Every example program runs once (make examples).
-ci: build vet fmt-check bench-build examples test-race-internal test-race-readpath test-commit test-sql-prepared
+ci: build vet fmt-check bench-build examples test-allocs test-race-internal test-race-readpath test-commit test-sql-prepared
 	$(GO) test -race -short ./...
 	$(MAKE) fuzz-proto fuzz-row FUZZTIME=10s

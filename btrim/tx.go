@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/core"
+	"repro/internal/row"
 	"repro/internal/shard"
 	"repro/internal/storage/colseg"
 	"repro/internal/txn"
@@ -68,9 +69,19 @@ type STx = Tx
 // page store.
 func (t *Tx) Insert(table string, r Row) error { return t.tx.Insert(table, r) }
 
-// Get returns the row with the given primary key.
+// Get returns the row with the given primary key: GetCols over every
+// column into a fresh row.
 func (t *Tx) Get(table string, pk ...Value) (Row, bool, error) {
 	return t.tx.Get(table, pk)
+}
+
+// GetCols reads the columns at cols (schema ordinals in output order;
+// nil: every column) of the row with the given primary key into dst,
+// which must be as wide, and reports whether the row exists. Only the
+// returned string and bytes payloads are copied: reading int columns
+// allocates nothing.
+func (t *Tx) GetCols(table string, pk []Value, cols []int, dst Row) (bool, error) {
+	return t.tx.GetCols(table, pk, cols, dst)
 }
 
 // Update applies mutate to the row with the given primary key, returning
@@ -115,9 +126,34 @@ func (t *Tx) IndexScan(table, index string, from []Value, fn func(Row) bool) err
 }
 
 // LookupAll returns the rows whose index columns equal vals (prefix
-// equality on non-unique indexes), concatenated over shards.
+// equality on non-unique indexes), concatenated over shards: it is
+// LookupCols over every column, each row copied out. With a shard down
+// it returns the healthy shards' rows and ErrPartialResult.
 func (t *Tx) LookupAll(table, index string, vals ...Value) ([]Row, error) {
-	return t.tx.LookupAll(table, index, vals)
+	var out []Row
+	var a row.Arena
+	err := t.tx.LookupCols(table, index, vals, nil, func(r Row) bool {
+		out = append(out, a.Copy(r))
+		return true
+	})
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return nil, err
+	}
+	return out, err
+}
+
+// LookupCols streams the rows whose index columns equal vals to fn,
+// shard by shard, decoded to the columns at cols (schema ordinals in
+// output order; nil: every column), until fn returns false. The row fn
+// is given is reused for the next one: its values are copies that fn
+// may keep, the row itself is not. Only the returned string and bytes
+// payloads are copied, so an int-only projection allocates nothing per
+// row. fn runs during the index scan, which holds no latch while it
+// yields: rows fn itself writes to the scanned index may or may not be
+// visited later in the same scan. With a shard down, the healthy
+// shards' rows reach fn once each and ErrPartialResult comes back.
+func (t *Tx) LookupCols(table, index string, vals []Value, cols []int, fn func(Row) bool) error {
+	return t.tx.LookupCols(table, index, vals, cols, fn)
 }
 
 // Commit makes the transaction durable and visible: one shard's own

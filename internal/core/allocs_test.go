@@ -20,7 +20,8 @@ import (
 // For reference, the pre-pooling path (deleted with its selector)
 // measured 6.0 reads and 37.0 updates on the same workload; the pooled
 // path measured 3.0 and 28.0, and with lock entries recycled and
-// frames keeping their page it measures 3.0 and 15.0.
+// frames keeping their page it measures 3.0 and 15.0, and with the WAL
+// keeping its pending buffer across flushes 3.0 and 13.0.
 const (
 	pointReadAllocBudget = 5
 	updateAllocBudget    = 20
@@ -114,13 +115,20 @@ func TestUpdateAllocBudget(t *testing.T) {
 
 // lookupAllAllocBudget bounds one transaction running a 10-row
 // LookupAll on a non-unique index whose leaf holds 200 more keys past
-// the prefix: about 3 per row plus a constant. Measured 30.0: per row
-// the decoded row and its one string backing, plus the transaction,
-// the prefix, the scan's arena and batch, the key buffer and the
-// growing result slice.
-const lookupAllAllocBudget = 3*10 + 10
+// the prefix. Measured 23.0: per row the one copy of its string
+// payload, plus the transaction, the row LookupCols decodes into, the
+// scan's arena and batch, and the growing result slice and row arena
+// (five and four arrays for 10 rows). The prefix is re-checked on the
+// row image, so nothing else is per row.
+const lookupAllAllocBudget = 23
 
 func TestLookupAllAllocBudget(t *testing.T) {
+	if raceEnabled {
+		// The budget is the exact steady state, which the race detector's
+		// randomly dropping sync.Pool does not keep; make test-allocs
+		// runs it without.
+		t.Skip("race-detector instrumentation allocates; budget is meaningless")
+	}
 	e := allocBudgetEngine(t)
 	createItems(t, e)
 

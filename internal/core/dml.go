@@ -222,11 +222,40 @@ func (t *Txn) insertIndexEntries(rt *tableRT, rw row.Row, r0 rid.RID, en *imrs.E
 	return nil
 }
 
-// Get returns the row with the given primary key, or found=false. A hit
-// on an IMRS-resident version counts as an IMRS select; a page-store
-// read may trigger the Section IV caching path (unique-index access
-// brings the row into the IMRS in anticipation of re-access).
+// Get returns the row with the given primary key, or found=false: it
+// is GetCols over every column into a fresh row.
 func (t *Txn) Get(table string, pk []row.Value) (row.Row, bool, error) {
+	rt, ok, err := t.get(table, pk)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	rw := make(row.Row, rt.cat.Schema.NumColumns())
+	if err := t.sc.img.Decode(nil, rw); err != nil {
+		return nil, false, err
+	}
+	return rw, true, nil
+}
+
+// GetCols reads the columns at cols (schema ordinals in output order;
+// nil: every column) of the row with the given primary key into dst,
+// which must be as wide, and reports whether the row exists. Only the
+// returned string and bytes payloads are copied (row.Image.Decode), so
+// reading int columns allocates nothing.
+func (t *Txn) GetCols(table string, pk []row.Value, cols []int, dst row.Row) (bool, error) {
+	_, ok, err := t.get(table, pk)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, t.sc.img.Decode(cols, dst)
+}
+
+// get resolves the row with primary key pk to its visible image, held
+// in the transaction's image (t.sc.img), which the caller decodes
+// before its next read. A hit on an IMRS-resident version counts as an
+// IMRS select; a page-store read may trigger the Section IV caching
+// path (unique-index access brings the row into the IMRS in
+// anticipation of re-access).
+func (t *Txn) get(table string, pk []row.Value) (*tableRT, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnDone
 	}
@@ -244,8 +273,8 @@ func (t *Txn) Get(table string, pk []row.Value) (row.Row, bool, error) {
 				prt := t.e.partByID(en.Part)
 				en.Touch(t.e.clock.Now())
 				prt.ilm.IMRSSelects.Inc()
-				rw, err := t.e.decode(rt, v.Data())
-				return rw, err == nil, err
+				t.sc.img.Set(rt.cat.Schema, v.Data())
+				return rt, true, nil
 			}
 		}
 	}
@@ -258,36 +287,37 @@ func (t *Txn) Get(table string, pk []row.Value) (row.Row, bool, error) {
 		if !found {
 			return nil, false, nil
 		}
-		rw, ok, retry, err := t.readRowAt(rt, r0, key, true)
+		ok, retry, err := t.readRowAt(rt, r0, key, true)
 		if err != nil {
 			return nil, false, err
 		}
 		if !retry {
-			return rw, ok, nil
+			return rt, ok, nil
 		}
 	}
 	return nil, false, ErrRetry
 }
 
-// readRowAt resolves a RID obtained from an index to a row image,
-// transparently checking the RID map first (paper Section II). retry
-// reports that the row moved between stores and the index lookup should
-// be repeated. pointAccess enables the ILM caching decision.
-func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess bool) (rw row.Row, ok, retry bool, err error) {
+// readRowAt resolves a RID obtained from an index to its visible image
+// and points the transaction's image (t.sc.img) at it, transparently
+// checking the RID map first (paper Section II). The image is the IMRS
+// version itself, or a page-store or cold-segment row copied into the
+// transaction's row buffer (t.sc.rowBuf); either stays valid until the
+// transaction's next read. retry reports that the row moved between
+// stores and the index lookup should be repeated. pointAccess enables
+// the ILM caching decision.
+func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess bool) (ok, retry bool, err error) {
 	prt := rt.part(r0.Partition())
 	if prt == nil {
-		return nil, false, false, fmt.Errorf("core: unknown partition in %v", r0)
+		return false, false, fmt.Errorf("core: unknown partition in %v", r0)
 	}
 	en := t.e.rmap.Get(r0)
 	if en != nil {
 		if v := en.Visible(t.snap, t.id); v != nil {
 			en.Touch(t.e.clock.Now())
 			prt.ilm.IMRSSelects.Inc()
-			rw, retry, err := t.decodeProbed(rt, v.Data(), probeKey)
-			if err != nil || retry {
-				return nil, false, retry, err
-			}
-			return rw, true, false, nil
+			retry, err := t.setImage(rt, v.Data(), probeKey)
+			return err == nil && !retry, retry, err
 		}
 		// Invisible entry: an uncommitted insert or migration, a deleted
 		// row, or an un-freeze this snapshot predates. The cold copy or
@@ -297,64 +327,63 @@ func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess b
 	// (colseg.Segment.Visible: live, or killed after the snapshot by a
 	// versioned kill).
 	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && seg.Visible(idx, t.snap) {
-		enc, err := seg.EncodeRowAt(idx, nil)
+		enc, err := seg.EncodeRowAt(idx, t.sc.rowBuf[:0])
 		if err != nil {
-			return nil, false, false, err
+			return false, false, err
 		}
-		rw, retry, err := t.decodeProbed(rt, enc, probeKey)
-		if err != nil || retry {
-			return nil, false, retry, err
+		t.sc.rowBuf = enc
+		if retry, err := t.setImage(rt, enc, probeKey); err != nil || retry {
+			return false, retry, err
 		}
 		prt.ilm.PageOps.Inc()
 		if pointAccess && k == 0 {
 			t.maybeCache(rt, prt, r0, enc, true)
 		}
-		return rw, true, false, nil
+		return true, false, nil
 	} else if r0.IsVirtual() {
 		// No image for this snapshot: the entry is invisible, or the cold
 		// copy was killed (deleted, or un-frozen to a fresh heap RID). In
 		// neither home, the row was packed after the index lookup and the
 		// index now points at its page-store RID: retry.
-		return nil, false, en == nil && !ok, nil
+		return false, en == nil && !ok, nil
 	}
 	data, found, err := t.lockedPageFetch(prt, r0)
-	if err != nil {
-		return nil, false, false, err
+	if err != nil || !found {
+		return false, false, err
 	}
-	if !found {
-		return nil, false, false, nil
-	}
-	rw, retry, err = t.decodeProbed(rt, data, probeKey)
-	if err != nil || retry {
-		return nil, false, retry, err
+	if retry, err := t.setImage(rt, data, probeKey); err != nil || retry {
+		return false, retry, err
 	}
 	prt.ilm.PageOps.Inc()
 	prt.ilm.PageReuseOps.Inc()
 	if pointAccess {
 		t.maybeCache(rt, prt, r0, data, false)
 	}
-	return rw, true, false, nil
+	return true, false, nil
 }
 
-// decodeProbed decodes a row image; with probeKey set, retry reports
-// that the image no longer carries that primary key (the index raced a
-// key change or a move).
-func (t *Txn) decodeProbed(rt *tableRT, data []byte, probeKey row.Key) (rw row.Row, retry bool, err error) {
-	rw, err = t.e.decode(rt, data)
-	if err != nil || probeKey == nil {
-		return rw, false, err
+// setImage points the transaction's image at a row image; with
+// probeKey set, retry reports that the image no longer carries that
+// primary key (the index raced a key change or a move). The key is read
+// off the image, not off a decoded row.
+func (t *Txn) setImage(rt *tableRT, data []byte, probeKey row.Key) (retry bool, err error) {
+	im := &t.sc.img
+	im.Set(rt.cat.Schema, data)
+	if probeKey == nil {
+		return false, nil
 	}
-	got, err := pkOf(rt, rw)
+	got, err := im.AppendKey(t.sc.vkey[:0], rt.cat.PKOrds)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return rw, !bytes.Equal(got, probeKey), nil
+	t.sc.vkey = got
+	return !bytes.Equal(got, probeKey), nil
 }
 
 // lockedPageFetch reads a page-store row under its row lock (read
-// committed): a write in flight holds the lock, so the read waits for
-// the outcome. The lock is released immediately unless this transaction
-// already holds it.
+// committed) into the transaction's row buffer: a write in flight holds
+// the lock, so the read waits for the outcome. The lock is released
+// immediately unless this transaction already holds it.
 func (t *Txn) lockedPageFetch(prt *partRT, r0 rid.RID) (data []byte, found bool, err error) {
 	_, held := t.locks[r0]
 	if !held {
@@ -363,18 +392,20 @@ func (t *Txn) lockedPageFetch(prt *partRT, r0 rid.RID) (data []byte, found bool,
 		}
 		defer t.e.locks.Unlock(t.id, r0)
 	}
-	data, err = prt.heap.Fetch(r0)
+	data, err = prt.heap.FetchAppend(t.sc.rowBuf[:0], r0)
 	if err != nil {
 		// Dead slot or missing page: the row does not exist (deleted).
 		return nil, false, nil
 	}
+	t.sc.rowBuf = data
 	return data, true, nil
 }
 
 // maybeCache implements the Section IV "select caches the row" path:
 // a point access to a page-store row copies it into the IMRS as a clean
-// cached row, in anticipation of re-access. Conditional lock only; the
-// hot path never blocks for caching.
+// cached row, in anticipation of re-access. data is the image held in
+// t.sc.img. Conditional lock only; the hot path never blocks for
+// caching.
 func (t *Txn) maybeCache(rt *tableRT, prt *partRT, r0 rid.RID, data []byte, fromCold bool) {
 	if !prt.ilm.Enabled(ilm.OpCache) || !t.e.packer.AcceptNewRows() || !t.e.imrsAdmission() {
 		return
@@ -407,15 +438,16 @@ func (t *Txn) maybeCache(rt *tableRT, prt *partRT, r0 rid.RID, data []byte, from
 	now := t.e.clock.Now()
 	t.e.store.Commit(en.Head(), now)
 	en.Touch(now)
-	rw, err := t.e.decode(rt, data)
-	if err == nil {
-		for _, ix := range rt.indexes {
-			if ix.hash == nil {
-				continue
+	for _, ix := range rt.indexes {
+		if ix.hash == nil {
+			continue
+		}
+		// data is the image in t.sc.img; the key is the hash's own copy.
+		if k, err := t.sc.img.AppendKey(nil, ix.def.ColOrds); err == nil {
+			if !ix.def.Unique {
+				k = ridSuffix(k, r0)
 			}
-			if k, err := indexKey(ix, rw, r0); err == nil {
-				ix.hash.Put(k, en)
-			}
+			ix.hash.Put(k, en)
 		}
 	}
 	t.e.gc.NewRow(en)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,10 +92,8 @@ type Engine struct {
 	tuner  *ilm.Tuner
 	packer *pack.Packer
 
-	mu     sync.RWMutex // guards tables/parts maps
-	tables map[string]*tableRT
-	byID   map[uint32]*tableRT
-	parts  map[rid.PartitionID]*partRT
+	mu  sync.Mutex // serialises writers of reg
+	reg atomic.Pointer[registry]
 
 	// ckptMu quiesces the engine for checkpoints: every transaction
 	// holds it shared for its lifetime; Checkpoint takes it exclusively.
@@ -186,10 +185,12 @@ func Open(cfg Config) (*Engine, error) {
 		locks:  txn.NewLockManager(cfg.LockTimeout),
 		queues: pack.NewQueueSet(),
 		ilmReg: ilm.NewRegistry(),
+	}
+	e.reg.Store(&registry{
 		tables: make(map[string]*tableRT),
 		byID:   make(map[uint32]*tableRT),
 		parts:  make(map[rid.PartitionID]*partRT),
-	}
+	})
 	e.nextTxnID.Store(1)
 	e.quiesceGate.Store(new(sync.Mutex))
 	e.store = imrs.NewStore(cfg.IMRSCacheBytes)
@@ -523,13 +524,13 @@ func (e *Engine) DropTable(name string) error {
 	for _, p := range t.Partitions {
 		droppedParts[p.ID] = true
 	}
-	e.mu.Lock()
-	delete(e.tables, name)
-	delete(e.byID, t.ID)
-	for id := range droppedParts {
-		delete(e.parts, id)
-	}
-	e.mu.Unlock()
+	e.editRegistry(func(r *registry) {
+		delete(r.tables, name)
+		delete(r.byID, t.ID)
+		for id := range droppedParts {
+			delete(r.parts, id)
+		}
+	})
 	// Release the table's live IMRS footprint: unlink from the pack
 	// queues, unpublish from the RID map, and free the row versions.
 	// Retired (deleted) entries already in the GC pipeline are not in
@@ -607,13 +608,13 @@ func (e *Engine) mountTable(t *catalog.Table, fresh bool) (*tableRT, error) {
 	for _, prt := range rt.parts {
 		prt.ilm.IndexContentionFn = indexWaits
 	}
-	e.mu.Lock()
-	e.tables[t.Name] = rt
-	e.byID[t.ID] = rt
-	for _, prt := range rt.parts {
-		e.parts[prt.cat.ID] = prt
-	}
-	e.mu.Unlock()
+	e.editRegistry(func(r *registry) {
+		r.tables[t.Name] = rt
+		r.byID[t.ID] = rt
+		for _, prt := range rt.parts {
+			r.parts[prt.cat.ID] = prt
+		}
+	})
 	return rt, nil
 }
 
@@ -644,22 +645,37 @@ func (e *Engine) UnpinTable(name string) error {
 	return nil
 }
 
+// registry is the engine's mounted tables by name and by id, and their
+// partitions by id. It is copy-on-write: every statement and row reads
+// it without a lock (the imrs.Store.Part pattern); DDL and recovery,
+// which change it a few times per run, publish a changed copy under
+// e.mu.
+type registry struct {
+	tables map[string]*tableRT
+	byID   map[uint32]*tableRT
+	parts  map[rid.PartitionID]*partRT
+}
+
+// editRegistry publishes a copy of the registry changed by edit.
+func (e *Engine) editRegistry(edit func(r *registry)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.reg.Load()
+	r := &registry{tables: maps.Clone(old.tables), byID: maps.Clone(old.byID), parts: maps.Clone(old.parts)}
+	edit(r)
+	e.reg.Store(r)
+}
+
 // table resolves a table runtime by name.
 func (e *Engine) table(name string) (*tableRT, error) {
-	e.mu.RLock()
-	rt := e.tables[name]
-	e.mu.RUnlock()
+	rt := e.reg.Load().tables[name]
 	if rt == nil {
 		return nil, fmt.Errorf("core: no such table %q", name)
 	}
 	return rt, nil
 }
 
-func (e *Engine) partByID(id rid.PartitionID) *partRT {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.parts[id]
-}
+func (e *Engine) partByID(id rid.PartitionID) *partRT { return e.reg.Load().parts[id] }
 
 // Checkpoint quiesces transactions, flushes both logs and all dirty
 // pages, and embeds a catalog snapshot in syslogs. IMRS data is NOT
@@ -750,8 +766,7 @@ func (e *Engine) checkpointLocked() (err error) {
 
 func (e *Engine) checkpointBody() error {
 	// Update persisted heap chains and index roots.
-	e.mu.RLock()
-	for _, rt := range e.tables {
+	for _, rt := range e.reg.Load().tables {
 		for _, p := range rt.parts {
 			p.cat.FirstPage, p.cat.LastPage = p.heap.Pages()
 		}
@@ -759,7 +774,6 @@ func (e *Engine) checkpointBody() error {
 			ix.def.Root = ix.tree.Root()
 		}
 	}
-	e.mu.RUnlock()
 
 	if err := e.syslog.FlushAll(); err != nil {
 		return err

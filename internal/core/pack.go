@@ -77,9 +77,7 @@ func (r *relocator) PackEntries(part rid.PartitionID, entries []*imrs.Entry) (in
 	if prt == nil {
 		return 0, 0, fmt.Errorf("core: pack of unknown partition %d", part)
 	}
-	e.mu.RLock()
-	rt := e.byID[prt.cat.Table.ID]
-	e.mu.RUnlock()
+	rt := e.reg.Load().byID[prt.cat.Table.ID]
 	if rt == nil {
 		return 0, 0, fmt.Errorf("core: pack of unmounted table %d", prt.cat.Table.ID)
 	}

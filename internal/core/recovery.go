@@ -846,12 +846,11 @@ type collector struct {
 // every live IMRS entry is enqueued in coldness order, from a merge of
 // the workers' sorted lists.
 func (e *Engine) rebuildDerivedState() error {
-	e.mu.RLock()
-	tables := make([]*tableRT, 0, len(e.byID))
-	for _, rt := range e.byID {
+	byID := e.reg.Load().byID
+	tables := make([]*tableRT, 0, len(byID))
+	for _, rt := range byID {
 		tables = append(tables, rt)
 	}
-	e.mu.RUnlock()
 
 	var feeds []*indexRT
 	feedOf := make(map[*tableRT]int)

@@ -536,8 +536,7 @@ func (e *Engine) Stats() Snapshot {
 	}
 	s.RIDMapLive = int64(e.rmap.Len())
 	s.IndexLevelLatchWaits = e.pool.Stats().IndexWaitsByLevel()
-	e.mu.RLock()
-	for tname, rt := range e.tables {
+	for tname, rt := range e.reg.Load().tables {
 		for _, ix := range rt.indexes {
 			is := IndexSnapshot{
 				Table:      tname,
@@ -556,7 +555,6 @@ func (e *Engine) Stats() Snapshot {
 			s.Indexes = append(s.Indexes, is)
 		}
 	}
-	e.mu.RUnlock()
 	sort.Slice(s.Indexes, func(i, j int) bool {
 		if s.Indexes[i].Table != s.Indexes[j].Table {
 			return s.Indexes[i].Table < s.Indexes[j].Table

@@ -26,7 +26,15 @@ type txnScratch struct {
 	staged     []*imrs.Version
 	newEntries []*imrs.Entry
 
-	key row.Key // point-op key buffer (Get/Update/Delete)
+	key    row.Key // point-op key buffer (Get/Update/Delete)
+	prefix row.Key // index-lookup prefix buffer (lookup)
+
+	// The read path (readRowAt): the image of the row being read, the
+	// key read off it, and the buffer a page-store or cold-segment row
+	// is copied into. All three are reused by the transaction's next read.
+	img    row.Image
+	vkey   row.Key
+	rowBuf []byte
 
 	enc    []byte // bump arena for page-store row images
 	encOff int
@@ -339,6 +347,16 @@ func (t *Txn) recycle() {
 	sc.encOff = 0
 	if cap(sc.key) > maxScratchBytes {
 		sc.key = nil
+	}
+	if cap(sc.prefix) > maxScratchBytes {
+		sc.prefix = nil
+	}
+	sc.img.Release()
+	if cap(sc.vkey) > maxScratchBytes {
+		sc.vkey = nil
+	}
+	if cap(sc.rowBuf) > maxScratchBytes {
+		sc.rowBuf = nil
 	}
 	scratchPool.Put(sc)
 }

@@ -3,7 +3,6 @@ package row
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Row wire format: for each column, one kind byte (0 = NULL), then a
@@ -65,71 +64,72 @@ func uvarintLen(x uint64) int {
 }
 
 // Decode parses an encoded row per schema s. The returned Row's string
-// and bytes payloads copy out of buf, so buf may be reused by the caller.
-// Every string column of the row is backed by one copy of buf from the
-// first string payload on; each bytes column gets a copy of its own,
-// because callers may write to it.
+// and bytes payloads copy out of buf, so buf may be reused by the caller:
+// every string column is backed by one copy of buf from the first string
+// payload on, and each bytes column gets a copy of its own, because
+// callers may write to it.
 func Decode(s *Schema, buf []byte) (Row, error) {
 	r := make(Row, s.NumColumns())
-	var backing string // buf[base:], copied at the first string
+	if err := decodeInto(s, buf, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeInto is Decode into dst, as wide as the schema. It checks buf
+// exactly as Image does (parse), in one pass that also decodes.
+func decodeInto(s *Schema, buf []byte, dst Row) error {
+	var backing string // buf[base:], copied at the first string payload
 	base := 0
 	pos := 0
 	for i := 0; i < s.NumColumns(); i++ {
 		if pos >= len(buf) {
-			return nil, fmt.Errorf("row: truncated at column %d", i)
+			return fmt.Errorf("row: truncated at column %d", i)
 		}
 		k := Kind(buf[pos])
 		pos++
 		switch k {
 		case 0:
-			r[i] = Null
-		case KindInt64:
+			dst[i] = Null
+		case KindInt64, KindFloat64:
 			if pos+8 > len(buf) {
-				return nil, fmt.Errorf("row: truncated int64 at column %d", i)
+				return fmt.Errorf("row: truncated %v at column %d", k, i)
 			}
-			r[i] = Int64(int64(binary.BigEndian.Uint64(buf[pos:])))
-			pos += 8
-		case KindFloat64:
-			if pos+8 > len(buf) {
-				return nil, fmt.Errorf("row: truncated float64 at column %d", i)
-			}
-			r[i] = Float64(math.Float64frombits(binary.BigEndian.Uint64(buf[pos:])))
+			dst[i] = Value{kind: k, num: binary.BigEndian.Uint64(buf[pos:])}
 			pos += 8
 		case KindString, KindBytes:
 			n, w := binary.Uvarint(buf[pos:])
 			if w <= 0 || w != uvarintLen(n) {
 				// Only minimal-width varints are valid: Encode never
 				// emits padded ones, so anything else is corruption.
-				return nil, fmt.Errorf("row: truncated varlen at column %d", i)
+				return fmt.Errorf("row: truncated varlen at column %d", i)
 			}
 			pos += w
 			// Compare in uint64 space: a hostile length near 2^64 would
 			// wrap an int addition and pass a pos+n bound check.
 			if n > uint64(len(buf)-pos) {
-				return nil, fmt.Errorf("row: truncated varlen at column %d", i)
+				return fmt.Errorf("row: truncated varlen at column %d", i)
 			}
-			payload := buf[pos : pos+int(n)]
-			pos += int(n)
+			end := pos + int(n)
 			if k == KindString {
 				if backing == "" {
-					base = pos - int(n)
+					base = pos
 					backing = string(buf[base:])
 				}
-				r[i] = String(backing[pos-int(n)-base : pos-base])
+				dst[i] = String(backing[pos-base : end-base])
 			} else {
-				cp := make([]byte, len(payload))
-				copy(cp, payload)
-				r[i] = Bytes(cp)
+				dst[i] = Bytes(append(make([]byte, 0, n), buf[pos:end]...))
 			}
+			pos = end
 		default:
-			return nil, fmt.Errorf("row: bad kind byte %d at column %d", k, i)
+			return fmt.Errorf("row: bad kind byte %d at column %d", k, i)
 		}
 		if k != 0 && k != s.Column(i).Kind {
-			return nil, fmt.Errorf("row: column %d kind %v, schema wants %v", i, k, s.Column(i).Kind)
+			return fmt.Errorf("row: column %d kind %v, schema wants %v", i, k, s.Column(i).Kind)
 		}
 	}
 	if pos != len(buf) {
-		return nil, fmt.Errorf("row: %d trailing bytes", len(buf)-pos)
+		return fmt.Errorf("row: %d trailing bytes", len(buf)-pos)
 	}
-	return r, nil
+	return nil
 }

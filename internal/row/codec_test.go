@@ -213,3 +213,49 @@ func TestDecodeStringsShareOneCopy(t *testing.T) {
 		t.Fatalf("decoded %v, want %v", r, want)
 	}
 }
+
+// TestProjectedDecodeAllocs gates the projected decode: a
+// projection of int columns allocates nothing, one of strings allocates
+// their payloads once, and what it returns shares no memory with the
+// parsed buffer.
+func TestProjectedDecodeAllocs(t *testing.T) {
+	s := MustSchema(
+		Column{Name: "id", Kind: KindInt64},
+		Column{Name: "first", Kind: KindString},
+		Column{Name: "n", Kind: KindInt64},
+		Column{Name: "data", Kind: KindString},
+	)
+	buf, err := Encode(s, Row{Int64(7), String("ada"), Int64(9), String("a long payload the projection skips")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var im Image
+	ints, strs := make(Row, 2), make(Row, 2)
+	for _, c := range []struct {
+		ords   []int
+		dst    Row
+		allocs float64
+	}{{[]int{2, 0}, ints, 0}, {[]int{1, 0}, strs, 1}} {
+		avg := testing.AllocsPerRun(100, func() {
+			im.Set(s, buf)
+			if err := im.Decode(c.ords, c.dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != c.allocs {
+			t.Fatalf("projection %v allocates %.1f, want %.0f", c.ords, avg, c.allocs)
+		}
+	}
+	for i := range buf {
+		buf[i] = 0
+	}
+	if want := (Row{Int64(9), Int64(7)}); !ints.Equal(want) {
+		t.Fatalf("int projection = %v, want %v", ints, want)
+	}
+	if want := (Row{String("ada"), Int64(7)}); !strs.Equal(want) {
+		t.Fatalf("string projection = %v after the buffer was zeroed, want %v", strs, want)
+	}
+	if err := im.Decode([]int{4}, make(Row, 1)); err == nil {
+		t.Fatal("decode of ordinal 4 of a 4-column row succeeded")
+	}
+}

@@ -2,6 +2,7 @@ package row
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 )
 
@@ -25,7 +26,12 @@ func fuzzSchema(t interface{ Fatal(...any) }) *Schema {
 // reject malformed input with an error, never panic, and stay canonical
 // (a successful decode re-encodes to the identical bytes). The row must
 // own its payloads: its strings share one copy of the input, so writing
-// to the input or to a bytes column must not change them.
+// to the input or to a bytes column must not change them. The projected
+// decode (Image.Decode of a column list drawn from the input, which
+// checks the whole image however few columns it returns) must fail
+// exactly when Decode fails, with the same error, and otherwise equal
+// Decode followed by projection; the key Image.AppendKey reads in place
+// must equal AppendKeyOf over the decoded row.
 func FuzzRowDecode(f *testing.F) {
 	s := fuzzSchema(f)
 	for _, r := range []Row{
@@ -48,8 +54,28 @@ func FuzzRowDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		r, err := Decode(s, buf)
+		ords := fuzzOrds(buf, s.NumColumns())
+		var im Image
+		im.Set(s, buf)
+		proj := make(Row, len(ords))
+		perr := im.Decode(ords, proj)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("Decode error %v, projected decode of %v: error %v", err, ords, perr)
+		}
 		if err != nil {
 			return
+		}
+		for j, o := range ords {
+			if !proj[j].Equal(r[o]) {
+				t.Fatalf("projected column %d (ordinal %d) = %v, Decode has %v", j, o, proj[j], r[o])
+			}
+		}
+		wantKey, err := KeyOf(r, ords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotKey, err := im.AppendKey(nil, ords); err != nil || !bytes.Equal(gotKey, wantKey) {
+			t.Fatalf("key of %v read in place = %x (%v), from the decoded row %x", ords, gotKey, err, wantKey)
 		}
 		got, err := Encode(s, r, nil)
 		if err != nil {
@@ -78,4 +104,17 @@ func FuzzRowDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzOrds draws a column list from the input itself (the seed corpus
+// holds single byte slices): up to five in-range ordinals, repeats and
+// any order allowed.
+func fuzzOrds(buf []byte, n int) []int {
+	h := crc32.ChecksumIEEE(buf)
+	ords := make([]int, h%6)
+	for i := range ords {
+		h = h*1103515245 + 12345
+		ords[i] = int(h>>16) % n
+	}
+	return ords
 }

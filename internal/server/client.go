@@ -193,7 +193,10 @@ func (p *Pipeline) Run() ([]StmtResult, error) {
 
 // decodeMulti splits a 'M' response into per-statement results. A
 // single-response frame (the server could not parse the batch, or the
-// reply outgrew the frame limit) becomes the overall error.
+// reply outgrew the frame limit) becomes the overall error. The whole
+// frame decodes into one arena (respArena): a first pass over the
+// responses' headers sizes it, so a batch costs the same allocations
+// for one statement as for fifty.
 func decodeMulti(b []byte, want int) ([]StmtResult, error) {
 	if len(b) == 0 {
 		return nil, io.ErrUnexpectedEOF
@@ -204,25 +207,40 @@ func decodeMulti(b []byte, want int) ([]StmtResult, error) {
 		}
 		return nil, fmt.Errorf("server: expected batch response, got tag %q", b[0])
 	}
-	b = b[1:]
-	count, sz := binary.Uvarint(b)
-	if sz <= 0 || count > uint64(len(b)) {
+	count, sz := binary.Uvarint(b[1:])
+	if sz <= 0 || count > uint64(len(b)-1) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	b = b[sz:]
 	if int(count) != want {
 		return nil, fmt.Errorf("server: batch of %d answered with %d results", want, count)
 	}
-	out := make([]StmtResult, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
-			return nil, io.ErrUnexpectedEOF
+	first := 1 + sz
+	// each calls fn with the offset and length of every response.
+	each := func(fn func(off, n int)) error {
+		for off, i := first, uint64(0); i < count; i++ {
+			n, sz := binary.Uvarint(b[off:])
+			if sz <= 0 || uint64(len(b)-off-sz) < n {
+				return io.ErrUnexpectedEOF
+			}
+			fn(off+sz, int(n))
+			off += sz + int(n)
 		}
-		res, err := decodeResponse(b[sz : sz+int(n)])
-		out = append(out, StmtResult{Res: res, Err: err})
-		b = b[sz+int(n):]
+		return nil
 	}
+	var fs frameSize
+	if err := each(func(off, n int) { fs.add(b[off : off+n]) }); err != nil {
+		return nil, err
+	}
+	a := newRespArena(b, int(count), fs)
+	out := make([]StmtResult, 0, count)
+	_ = each(func(off, n int) { // the first pass checked the framing
+		res := &a.results[len(out)]
+		if err := a.decode(b[off:off+n], a.str[off:off+n], res); err != nil {
+			out = append(out, StmtResult{Err: err})
+		} else {
+			out = append(out, StmtResult{Res: res})
+		}
+	})
 	return out, nil
 }
 

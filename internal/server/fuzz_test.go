@@ -35,12 +35,12 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(append([]byte{tagRows, 0x01, 0x01, 'a'}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Add([]byte{})
 	f.Add([]byte{tagMulti, 0x02})
+	// A batch frame: rows, an OK and a warning-carrying row frame.
+	f.Add(multiFrame(rowsResult(2), nil, &sql.Result{Cols: []string{"x"}, Rows: []btrim.Row{{btrim.Bytes([]byte{7})}}, Warning: "partial"}))
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		res, err := decodeResponse(body)
-		if err != nil || res == nil {
-			return
-		}
+	// roundTrip checks that a decoded result re-encodes to one that
+	// decodes the same.
+	roundTrip := func(t *testing.T, body []byte, res *sql.Result) {
 		enc := encodeResponse(nil, res, nil)
 		res2, err := decodeResponse(enc)
 		if err != nil {
@@ -50,6 +50,30 @@ func FuzzDecodeResponse(f *testing.F) {
 			res2.Affected != res.Affected || res2.Msg != res.Msg {
 			t.Fatalf("round trip drifted:\n in  %+v\n out %+v", res, res2)
 		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 0 && body[0] == tagMulti {
+			// A batch frame, decoded as a client expecting its count.
+			count, sz := binary.Uvarint(body[1:])
+			if sz <= 0 || count > uint64(len(body)) {
+				return
+			}
+			out, err := decodeMulti(body, int(count))
+			if err != nil {
+				return
+			}
+			for _, r := range out {
+				if r.Res != nil {
+					roundTrip(t, body, r.Res)
+				}
+			}
+			return
+		}
+		res, err := decodeResponse(body)
+		if err != nil || res == nil {
+			return
+		}
+		roundTrip(t, body, res)
 	})
 }
 

@@ -408,77 +408,132 @@ func okMsg(b []byte) string {
 
 // decodeResponse is the client-side inverse of encodeResponse.
 func decodeResponse(b []byte) (*sql.Result, error) {
+	var fs frameSize
+	fs.add(b)
+	a := newRespArena(b, 1, fs)
+	if err := a.decode(b, a.str, &a.results[0]); err != nil {
+		return nil, err
+	}
+	return &a.results[0], nil
+}
+
+// respArena is the memory of one decoded frame: every result, column
+// name, row header and value of its responses in one array each, and
+// one string copy of the payload that every string is sliced from. A
+// frame therefore decodes in the same few allocations whatever its
+// statement and row counts, and shares no memory with the frame
+// buffer, which the client reuses. Bytes values are copied one by one:
+// callers may write to them.
+type respArena struct {
+	str     string
+	results []sql.Result
+	cols    []string
+	rows    []btrim.Row
+	vals    []btrim.Value
+}
+
+// frameSize is what the responses of a frame decode into.
+type frameSize struct{ cols, rows, vals int }
+
+// add counts one encoded response.
+func (f *frameSize) add(b []byte) {
+	nc, nr := rowsSize(b)
+	f.cols += nc
+	f.rows += nr
+	f.vals += nc * nr
+}
+
+// newRespArena makes the arena of payload, which holds n responses of
+// size fs.
+func newRespArena(payload []byte, n int, fs frameSize) *respArena {
+	a := &respArena{str: string(payload), results: make([]sql.Result, n)}
+	if fs.cols > 0 {
+		a.cols = make([]string, fs.cols)
+	}
+	if fs.rows > 0 {
+		a.rows = make([]btrim.Row, fs.rows)
+		a.vals = make([]btrim.Value, fs.vals)
+	}
+	return a
+}
+
+// take carves n elements off the front of *buf, capped so an append to
+// them cannot run into the next; a short arena (sized from a malformed
+// frame) or n = 0 gets a slice of its own.
+func take[T any](buf *[]T, n int) []T {
+	if n == 0 || n > len(*buf) {
+		return make([]T, n)
+	}
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+// decode decodes one response b into res; str is the copy of b in the
+// arena's string. A malformed response, like an error response, comes
+// back as the error.
+func (a *respArena) decode(b []byte, str string, res *sql.Result) error {
 	if len(b) == 0 {
-		return nil, io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
 	}
 	tag := b[0]
 	b = b[1:]
 	switch tag {
 	case tagErr:
 		if len(b) == 0 {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
-		return nil, codeErr(b[0], string(b[1:]))
+		return codeErr(b[0], string(b[1:]))
 	case tagOK:
 		aff, sz := binary.Uvarint(b)
 		if sz <= 0 {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
-		return &sql.Result{Affected: int64(aff), Msg: okMsg(b[sz:])}, nil
+		*res = sql.Result{Affected: int64(aff), Msg: okMsg(b[sz:])}
+		return nil
 	case tagRows:
 		ncols, sz := binary.Uvarint(b)
 		if sz <= 0 {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
 		b = b[sz:]
 		// Every column name costs at least its one-byte length prefix, so
 		// a count beyond the remaining payload is malformed — reject it
 		// before sizing the allocation to an attacker-chosen number.
 		if ncols > uint64(len(b)) {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
-		// Every string of the response (column names, values, warning)
-		// is sliced out of one copy of the payload.
-		str := string(b)
-		res := &sql.Result{Cols: make([]string, 0, ncols)}
-		for i := uint64(0); i < ncols; i++ {
-			var c string
+		res.Cols = take(&a.cols, int(ncols))
+		for i := range res.Cols {
 			var err error
-			if c, b, err = decodeString(b, str); err != nil {
-				return nil, err
+			if res.Cols[i], b, err = decodeString(b, str); err != nil {
+				return err
 			}
-			res.Cols = append(res.Cols, c)
 		}
 		nrows, sz := binary.Uvarint(b)
 		if sz <= 0 {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
 		b = b[sz:]
 		// Same guard for the row count: each row carries ncols values of
 		// at least one byte each (and zero-column row frames are never
 		// produced, so a nonzero count with no columns is malformed too).
 		if ncols == 0 && nrows > 0 || ncols > 0 && nrows > uint64(len(b))/ncols {
-			return nil, io.ErrUnexpectedEOF
+			return io.ErrUnexpectedEOF
 		}
-		// One backing array for every row of the response, each row
-		// capped at its own width.
-		var vals []btrim.Value
 		if nrows > 0 {
-			vals = make([]btrim.Value, nrows*ncols)
-			res.Rows = make([]btrim.Row, 0, nrows)
-		}
-		for i := uint64(0); i < nrows; i++ {
-			r := btrim.Row(vals[i*ncols : (i+1)*ncols : (i+1)*ncols])
-			for j := range r {
-				var v btrim.Value
-				var err error
-				v, b, err = decodeValue(b, str)
-				if err != nil {
-					return nil, err
+			res.Rows = take(&a.rows, int(nrows))
+			vals := take(&a.vals, int(nrows*ncols))
+			for i := range res.Rows {
+				r := btrim.Row(vals[uint64(i)*ncols : uint64(i+1)*ncols : uint64(i+1)*ncols])
+				for j := range r {
+					var err error
+					if r[j], b, err = decodeValue(b, str); err != nil {
+						return err
+					}
 				}
-				r[j] = v
+				res.Rows[i] = r
 			}
-			res.Rows = append(res.Rows, r)
 		}
 		// Optional trailing warning (absent in frames from older servers).
 		if len(b) > 0 {
@@ -486,8 +541,36 @@ func decodeResponse(b []byte) (*sql.Result, error) {
 				res.Warning = w
 			}
 		}
-		return res, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("server: bad response tag %q", tag)
+		return fmt.Errorf("server: bad response tag %q", tag)
 	}
+}
+
+// rowsSize returns the column and row counts of one encoded response,
+// zero for one that is not a well-formed row frame (decode reports it).
+// It reads only the header: the counts size the frame's arena before
+// any value is decoded.
+func rowsSize(b []byte) (ncols, nrows int) {
+	if len(b) == 0 || b[0] != tagRows {
+		return 0, 0
+	}
+	b = b[1:]
+	nc, sz := binary.Uvarint(b)
+	if sz <= 0 || nc > uint64(len(b)-sz) {
+		return 0, 0
+	}
+	b = b[sz:]
+	for i := uint64(0); i < nc; i++ {
+		n, sz := binary.Uvarint(b)
+		if sz <= 0 || uint64(len(b)-sz) < n {
+			return 0, 0
+		}
+		b = b[sz+int(n):]
+	}
+	nr, sz := binary.Uvarint(b)
+	if sz <= 0 || nc == 0 || nr > uint64(len(b)-sz)/nc {
+		return int(nc), 0
+	}
+	return int(nc), int(nr)
 }

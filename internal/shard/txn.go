@@ -130,6 +130,16 @@ func (t *Txn) Get(table string, pk []row.Value) (row.Row, bool, error) {
 	return s.Get(table, pk)
 }
 
+// GetCols routes a projected point lookup by primary key (see
+// core.Txn.GetCols).
+func (t *Txn) GetCols(table string, pk []row.Value, cols []int, dst row.Row) (bool, error) {
+	s, err := t.sub(t.n.r.shardOfKey(pk))
+	if err != nil {
+		return false, err
+	}
+	return s.GetCols(table, pk, cols, dst)
+}
+
 // Update routes a point update by primary key.
 func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row, error)) (bool, error) {
 	s, err := t.sub(t.n.r.shardOfKey(pk))
@@ -224,25 +234,17 @@ func (t *Txn) IndexScan(table, index string, from []row.Value, fn func(row.Row) 
 	})
 }
 
-// LookupAll concatenates every shard's matches (secondary indexes are
-// local to each shard; a non-PK key can match rows on any shard). The
-// rows from healthy shards are returned even when some shards are
-// down, alongside the typed partial-result error.
-func (t *Txn) LookupAll(table, index string, vals []row.Value) ([]row.Row, error) {
-	var out []row.Row
-	err := t.fanOut(func(s *core.Txn) (bool, error) {
-		rows, err := s.LookupAll(table, index, vals)
-		if out == nil {
-			out = rows // the common case: one shard has matches
-		} else {
-			out = append(out, rows...)
-		}
-		return true, err
+// LookupCols streams every shard's matches to fn (secondary indexes are
+// local to each shard; a non-PK key can match rows on any shard), as
+// core.Txn.LookupCols does, until fn returns false. A shard that is
+// down is skipped, and the typed partial-result error comes back after
+// the healthy shards' rows; each row reaches fn once.
+func (t *Txn) LookupCols(table, index string, vals []row.Value, cols []int, fn func(row.Row) bool) error {
+	return t.fanOut(func(s *core.Txn) (bool, error) {
+		more := true
+		err := s.LookupCols(table, index, vals, cols, func(r row.Row) bool { more = fn(r); return more })
+		return more, err
 	})
-	if err != nil && !errors.Is(err, ErrPartialResult) {
-		return nil, err
-	}
-	return out, err
 }
 
 // Commit commits the transaction. With at most one writing shard this

@@ -80,6 +80,22 @@ func (t *deadlineTxn) LookupAll(table, index string, vals ...btrim.Value) ([]btr
 	return t.Txn.LookupAll(table, index, vals...)
 }
 
+// GetCols and LookupCols make the deadline a projector: the executor's
+// projected reads pass through it to the wrapped transaction's.
+func (t *deadlineTxn) GetCols(table string, pk []btrim.Value, cols []int, dst btrim.Row) (bool, error) {
+	if t.expired() {
+		return false, t.err
+	}
+	return getCols(t.Txn, table, pk, cols, dst)
+}
+
+func (t *deadlineTxn) LookupCols(table, index string, vals []btrim.Value, cols []int, fn func(btrim.Row) bool) error {
+	if t.expired() {
+		return t.err
+	}
+	return lookupCols(t.Txn, table, index, vals, cols, fn)
+}
+
 func (t *deadlineTxn) Scan(table string, fn func(btrim.Row) bool) error {
 	if t.expired() {
 		return t.err

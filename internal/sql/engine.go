@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"errors"
+
 	"repro/btrim"
 	"repro/internal/catalog"
 )
@@ -22,6 +24,53 @@ type Txn interface {
 	LookupAll(table, index string, vals ...btrim.Value) ([]btrim.Row, error)
 	Commit() error
 	Abort()
+}
+
+// projector is the projected read surface of *btrim.Tx: reads that
+// decode only the columns they return. The executor reads through it
+// when the Txn has it; a decorator that implements only Txn is read
+// through Get and LookupAll instead, with the projection done here.
+type projector interface {
+	GetCols(table string, pk []btrim.Value, cols []int, dst btrim.Row) (bool, error)
+	LookupCols(table, index string, vals []btrim.Value, cols []int, fn func(btrim.Row) bool) error
+}
+
+// getCols reads the columns at cols of the row with primary key pk into
+// dst (see btrim.Tx.GetCols).
+func getCols(tx Txn, table string, pk []btrim.Value, cols []int, dst btrim.Row) (bool, error) {
+	if p, ok := tx.(projector); ok {
+		return p.GetCols(table, pk, cols, dst)
+	}
+	r, ok, err := tx.Get(table, pk...)
+	if err != nil || !ok {
+		return false, err
+	}
+	for j, o := range cols {
+		dst[j] = r[o]
+	}
+	return true, nil
+}
+
+// lookupCols streams the index matches of vals, decoded to the columns
+// at cols, to fn until fn returns false (see btrim.Tx.LookupCols).
+func lookupCols(tx Txn, table, index string, vals []btrim.Value, cols []int, fn func(btrim.Row) bool) error {
+	if p, ok := tx.(projector); ok {
+		return p.LookupCols(table, index, vals, cols, fn)
+	}
+	rows, err := tx.LookupAll(table, index, vals...)
+	if err != nil && !errors.Is(err, btrim.ErrPartialResult) {
+		return err
+	}
+	dst := make(btrim.Row, len(cols))
+	for _, r := range rows {
+		for j, o := range cols {
+			dst[j] = r[o]
+		}
+		if !fn(dst) {
+			break
+		}
+	}
+	return err
 }
 
 // Engine is the database a session executes against: a *btrim.DB behind

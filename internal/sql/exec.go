@@ -49,17 +49,67 @@ func compile(cat *catalog.Catalog, stmt Statement, numParams int) (*compiled, er
 	return c, nil
 }
 
-// bindScratch holds per-execution buffers (resolved keys and
-// predicates) recycled across statements, so the hot EXECUTE path
-// stays near zero allocations.
+// bindScratch holds per-execution buffers recycled across statements,
+// so the hot EXECUTE path stays near zero allocations: resolved keys and
+// predicates, the row a point read decodes into, and the values of the
+// result being built.
 type bindScratch struct {
 	vals  []btrim.Value
 	preds []rpred
+	read  btrim.Row
+	out   []btrim.Value // the result's rows, back to back
+
+	// The row sink of the SELECT being run: its plan and resolved
+	// predicates, and emit bound once per scratch, so handing it to the
+	// engine costs no allocation per statement.
+	plan   *selPlan
+	rps    []rpred
+	emitFn func(btrim.Row) bool
 }
 
+// maxScratchVals bounds the result buffer a pooled scratch keeps, so
+// one huge SELECT does not pin its size.
+const maxScratchVals = 4096
+
 var scratchPool = sync.Pool{New: func() any {
-	return &bindScratch{vals: make([]btrim.Value, 0, 8), preds: make([]rpred, 0, 8)}
+	sc := &bindScratch{vals: make([]btrim.Value, 0, 8), preds: make([]rpred, 0, 8)}
+	sc.emitFn = sc.emit
+	return sc
 }}
+
+// emit appends the output columns of a row read as the plan's readCols
+// (its values are the reader's to keep) if it passes the predicates,
+// and reports whether the result wants more rows.
+func (sc *bindScratch) emit(r btrim.Row) bool {
+	if rowMatches(sc.rps, r) {
+		for _, o := range sc.plan.outPos {
+			sc.out = append(sc.out, r[o])
+		}
+	}
+	return !sc.plan.full(sc.out)
+}
+
+// row returns the scratch row, width values wide and cleared.
+func (sc *bindScratch) row(width int) btrim.Row {
+	if cap(sc.read) < width {
+		sc.read = make(btrim.Row, width)
+	}
+	sc.read = sc.read[:width]
+	clear(sc.read)
+	return sc.read
+}
+
+// put returns sc to the pool without the values it held.
+func (sc *bindScratch) put() {
+	sc.plan, sc.rps = nil, nil
+	clear(sc.read)
+	clear(sc.out)
+	if cap(sc.out) > maxScratchVals {
+		sc.out = nil
+	}
+	sc.out = sc.out[:0]
+	scratchPool.Put(sc)
+}
 
 // resolveSlots materializes a slot list into buf.
 func resolveSlots(slots []valSlot, args []btrim.Value, buf []btrim.Value) ([]btrim.Value, error) {
@@ -85,24 +135,26 @@ const (
 	selIndexMulti                // index first-col IN (...) → LookupAll per value
 )
 
-// selPlan is a compiled SELECT.
+// selPlan is a compiled SELECT. Every access path reads only readCols
+// (the output columns, then the predicate columns not among them): the
+// scan pushes them into its batch projection, the point and index
+// paths into the engine's projected decode (GetCols, LookupCols), so a
+// column nobody asked for is neither decompressed nor copied.
 type selPlan struct {
 	meta    *tableMeta
 	outCols []string
-	outOrds []int // schema ordinals of outCols (row-source paths)
 	limit   int64
 	kind    selKind
 
-	residual []predSlot // row-source paths: evaluated on fetched rows
+	readCols []string   // outCols ∪ predicate columns
+	readOrds []int      // schema ordinals of readCols
+	preds    []predSlot // what the access path leaves, ord rebased onto readCols
+	outPos   []int      // outCols positions in readCols
 
 	pkSlots   []valSlot // selPoint
 	inSlots   []valSlot // selMultiGet, selIndexMulti
 	indexName string    // selIndex, selIndexMulti
 	keySlots  []valSlot // selIndex: equality prefix, index column order
-
-	scanCols    []string   // selScan: outCols ∪ predicate columns
-	scanPreds   []predSlot // selScan: ord rebased onto scanCols
-	scanOutOrds []int      // selScan: outCols positions in scanCols
 }
 
 // chooseIndex picks the index with the longest equality-pinned column
@@ -190,103 +242,70 @@ func compileSelect(cat *catalog.Catalog, st *Select) (func(Txn, []btrim.Value) (
 			p.outCols = append(p.outCols, c)
 		}
 	}
-	p.outOrds = make([]int, len(p.outCols))
-	for i, c := range p.outCols {
-		p.outOrds[i] = m.ords[c]
-	}
 	preds, err := compilePreds(m, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	if len(preds) > 0 {
-		if pk, residual, ok := splitPoint(m, preds); ok {
-			p.kind, p.pkSlots, p.residual = selPoint, pk, residual
-			return p.run, nil
-		}
-		if len(m.pkOrds) == 1 {
-			for j := range preds {
-				if preds[j].in != nil && preds[j].ord == m.pkOrds[0] {
-					p.kind, p.inSlots = selMultiGet, preds[j].in
-					p.residual = append(p.residual, preds[:j]...)
-					p.residual = append(p.residual, preds[j+1:]...)
-					return p.run, nil
-				}
-			}
-		}
-		if name, keys, residual, ok := chooseIndex(m, preds); ok {
-			p.kind, p.indexName, p.keySlots, p.residual = selIndex, name, keys, residual
-			return p.run, nil
-		}
-		if name, in, residual, ok := chooseIndexIn(m, preds); ok {
-			p.kind, p.indexName, p.inSlots, p.residual = selIndexMulti, name, in, residual
-			return p.run, nil
-		}
-	}
-	// Scan path: push the union of output and predicate columns into the
-	// batch projection so unreferenced columns of frozen rows are never
-	// decompressed, then rebase predicate ordinals onto that projection.
 	p.kind = selScan
-	pos := make(map[string]int, len(p.outCols))
-	for _, c := range p.outCols {
-		if _, dup := pos[c]; !dup {
-			pos[c] = len(p.scanCols)
-			p.scanCols = append(p.scanCols, c)
+	residual := preds
+	if len(preds) > 0 {
+		if pk, rest, ok := splitPoint(m, preds); ok {
+			p.kind, p.pkSlots, residual = selPoint, pk, rest
+		} else if j := multiGetPred(m, preds); j >= 0 {
+			p.kind, p.inSlots = selMultiGet, preds[j].in
+			residual = slices.Delete(slices.Clone(preds), j, j+1)
+		} else if name, keys, rest, ok := chooseIndex(m, preds); ok {
+			p.kind, p.indexName, p.keySlots, residual = selIndex, name, keys, rest
+		} else if name, in, rest, ok := chooseIndexIn(m, preds); ok {
+			p.kind, p.indexName, p.inSlots, residual = selIndexMulti, name, in, rest
 		}
 	}
-	for i := range preds {
-		if _, ok := pos[preds[i].col]; !ok {
-			pos[preds[i].col] = len(p.scanCols)
-			p.scanCols = append(p.scanCols, preds[i].col)
-		}
-	}
-	p.scanPreds = make([]predSlot, len(preds))
-	for i, pr := range preds {
-		pr.ord = pos[pr.col]
-		p.scanPreds[i] = pr
-	}
-	p.scanOutOrds = make([]int, len(p.outCols))
-	for i, c := range p.outCols {
-		p.scanOutOrds[i] = pos[c]
-	}
+	p.project(residual)
 	return p.run, nil
 }
 
-// rowArena carves the rows of one result out of shared backing arrays.
-// Each row is capped at its own width, so an append to one row cannot
-// run into the next.
-type rowArena struct{ buf []btrim.Value }
+// multiGetPred returns the position of an IN predicate on a one-column
+// primary key, or -1.
+func multiGetPred(m *tableMeta, preds []predSlot) int {
+	if len(m.pkOrds) != 1 {
+		return -1
+	}
+	for j := range preds {
+		if preds[j].in != nil && preds[j].ord == m.pkOrds[0] {
+			return j
+		}
+	}
+	return -1
+}
 
-// reserve makes room for rows more rows of width values in one array.
-func (a *rowArena) reserve(rows, width int) {
-	if cap(a.buf)-len(a.buf) < rows*width {
-		a.buf = make([]btrim.Value, 0, rows*width)
+// project fixes what the plan reads: the output columns, then the
+// columns of the predicates left after the access path, each once, with
+// the predicates' ordinals rebased onto that list.
+func (p *selPlan) project(preds []predSlot) {
+	pos := make(map[string]int, len(p.outCols)+len(preds))
+	add := func(c string) int {
+		if i, ok := pos[c]; ok {
+			return i
+		}
+		pos[c] = len(p.readCols)
+		p.readCols = append(p.readCols, c)
+		p.readOrds = append(p.readOrds, p.meta.ords[c])
+		return pos[c]
+	}
+	p.outPos = make([]int, len(p.outCols))
+	for i, c := range p.outCols {
+		p.outPos[i] = add(c)
+	}
+	p.preds = make([]predSlot, len(preds))
+	for i, pr := range preds {
+		pr.ord = add(pr.col)
+		p.preds[i] = pr
 	}
 }
 
-// next returns a fresh row of width values. Without a reserve in
-// force, each new array is twice the last, so a result of n rows takes
-// O(log n) arrays.
-func (a *rowArena) next(width int) btrim.Row {
-	if cap(a.buf)-len(a.buf) < width {
-		a.reserve(max(2*cap(a.buf)/width, 1), width)
-	}
-	n := len(a.buf)
-	a.buf = a.buf[:n+width]
-	return a.buf[n : n+width : n+width]
-}
-
-// project copies the output columns of a full schema row.
-func (a *rowArena) project(r btrim.Row, ords []int) btrim.Row {
-	out := a.next(len(ords))
-	for i, o := range ords {
-		out[i] = r[o]
-	}
-	return out
-}
-
-// atLimit reports whether res holds the LIMIT's rows.
-func (p *selPlan) atLimit(res *Result) bool {
-	return p.limit >= 0 && int64(len(res.Rows)) >= p.limit
+// full reports whether out holds the LIMIT's rows.
+func (p *selPlan) full(out []btrim.Value) bool {
+	return p.limit >= 0 && int64(len(out)/len(p.outPos)) >= p.limit
 }
 
 func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
@@ -295,17 +314,16 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		return res, nil
 	}
 	sc := scratchPool.Get().(*bindScratch)
-	defer scratchPool.Put(sc)
+	defer sc.put()
+	rps, err := resolvePreds(p.preds, args, sc.preds)
+	if err != nil {
+		return nil, err
+	}
+	sc.preds = rps[:0]
 
 	if p.kind == selScan {
-		rps, err := resolvePreds(p.scanPreds, args, sc.preds)
-		if err != nil {
-			return nil, err
-		}
-		sc.preds = rps[:0]
 		stop := false
-		var arena rowArena
-		err = tx.ScanBatches(p.meta.name, p.scanCols, 0, func(b *btrim.Batch) bool {
+		err = tx.ScanBatches(p.meta.name, p.readCols, 0, func(b *btrim.Batch) bool {
 		rows:
 			for i := 0; i < b.Len(); i++ {
 				for j := range rps {
@@ -313,50 +331,23 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 						continue rows
 					}
 				}
-				out := arena.next(len(p.scanOutOrds))
-				for j, o := range p.scanOutOrds {
-					out[j] = b.Cols[o].Value(i) // owned: the batch is reused
+				for _, o := range p.outPos {
+					sc.out = append(sc.out, b.Cols[o].Value(i)) // owned: the batch is reused
 				}
-				res.Rows = append(res.Rows, out)
-				if p.atLimit(res) {
+				if p.full(sc.out) {
 					stop = true
 					return false
 				}
 			}
 			return true
 		})
-		if err != nil && !stop {
-			// A SELECT tolerates shards that are down mid-fan-out: the rows
-			// from healthy shards are returned with the partial-result
-			// notice as a warning. Writes never get this treatment.
-			if errors.Is(err, btrim.ErrPartialResult) {
-				res.Warning = err.Error()
-				return res, nil
-			}
-			return nil, err
+		if stop {
+			err = nil
 		}
-		return res, nil
+		return p.finish(res, sc.out, err)
 	}
 
-	rps, err := resolvePreds(p.residual, args, sc.preds)
-	if err != nil {
-		return nil, err
-	}
-	sc.preds = rps[:0]
-	var arena rowArena
-	emit := func(r btrim.Row) {
-		if rowMatches(rps, r) {
-			res.Rows = append(res.Rows, arena.project(r, p.outOrds))
-		}
-	}
-	// reserve sizes the result for n more fetched rows, up to the limit.
-	reserve := func(n int) {
-		if p.limit >= 0 {
-			n = min(n, int(p.limit)-len(res.Rows))
-		}
-		arena.reserve(n, len(p.outOrds))
-		res.Rows = slices.Grow(res.Rows, n)
-	}
+	sc.plan, sc.rps = p, rps
 	switch p.kind {
 	case selPoint:
 		pk, err := resolveSlots(p.pkSlots, args, sc.vals)
@@ -364,12 +355,13 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 			return nil, err
 		}
 		sc.vals = pk[:0]
-		r, ok, err := tx.Get(p.meta.name, pk...)
+		r := sc.row(len(p.readOrds))
+		ok, err := getCols(tx, p.meta.name, pk, p.readOrds, r)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			emit(r)
+			sc.emit(r)
 		}
 	case selMultiGet:
 		vals, err := resolveSlots(p.inSlots, args, sc.vals)
@@ -378,16 +370,13 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		}
 		sc.vals = vals[:0]
 		vals = dedupValues(vals)
-		reserve(len(vals))
-		for _, v := range vals {
-			r, ok, err := tx.Get(p.meta.name, v)
+		r := sc.row(len(p.readOrds))
+		for i := range vals {
+			ok, err := getCols(tx, p.meta.name, vals[i:i+1], p.readOrds, r)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				emit(r)
-			}
-			if p.atLimit(res) {
+			if ok && !sc.emit(r) {
 				break
 			}
 		}
@@ -397,17 +386,8 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 			return nil, err
 		}
 		sc.vals = keys[:0]
-		rows, err := tx.LookupAll(p.meta.name, p.indexName, keys...)
-		if err != nil {
-			return nil, err
-		}
-		reserve(len(rows))
-		for _, r := range rows {
-			emit(r)
-			if p.atLimit(res) {
-				break
-			}
-		}
+		err = lookupCols(tx, p.meta.name, p.indexName, keys, p.readOrds, sc.emitFn)
+		return p.finish(res, sc.out, err)
 	case selIndexMulti:
 		vals, err := resolveSlots(p.inSlots, args, sc.vals)
 		if err != nil {
@@ -415,23 +395,42 @@ func (p *selPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 		}
 		sc.vals = vals[:0]
 		vals = dedupValues(vals)
-	outer:
-		for _, v := range vals {
-			rows, err := tx.LookupAll(p.meta.name, p.indexName, v)
+		var partial error
+		for i := range vals {
+			err := lookupCols(tx, p.meta.name, p.indexName, vals[i:i+1], p.readOrds, sc.emitFn)
+			if errors.Is(err, btrim.ErrPartialResult) {
+				partial, err = err, nil
+			}
 			if err != nil {
 				return nil, err
 			}
-			reserve(len(rows))
-			for _, r := range rows {
-				emit(r)
-				if p.atLimit(res) {
-					break outer
-				}
+			if p.full(sc.out) {
+				break
 			}
 		}
+		return p.finish(res, sc.out, partial)
 	}
-	if p.limit >= 0 && int64(len(res.Rows)) > p.limit {
-		res.Rows = res.Rows[:p.limit]
+	return p.finish(res, sc.out, nil)
+}
+
+// finish ends a read: the values gathered in out become the result's
+// rows, carved out of one array (two allocations whatever the row
+// count). A SELECT tolerates shards that are down mid-fan-out: the rows
+// from healthy shards are returned with the partial-result notice as a
+// warning. Writes never get this treatment.
+func (p *selPlan) finish(res *Result, out []btrim.Value, err error) (*Result, error) {
+	if err != nil && !errors.Is(err, btrim.ErrPartialResult) {
+		return nil, err
+	}
+	if err != nil {
+		res.Warning = err.Error()
+	}
+	if w := len(p.outPos); len(out) > 0 {
+		vals := slices.Clone(out)
+		res.Rows = make([]btrim.Row, len(vals)/w)
+		for i := range res.Rows {
+			res.Rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+		}
 	}
 	return res, nil
 }

@@ -259,13 +259,17 @@ func (h *Heap) insertAtRaw(r rid.RID, rec []byte) error {
 }
 
 // Fetch returns a copy of the record at r, following one forwarding hop.
-func (h *Heap) Fetch(r rid.RID) ([]byte, error) {
-	data, fwd, err := h.fetchOnce(r)
+func (h *Heap) Fetch(r rid.RID) ([]byte, error) { return h.FetchAppend(nil, r) }
+
+// FetchAppend is Fetch copying the record onto the end of dst, so a
+// reader with a buffer of its own allocates nothing.
+func (h *Heap) FetchAppend(dst []byte, r rid.RID) ([]byte, error) {
+	data, fwd, err := h.fetchOnce(dst, r)
 	if err != nil {
 		return nil, err
 	}
 	if fwd != rid.Zero {
-		data, fwd, err = h.fetchOnce(fwd)
+		data, fwd, err = h.fetchOnce(dst, fwd)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +280,7 @@ func (h *Heap) Fetch(r rid.RID) ([]byte, error) {
 	return data, nil
 }
 
-func (h *Heap) fetchOnce(r rid.RID) (data []byte, forward rid.RID, err error) {
+func (h *Heap) fetchOnce(dst []byte, r rid.RID) (data []byte, forward rid.RID, err error) {
 	f, err := h.pool.Fetch(uint32(r.Page()))
 	if err != nil {
 		return nil, rid.Zero, err
@@ -297,9 +301,7 @@ func (h *Heap) fetchOnce(r rid.RID) (data []byte, forward rid.RID, err error) {
 	if rec[0]&flagMoved != 0 {
 		payload = rec[9:] // skip the home-RID prefix
 	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return out, rid.Zero, nil
+	return append(dst, payload...), rid.Zero, nil
 }
 
 // Update replaces the record at r with data. If the new version does not

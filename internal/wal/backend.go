@@ -14,7 +14,8 @@ import (
 // Backend is the append-only byte store under a log.
 type Backend interface {
 	// Append writes p at the current end and returns the offset at which
-	// p begins.
+	// p begins. It must not retain p: the log reuses the buffer for its
+	// next round.
 	Append(p []byte) (int64, error)
 	// ReadAt reads len(p) bytes at offset off.
 	ReadAt(p []byte, off int64) (int, error)
@@ -31,9 +32,10 @@ type Backend interface {
 }
 
 // MemBackend is an in-memory Backend for tests and benchmarks. It keeps
-// the log in chunks of memChunk bytes, so a log of any length occupies
-// about its size: one array grown by append would, at every growth,
-// hold the old and the new copy at once.
+// the log in chunks of memChunk bytes, each made once at full capacity,
+// so a log of any length occupies about its size rounded up to a chunk
+// and appending never copies what is already logged: one array grown by
+// append would, at every growth, copy it and hold both copies at once.
 type MemBackend struct {
 	mu     sync.RWMutex
 	chunks [][]byte // every chunk but the last holds memChunk bytes
@@ -53,7 +55,7 @@ func (b *MemBackend) Append(p []byte) (int64, error) {
 	for len(p) > 0 {
 		i := int(b.size / memChunk)
 		if i == len(b.chunks) {
-			b.chunks = append(b.chunks, nil)
+			b.chunks = append(b.chunks, make([]byte, 0, memChunk))
 		}
 		n := min(len(p), memChunk-len(b.chunks[i]))
 		b.chunks[i] = append(b.chunks[i], p[:n]...)

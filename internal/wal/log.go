@@ -21,6 +21,9 @@ const frameHeader = 8
 // so one huge record does not pin a huge buffer forever.
 const maxEncBuf = 64 << 10
 
+// maxPendingBuf bounds the pending buffer a log keeps across flushes.
+const maxPendingBuf = 1 << 20
+
 // ErrTorn marks a frame that is incomplete or fails its checksum — the
 // signature of a write cut short by a crash. Recovery calls RepairTail
 // to cut a torn tail off the backend before the log accepts new
@@ -181,7 +184,6 @@ func (l *Log) Flush(lsn uint64) error {
 		return err
 	}
 	pending := l.pending
-	l.pending = nil
 	newBase := l.base + int64(len(pending))
 	if len(pending) > 0 {
 		// Retry transient append failures in place (holding l.mu keeps the
@@ -194,12 +196,19 @@ func (l *Log) Flush(lsn uint64) error {
 			_, aerr := l.backend.Append(pending)
 			return aerr
 		}); err != nil {
-			// Restore the buffer so a retry can succeed.
-			l.pending = pending
+			// The buffer stays as it was, so a retry can succeed.
 			l.mu.Unlock()
 			return err
 		}
 		l.base = newBase
+		// The backend has the bytes and keeps no reference to them
+		// (Backend.Append): the next round appends into the same buffer
+		// instead of growing a fresh one, unless a burst made it large.
+		if cap(pending) <= maxPendingBuf {
+			l.pending = pending[:0]
+		} else {
+			l.pending = nil
+		}
 	}
 	l.mu.Unlock()
 
