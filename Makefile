@@ -48,13 +48,14 @@ test-commit:
 
 # Recovery pipeline tests (crash injection, parallel==serial
 # equivalence incl. one partition replayed in RID lanes, zero-filled
-# log tails, checkpoint-failure surfacing), the WAL frame scanner
-# (block reads, torn tails, mid-log corruption), the node's concurrent
-# shard recovery and its rolled-up stats under the race detector on
-# one, two and four cores.
+# log tails, checkpoint-failure surfacing, the update-delta chains
+# crashed at every record and the delta without a base), the WAL frame
+# scanner (block reads, torn tails, mid-log corruption) and the delta
+# record's golden file, the node's concurrent shard recovery and its
+# rolled-up stats under the race detector on one, two and four cores.
 test-recovery:
-	$(GO) test -race -cpu 1,2,4 ./internal/wal/ -run 'Repair|Torn|Reader|Scan|Zero'
-	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt'
+	$(GO) test -race -cpu 1,2,4 ./internal/wal/ -run 'Repair|Torn|Reader|Scan|Zero|Golden'
+	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt|DeltaChain'
 	$(GO) test -race -cpu 1,2,4 ./internal/shard/ -run 'Recovery|InDoubt|Restart|Open'
 	$(GO) test -race -cpu 1,2,4 ./btrim/ -run 'TestNodeRecoveryStats'
 
@@ -143,10 +144,13 @@ fuzz-proto:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
 
-# Fuzz the row decoder, whose strings share one copy of the row image:
-# run by fuzz at full length and by ci for a short window.
+# Fuzz the row decoder, whose strings share one copy of the row image,
+# and the splice of an update delta onto an image (the sysimrslogs delta
+# record's replay): run by fuzz at full length and by ci for a short
+# window each.
 fuzz-row:
-	$(GO) test ./internal/row/ -run '^$$' -fuzz FuzzRowDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/row/ -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/row/ -run '^$$' -fuzz '^FuzzRowDelta$$' -fuzztime $(FUZZTIME)
 
 # bench/ is frozen outside benchmark PRs but compiles against btrim,
 # internal/sql and internal/shard: vet and build it so that a rename

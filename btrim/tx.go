@@ -90,6 +90,16 @@ func (t *Tx) Update(table string, pk []Value, mutate func(Row) (Row, error)) (bo
 	return t.tx.Update(table, pk, mutate)
 }
 
+// UpdateCols updates the row with the given primary key through the
+// columns at cols (schema ordinals, strictly ascending, none of the
+// primary key), returning whether the row existed: fn gets their
+// current values and sets the new ones in place. It costs what it
+// changes: an IMRS row's new version is its old image with the changed
+// columns spliced in, and its log record carries only those columns.
+func (t *Tx) UpdateCols(table string, pk []Value, cols []int, fn func(vals Row) error) (bool, error) {
+	return t.tx.UpdateCols(table, pk, cols, fn)
+}
+
 // Set replaces the row with the given primary key wholesale.
 func (t *Tx) Set(table string, pk []Value, newRow Row) (bool, error) {
 	return t.tx.Update(table, pk, func(Row) (Row, error) { return newRow, nil })

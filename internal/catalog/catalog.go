@@ -10,6 +10,7 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -163,10 +164,13 @@ func (t *Table) PrimaryIndex() *Index { return t.Indexes[0] }
 
 // Catalog is the set of tables plus id allocation state.
 type Catalog struct {
-	mu         sync.RWMutex
-	tables     map[string]*Table
-	byID       map[uint32]*Table
-	partsByID  map[rid.PartitionID]*Partition
+	mu     sync.RWMutex
+	tables map[string]*Table
+	byID   map[uint32]*Table
+	// parts is the partitions by id. It is copy-on-write: PartitionByID
+	// reads it without a lock (IMRS replay resolves one per record), and
+	// DDL publishes a changed copy under mu.
+	parts      atomic.Pointer[map[rid.PartitionID]*Partition]
 	nextTable  uint32
 	nextPartID uint32
 	// dropped holds the partition ids of every dropped table, persisted
@@ -182,14 +186,15 @@ type Catalog struct {
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
+	c := &Catalog{
 		tables:     make(map[string]*Table),
 		byID:       make(map[uint32]*Table),
-		partsByID:  make(map[rid.PartitionID]*Partition),
 		nextTable:  1,
 		nextPartID: 1,
 		dropped:    make(map[uint32]bool),
 	}
+	c.parts.Store(&map[rid.PartitionID]*Partition{})
+	return c
 }
 
 // Version returns the DDL version: it increases on every CreateTable
@@ -242,6 +247,7 @@ func (c *Catalog) CreateTable(name string, schema *row.Schema, pkCols []string, 
 		partColOrd: partColOrd,
 	}
 	c.nextTable++
+	parts := maps.Clone(*c.parts.Load())
 	for i := 0; i < nParts; i++ {
 		p := &Partition{
 			ID:        rid.PartitionID(c.nextPartID),
@@ -252,7 +258,7 @@ func (c *Catalog) CreateTable(name string, schema *row.Schema, pkCols []string, 
 		}
 		c.nextPartID++
 		t.Partitions = append(t.Partitions, p)
-		c.partsByID[p.ID] = p
+		parts[p.ID] = p
 	}
 
 	all := append([]IndexSpec{{Name: name + "_pk", Cols: pkCols, Unique: true, Hash: true}}, indexes...)
@@ -272,6 +278,7 @@ func (c *Catalog) CreateTable(name string, schema *row.Schema, pkCols []string, 
 
 	c.tables[name] = t
 	c.byID[t.ID] = t
+	c.parts.Store(&parts)
 	c.version.Add(1)
 	return t, nil
 }
@@ -289,10 +296,12 @@ func (c *Catalog) DropTable(name string) (*Table, error) {
 	}
 	delete(c.tables, name)
 	delete(c.byID, t.ID)
+	parts := maps.Clone(*c.parts.Load())
 	for _, p := range t.Partitions {
-		delete(c.partsByID, p.ID)
+		delete(parts, p.ID)
 		c.dropped[uint32(p.ID)] = true
 	}
+	c.parts.Store(&parts)
 	c.version.Add(1)
 	return t, nil
 }
@@ -320,9 +329,7 @@ func (c *Catalog) TableByID(id uint32) *Table {
 
 // PartitionByID resolves a partition id, or nil.
 func (c *Catalog) PartitionByID(id rid.PartitionID) *Partition {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.partsByID[id]
+	return (*c.parts.Load())[id]
 }
 
 // Tables returns all tables in creation order.

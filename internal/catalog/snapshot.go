@@ -174,7 +174,7 @@ func DecodeSnapshot(data []byte) (*Catalog, error) {
 			}
 			p.nextVirtual.Store(sp.NextVirtual)
 			t.Partitions = append(t.Partitions, p)
-			c.partsByID[p.ID] = p
+			(*c.parts.Load())[p.ID] = p // c is not shared yet
 		}
 		for _, si := range st.Indexes {
 			ords, err := schema.Ordinals(si.Cols...)

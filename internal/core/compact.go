@@ -93,6 +93,12 @@ func (e *Engine) CompactIMRSLog() error {
 		return err
 	}
 	_ = old.Close()
+	// The new generation holds every live entry's image, cached rows'
+	// included: from here their updates may log deltas.
+	e.rmap.Range(func(_ rid.RID, en *imrs.Entry) bool {
+		en.MarkLogged()
+		return true
+	})
 	return nil
 }
 

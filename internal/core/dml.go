@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/ilm"
 	"repro/internal/imrs"
@@ -74,18 +75,27 @@ func pkOf(rt *tableRT, rw row.Row) (row.Key, error) {
 	return row.KeyOf(rw, rt.cat.PKOrds)
 }
 
+// beginWrite opens a write statement on table: the transaction must be
+// live and the engine writable, and the statement takes the
+// transaction's slots in the logs' counts of writers.
+func (t *Txn) beginWrite(table string) (*tableRT, error) {
+	if t.done {
+		return nil, ErrTxnDone
+	}
+	if err := t.e.health.writable(); err != nil {
+		return nil, err
+	}
+	t.e.join(&t.fl, true, true)
+	return t.e.table(table)
+}
+
 // Insert adds a row. The storage decision follows Section IV: inserts go
 // to the IMRS when the partition is insert-enabled and the cache accepts
 // new rows; otherwise (or on cache pressure) to the page store.
+// A duplicate key fails the statement when its index entry is inserted
+// (insertIndexEntries), and the statement unwinds.
 func (t *Txn) Insert(table string, rw row.Row) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if err := t.e.health.writable(); err != nil {
-		return err
-	}
-	t.e.join(&t.fl, true, true)
-	rt, err := t.e.table(table)
+	rt, err := t.beginWrite(table)
 	if err != nil {
 		return err
 	}
@@ -100,22 +110,6 @@ func (t *Txn) Insert(table string, rw row.Row) error {
 	encSize := row.EncodedSize(rw)
 	if encSize > maxRowBytes {
 		return ErrRowTooLarge
-	}
-
-	// Pre-check unique indexes (the insert below re-verifies atomically).
-	for _, ix := range rt.indexes {
-		if !ix.def.Unique {
-			continue
-		}
-		k, err := indexKey(ix, rw, rid.Zero)
-		if err != nil {
-			return err
-		}
-		if _, found, err := ix.tree.Search(k); err != nil {
-			return err
-		} else if found {
-			return ErrDuplicateKey
-		}
 	}
 
 	if prt.ilm.Enabled(ilm.OpInsert) && t.e.packer.AcceptNewRows() && t.e.imrsAdmission() {
@@ -202,7 +196,6 @@ func (t *Txn) insertPage(rt *tableRT, prt *partRT, rw row.Row, encSize int) erro
 // IMRS-resident rows (hash fast path entries).
 func (t *Txn) insertIndexEntries(rt *tableRT, rw row.Row, r0 rid.RID, en *imrs.Entry) error {
 	for _, ix := range rt.indexes {
-		ix := ix
 		k, err := indexKey(ix, rw, r0)
 		if err != nil {
 			return err
@@ -326,7 +319,7 @@ func (t *Txn) readRowAt(rt *tableRT, r0 rid.RID, probeKey row.Key, pointAccess b
 	// Cold-store resolution: serve the segment copy this snapshot reads
 	// (colseg.Segment.Visible: live, or killed after the snapshot by a
 	// versioned kill).
-	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && seg.Visible(idx, t.snap) {
+	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && seg.Visible(idx, t.snap) && !t.killStaged(r0) {
 		enc, err := seg.EncodeRowAt(idx, t.sc.rowBuf[:0])
 		if err != nil {
 			return false, false, err
@@ -496,7 +489,7 @@ func (t *Txn) currentImage(rt *tableRT, r0 rid.RID, en *imrs.Entry) (row.Row, []
 		rw, err := t.e.decode(rt, v.Data())
 		return rw, v.Data(), err == nil, err
 	}
-	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && k == 0 {
+	if seg, idx, k, ok := t.e.cold.Lookup(r0); ok && k == 0 && !t.killStaged(r0) {
 		enc, err := seg.EncodeRowAt(idx, nil)
 		if err != nil {
 			return nil, nil, false, err
@@ -516,16 +509,9 @@ func (t *Txn) currentImage(rt *tableRT, r0 rid.RID, en *imrs.Entry) (row.Row, []
 // Update applies mutate to the row with the given primary key. Updates
 // of IMRS rows create new versions; updates of page-store rows either
 // migrate the row into the IMRS (unique-index access, Section IV) or
-// update in place.
+// update in place. mutate may change every column but the primary key.
 func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row, error)) (bool, error) {
-	if t.done {
-		return false, ErrTxnDone
-	}
-	if err := t.e.health.writable(); err != nil {
-		return false, err
-	}
-	t.e.join(&t.fl, true, true)
-	rt, err := t.e.table(table)
+	rt, err := t.beginWrite(table)
 	if err != nil {
 		return false, err
 	}
@@ -536,11 +522,116 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	if err != nil || !found {
 		return false, err
 	}
+	return t.update(rt, r0, en, key, mutate)
+}
+
+// UpdateCols updates the row with the given primary key through the
+// columns at cols (schema ordinals, strictly ascending, none of the
+// primary key): fn gets their current values, read off the locked row
+// image, and sets the new ones in place. An IMRS-resident row's new
+// version is its old image with the changed columns spliced in
+// (row.Image.Splice). A row in the page store or the cold store, or a
+// write to an indexed column, takes Update's whole-row path.
+func (t *Txn) UpdateCols(table string, pk []row.Value, cols []int, fn func(vals row.Row) error) (bool, error) {
+	rt, err := t.beginWrite(table)
+	if err != nil {
+		return false, err
+	}
+	indexed, err := rt.setCols(cols)
+	if err != nil {
+		return false, err
+	}
+	if cols == nil {
+		cols = []int{} // no column, where nil would read as every column
+	}
+	r0, en, found, err := t.locateForWrite(rt, t.pkKey(pk))
+	if err != nil || !found {
+		return false, err
+	}
+	if en == nil || indexed {
+		return t.update(rt, r0, en, nil, func(r row.Row) (row.Row, error) {
+			vals := make(row.Row, len(cols))
+			for j, c := range cols {
+				vals[j] = r[c]
+			}
+			if err := fn(vals); err != nil {
+				return nil, err
+			}
+			for j, c := range cols {
+				r[c] = vals[j]
+			}
+			return r, nil
+		})
+	}
+	cur := en.Visible(math.MaxUint64, t.id)
+	if cur == nil {
+		return false, nil // deleted
+	}
+	// The values live in the scratch between updates; while this one
+	// runs, an update nested in fn makes its own.
+	vals := slices.Grow(t.sc.vals[:0], len(cols))[:len(cols)]
+	t.sc.vals = nil
+	defer func() {
+		if t.sc != nil {
+			t.sc.vals = vals
+		}
+	}()
+	im := &t.sc.img
+	im.Set(rt.cat.Schema, cur.Data())
+	if err := im.Decode(cols, vals); err != nil {
+		return false, err
+	}
+	if err := fn(vals); err != nil {
+		return false, err
+	}
+	im.Set(rt.cat.Schema, cur.Data()) // fn's reads may have moved the image
+	delta, size, err := im.AppendDelta(t.encBuf(row.EncodedSize(vals)+2*len(vals)), cols, vals)
+	if err != nil {
+		return false, err
+	}
+	if size > maxRowBytes {
+		return false, ErrRowTooLarge
+	}
+	prt := t.e.partByID(r0.Partition())
+	if err := t.updateIMRS(rt, prt, r0, en, size, func(dst []byte) []byte {
+		out, _ := im.Splice(dst, delta) // AppendDelta wrote it for this image
+		return out
+	}, delta); err != nil {
+		return false, err
+	}
+	if t.coldLive(r0) {
+		t.stageSegKill(rt, r0, true, true)
+	}
+	return true, nil
+}
+
+// setCols checks an UpdateCols column list (in range, strictly
+// ascending, no primary-key column) and reports whether a secondary
+// index covers any of its columns.
+func (rt *tableRT) setCols(cols []int) (indexed bool, err error) {
+	last := -1
+	for _, c := range cols {
+		if c <= last || c >= rt.cat.Schema.NumColumns() {
+			return false, fmt.Errorf("core: UpdateCols wants strictly ascending column ordinals, got %v", cols)
+		}
+		last = c
+		if slices.Contains(rt.cat.PKOrds, c) {
+			return false, ErrPKChange
+		}
+		for _, ix := range rt.indexes[1:] {
+			indexed = indexed || slices.Contains(ix.def.ColOrds, c)
+		}
+	}
+	return indexed, nil
+}
+
+// update writes mutate's version of the located, locked row r0; with
+// key set, the new row must keep that primary key.
+func (t *Txn) update(rt *tableRT, r0 rid.RID, en *imrs.Entry, key row.Key, mutate func(row.Row) (row.Row, error)) (bool, error) {
 	cur, curEnc, ok, err := t.currentImage(rt, r0, en)
 	if err != nil || !ok {
 		return false, err
 	}
-
 	newRow, err := mutate(cur.Clone())
 	if err != nil {
 		return false, err
@@ -548,12 +639,14 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	if err := rt.cat.Schema.Validate(newRow); err != nil {
 		return false, err
 	}
-	newPK, err := pkOf(rt, newRow)
-	if err != nil {
-		return false, err
-	}
-	if !bytes.Equal(newPK, key) {
-		return false, ErrPKChange
+	if key != nil {
+		newPK, err := pkOf(rt, newRow)
+		if err != nil {
+			return false, err
+		}
+		if !bytes.Equal(newPK, key) {
+			return false, ErrPKChange
+		}
 	}
 	encSize := row.EncodedSize(newRow)
 	if encSize > maxRowBytes {
@@ -565,12 +658,24 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	// The first dirtying write of a frozen row pulls it out of the cold
 	// store: the segment copy is killed at commit and the row's newest
 	// image lives in the IMRS (migration) or back in the heap.
-	_, _, k, inCold := t.e.cold.Lookup(r0)
-	coldRes := inCold && k == 0
+	coldRes := t.coldLive(r0)
 	frozen := r0 // an un-freeze to the heap may move the row
 	switch {
 	case en != nil:
-		if err := t.updateIMRS(rt, prt, r0, en, newRow, encSize); err != nil {
+		var delta []byte
+		if t.deltaBase(en) {
+			// The delta is read against the image mutate was given; the
+			// read image is free again once mutate has returned.
+			im := &t.sc.img
+			im.Set(rt.cat.Schema, curEnc)
+			delta, _, err = im.AppendDelta(t.encBuf(encSize+2*len(newRow)), nil, newRow)
+		}
+		if err == nil {
+			err = t.updateIMRS(rt, prt, r0, en, encSize, func(dst []byte) []byte {
+				return row.AppendEncoded(newRow, dst)
+			}, delta)
+		}
+		if err != nil {
 			t.unwind(m)
 			return false, err
 		}
@@ -614,14 +719,19 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	return true, nil
 }
 
-func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, rw row.Row, encSize int) error {
-	encode := func(dst []byte) []byte { return row.AppendEncoded(rw, dst) }
-	v, err := t.e.store.AddVersionFunc(en, encSize, encode, t.id)
+// updateIMRS pushes en's new version, size bytes that fill writes, and
+// logs it. The record is delta, the columns the update changes, when
+// sysimrslogs already holds the image the version supersedes (deltaBase);
+// otherwise it is the whole new image, and once that publishes the log
+// holds the entry's image (Entry.MarkLogged).
+func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, size int, fill func([]byte) []byte, delta []byte) error {
+	full := !t.deltaBase(en)
+	v, err := t.e.store.AddVersionFunc(en, size, fill, t.id)
 	if err == imrs.ErrCacheFull {
 		// Committers that never block leave the collector waiting for a
 		// CPU: free what it has not reached yet, here, and try once more.
 		t.e.gc.Drain()
-		v, err = t.e.store.AddVersionFunc(en, encSize, encode, t.id)
+		v, err = t.e.store.AddVersionFunc(en, size, fill, t.id)
 	}
 	if err != nil {
 		return err // cache absolutely full
@@ -630,18 +740,31 @@ func (t *Txn) updateIMRS(rt *tableRT, prt *partRT, r0 rid.RID, en *imrs.Entry, r
 	old := v.Older()
 	t.undo = append(t.undo, func() { t.e.store.AbortVersion(en, v) })
 	t.staged = append(t.staged, v)
-	t.imrsRecs = append(t.imrsRecs, wal.Record{
-		Type: wal.RecIMRSUpdate, Table: rt.cat.ID, RID: r0,
-		Aux: uint8(en.Origin), After: v.Data(),
-	})
+	rec := wal.Record{Type: wal.RecIMRSDelta, Table: rt.cat.ID, RID: r0, Aux: uint8(en.Origin), After: delta}
+	if full {
+		rec.Type, rec.After = wal.RecIMRSUpdate, v.Data()
+	}
+	t.imrsRecs = append(t.imrsRecs, rec)
 	if old != nil && old.Committed() {
 		t.atCommit = append(t.atCommit, func(uint64) {
+			if full {
+				en.MarkLogged()
+			}
 			t.e.gc.RetireVersion(en, v, old)
 		})
 	}
 	en.Touch(t.e.clock.Now())
 	prt.ilm.IMRSUpdates.Inc()
 	return nil
+}
+
+// deltaBase reports whether sysimrslogs holds the image an update of
+// en supersedes, so the update may log a delta: the entry's newest
+// committed image (Entry.Logged), or this transaction's own version of
+// it, whose record precedes the update's in the transaction.
+func (t *Txn) deltaBase(en *imrs.Entry) bool {
+	h := en.Head()
+	return en.Logged() || h.TxnID == t.id && !h.Committed()
 }
 
 // migrate moves a page-store row into the IMRS as part of an update
@@ -676,9 +799,7 @@ func (t *Txn) migrate(rt *tableRT, prt *partRT, r0 rid.RID, rw row.Row, encSize 
 		if ix.hash == nil {
 			continue
 		}
-		ix := ix
 		if k, err := indexKey(ix, rw, r0); err == nil {
-			k := k
 			ix.hash.Put(k, en)
 			t.undo = append(t.undo, func() { ix.hash.Delete(k, en) })
 		}
@@ -718,6 +839,27 @@ func (t *Txn) stageSegKill(rt *tableRT, r rid.RID, unfreeze, versioned bool) {
 			t.e.unfreezes.Add(1)
 		}
 	})
+}
+
+// coldLive reports whether r has a live cold-segment copy that is
+// still the row's newest image to this transaction: it is not once the
+// transaction has staged the copy's kill (killStaged).
+func (t *Txn) coldLive(r rid.RID) bool {
+	_, _, k, ok := t.e.cold.Lookup(r)
+	return ok && k == 0 && !t.killStaged(r)
+}
+
+// killStaged reports whether this transaction has already staged the
+// kill of r's cold copy: an earlier write of the row in it pulled the
+// row out of the cold store, so the copy, live until commit, is no
+// longer its image, and a second write must not kill it again.
+func (t *Txn) killStaged(r rid.RID) bool {
+	for i := range t.sysRecs {
+		if t.sysRecs[i].Type == wal.RecSegKill && t.sysRecs[i].RID == r {
+			return true
+		}
+	}
+	return false
 }
 
 // unfreezeToHeap moves a frozen row back to the page store when the IMRS
@@ -768,7 +910,6 @@ func (t *Txn) unfreezeToHeap(rt *tableRT, prt *partRT, r0 rid.RID, cur row.Row, 
 	// keyed by the row's CURRENT image (key changes are layered on by
 	// updateSecondaryIndexes afterwards, against newRID).
 	for _, ix := range rt.indexes {
-		ix := ix
 		oldK, err := indexKey(ix, cur, r0)
 		if err != nil {
 			return rid.Zero, err
@@ -802,7 +943,6 @@ func (t *Txn) unfreezeToHeap(rt *tableRT, prt *partRT, r0 rid.RID, cur row.Row, 
 // key is removed once the change commits.
 func (t *Txn) updateSecondaryIndexes(rt *tableRT, oldRow, newRow row.Row, r0 rid.RID, en *imrs.Entry) error {
 	for _, ix := range rt.indexes[1:] {
-		ix := ix
 		oldK, err := indexKey(ix, oldRow, r0)
 		if err != nil {
 			return err
@@ -823,7 +963,6 @@ func (t *Txn) updateSecondaryIndexes(rt *tableRT, oldRow, newRow row.Row, r0 rid
 		t.undo = append(t.undo, func() { _, _, _ = ix.tree.Delete(newK) })
 		t.atCommit = append(t.atCommit, func(uint64) { _, _, _ = ix.tree.Delete(oldK) })
 		if ix.hash != nil && en != nil {
-			en := en
 			ix.hash.Put(newK, en)
 			t.undo = append(t.undo, func() { ix.hash.Delete(newK, en) })
 			t.atCommit = append(t.atCommit, func(uint64) { ix.hash.Delete(oldK, en) })
@@ -834,14 +973,7 @@ func (t *Txn) updateSecondaryIndexes(rt *tableRT, oldRow, newRow row.Row, r0 rid
 
 // Delete removes the row with the given primary key.
 func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
-	if t.done {
-		return false, ErrTxnDone
-	}
-	if err := t.e.health.writable(); err != nil {
-		return false, err
-	}
-	t.e.join(&t.fl, true, true)
-	rt, err := t.e.table(table)
+	rt, err := t.beginWrite(table)
 	if err != nil {
 		return false, err
 	}
@@ -856,8 +988,7 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 	}
 	m := t.mark()
 	prt := t.e.partByID(r0.Partition())
-	_, _, k, inCold := t.e.cold.Lookup(r0)
-	coldRes := inCold && k == 0
+	coldRes := t.coldLive(r0)
 
 	if en != nil {
 		tomb := t.e.store.AddTombstone(en, t.id)
@@ -877,7 +1008,6 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 				t.atCommit = append(t.atCommit, func(uint64) { _ = prt.heap.Delete(r0) })
 			}
 		}
-		en := en
 		t.atCommit = append(t.atCommit, func(uint64) {
 			en.MarkPacked()
 			t.e.gc.RetireEntry(en)
@@ -935,14 +1065,12 @@ func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 
 func (t *Txn) removeIndexEntriesAtCommit(rt *tableRT, rw row.Row, r0 rid.RID, en *imrs.Entry) error {
 	for _, ix := range rt.indexes {
-		ix := ix
 		k, err := indexKey(ix, rw, r0)
 		if err != nil {
 			return err
 		}
 		t.atCommit = append(t.atCommit, func(uint64) { _, _, _ = ix.tree.Delete(k) })
 		if ix.hash != nil && en != nil {
-			en := en
 			t.atCommit = append(t.atCommit, func(uint64) { ix.hash.Delete(k, en) })
 		}
 	}

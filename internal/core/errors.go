@@ -25,6 +25,10 @@ var (
 	ErrReadOnly = errors.New("core: engine is read-only")
 	// ErrEngineClosed reports use of an engine after Halt/Close.
 	ErrEngineClosed = errors.New("core: engine closed")
+	// ErrDeltaWithoutBase fails a recovery whose sysimrslogs holds an
+	// update delta for a row that no earlier replayed record holds: the
+	// log lost the image the delta applies to.
+	ErrDeltaWithoutBase = errors.New("core: sysimrslogs delta has no base image")
 )
 
 // ReadOnlyError is the typed write rejection carrying the root cause

@@ -637,11 +637,20 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 		return 0, 1, err
 	}
 	workers = max(e.cfg.RecoveryThreads, 1)
+	// Size the RID map once, before the lanes fill it: every insert
+	// record may make an entry, but no more entries of the inserts'
+	// mean size fit the IMRS. A map sized for every insert of a table
+	// that cycles through the IMRS would spread a few live entries over
+	// a table many times their size.
+	if n, bytes := e.imrslog.Walked(wal.RecIMRSInsert); n > 0 {
+		e.rmap.Reserve(int(min(n, e.cfg.IMRSCacheBytes/(bytes/n))))
+	}
 	errs := make([]error, workers)
+	splices := make([]splice, workers)
 	var failed atomic.Bool
 	apply := func(lane int, ops []imrsRedoOp) {
 		for j := 0; j < len(ops) && errs[lane] == nil; j++ {
-			if errs[lane] = e.applyIMRSRedo(&ops[j]); errs[lane] != nil {
+			if errs[lane] = e.applyIMRSRedo(&ops[j], &splices[lane]); errs[lane] != nil {
 				failed.Store(true)
 			}
 		}
@@ -690,7 +699,7 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 		}
 		e.bumpTxnID(rec.TxnID)
 		switch rec.Type {
-		case wal.RecIMRSInsert, wal.RecIMRSUpdate, wal.RecIMRSDelete:
+		case wal.RecIMRSInsert, wal.RecIMRSUpdate, wal.RecIMRSDelta, wal.RecIMRSDelete:
 			pending[rec.TxnID] = append(pending[rec.TxnID], imrsRedoOp{after: rec.After, rid: rec.RID,
 				txnID: rec.TxnID, typ: rec.Type, aux: rec.Aux})
 		case wal.RecIMRSCommit:
@@ -729,7 +738,14 @@ func laneOf(r rid.RID, n int) int {
 	return int((h >> 32) % uint64(n))
 }
 
-func (e *Engine) applyIMRSRedo(op *imrsRedoOp) error {
+// splice is a replay lane's buffers for applying deltas: the base
+// image and the new image spliced from it.
+type splice struct {
+	img row.Image
+	buf []byte
+}
+
+func (e *Engine) applyIMRSRedo(op *imrsRedoOp, sp *splice) error {
 	part := op.rid.Partition()
 	cp := e.cat.PartitionByID(part)
 	if cp == nil {
@@ -741,48 +757,55 @@ func (e *Engine) applyIMRSRedo(op *imrsRedoOp) error {
 	if op.rid.IsVirtual() {
 		cp.BumpVirtualSeq(op.rid.Seq())
 	}
+	var en *imrs.Entry
 	switch op.typ {
 	case wal.RecIMRSInsert:
-		en, err := e.store.CreateEntry(op.rid, part, imrs.Origin(op.aux), op.after, op.txnID)
-		if err != nil {
-			return fmt.Errorf("core: IMRS redo insert %v: %w", op.rid, err)
+	case wal.RecIMRSUpdate, wal.RecIMRSDelta:
+		en = e.rmap.Get(op.rid)
+		if en == nil && op.typ == wal.RecIMRSDelta {
+			return fmt.Errorf("%w: %v", ErrDeltaWithoutBase, op.rid)
 		}
-		en.MarkDirty()
-		e.store.Commit(en.Head(), op.ts)
-		en.Touch(op.ts)
-		e.rmap.Put(op.rid, en)
-	case wal.RecIMRSUpdate:
-		en := e.rmap.Get(op.rid)
-		if en == nil {
-			// Update of a cached (never-logged) row: upsert it.
-			en2, err := e.store.CreateEntry(op.rid, part, imrs.Origin(op.aux), op.after, op.txnID)
-			if err != nil {
-				return fmt.Errorf("core: IMRS redo upsert %v: %w", op.rid, err)
-			}
-			en2.MarkDirty()
-			e.store.Commit(en2.Head(), op.ts)
-			en2.Touch(op.ts)
-			e.rmap.Put(op.rid, en2)
-			return nil
-		}
-		v, err := e.store.AddVersion(en, op.after, op.txnID)
-		if err != nil {
-			return fmt.Errorf("core: IMRS redo update %v: %w", op.rid, err)
-		}
-		e.store.Commit(v, op.ts)
-		en.Touch(op.ts)
-		// No snapshots exist during recovery: reclaim the old version now.
-		if old := v.Older(); old != nil {
-			v.TruncateOlder()
-			e.store.FreeVersion(part, old)
-		}
+		// A full image with no entry is the first update of a cached
+		// (never-logged) row: upsert it.
 	case wal.RecIMRSDelete:
-		en := e.rmap.Get(op.rid)
-		if en != nil {
+		if en := e.rmap.Get(op.rid); en != nil {
 			en.MarkPacked()
 			e.rmap.Delete(op.rid, en)
 			e.store.RemoveEntry(en)
 		}
+		return nil
+	}
+	if en == nil {
+		en, err := e.store.CreateEntry(op.rid, part, imrs.Origin(op.aux), op.after, op.txnID)
+		if err != nil {
+			return fmt.Errorf("core: IMRS redo %v %v: %w", op.typ, op.rid, err)
+		}
+		en.MarkDirty()
+		en.MarkLogged()
+		e.store.Commit(en.Head(), op.ts)
+		en.Touch(op.ts)
+		e.rmap.Put(op.rid, en)
+		return nil
+	}
+	data := op.after
+	if op.typ == wal.RecIMRSDelta {
+		sp.img.Set(cp.Table.Schema, en.Head().Data())
+		var err error
+		if sp.buf, err = sp.img.Splice(sp.buf[:0], op.after); err != nil {
+			return fmt.Errorf("core: IMRS redo delta %v: %w", op.rid, err)
+		}
+		data = sp.buf
+	}
+	v, err := e.store.AddVersion(en, data, op.txnID)
+	if err != nil {
+		return fmt.Errorf("core: IMRS redo update %v: %w", op.rid, err)
+	}
+	e.store.Commit(v, op.ts)
+	en.Touch(op.ts)
+	// No snapshots exist during recovery: reclaim the old version now.
+	if old := v.Older(); old != nil {
+		v.TruncateOlder()
+		e.store.FreeVersion(part, old)
 	}
 	return nil
 }

@@ -36,8 +36,10 @@ type txnScratch struct {
 	vkey   row.Key
 	rowBuf []byte
 
-	enc    []byte // bump arena for page-store row images
+	enc    []byte // bump arena for page-store row images and row deltas
 	encOff int
+
+	vals row.Row // the column values UpdateCols hands fn, borrowed for the call
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -352,6 +354,7 @@ func (t *Txn) recycle() {
 		sc.prefix = nil
 	}
 	sc.img.Release()
+	clear(sc.vals[:cap(sc.vals)])
 	if cap(sc.vkey) > maxScratchBytes {
 		sc.vkey = nil
 	}
@@ -387,7 +390,8 @@ func (t *Txn) Commit() error {
 
 // publish makes a transaction whose commit decision is durable visible
 // at ts: staged versions are stamped, deferred commit actions run, and
-// new entries are handed to GC queue maintenance.
+// new entries, whose images sysimrslogs now holds, are handed to GC
+// queue maintenance.
 func (t *Txn) publish(ts uint64) {
 	for _, v := range t.staged {
 		t.e.store.Commit(v, ts)
@@ -397,6 +401,7 @@ func (t *Txn) publish(ts uint64) {
 	}
 	for _, en := range t.newEntries {
 		en.Touch(ts)
+		en.MarkLogged()
 		t.e.gc.NewRow(en)
 	}
 }

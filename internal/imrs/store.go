@@ -112,10 +112,24 @@ type Entry struct {
 	// rows once updated. Pack writes dirty entries back; clean cached
 	// entries are simply dropped.
 	dirty atomic.Bool
+
+	// logged marks entries whose newest committed image sysimrslogs
+	// already holds (as an image, or as a delta on one it holds), so an
+	// update may log only the columns it changes. A cached row is not
+	// logged until an update of it logs its whole image and publishes.
+	logged atomic.Bool
 }
 
 // MarkDirty flags the entry as diverged from the page store.
 func (e *Entry) MarkDirty() { e.dirty.Store(true) }
+
+// MarkLogged records that sysimrslogs holds the entry's newest
+// committed image.
+func (e *Entry) MarkLogged() { e.logged.Store(true) }
+
+// Logged reports whether sysimrslogs holds the entry's newest committed
+// image.
+func (e *Entry) Logged() bool { return e.logged.Load() }
 
 // Dirty reports whether pack must write the entry back.
 func (e *Entry) Dirty() bool { return e.dirty.Load() }

@@ -7,34 +7,41 @@
 package pack
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/imrs"
 	"repro/internal/rid"
 )
 
 // QueueSet holds the relaxed LRU queues: one queue per partition per row
-// origin (inserted / migrated / cached), per paper Section VI-B.
+// origin (inserted / migrated / cached), per paper Section VI-B. The
+// partitions' queues are copy-on-write: For reads them without a lock
+// (every entry the IMRS replay makes is enqueued through it), and a
+// partition's first use or drop publishes a changed copy under mu.
 type QueueSet struct {
-	mu sync.RWMutex
-	qs map[rid.PartitionID]*[imrs.NumOrigins]imrs.Queue
+	mu sync.Mutex
+	qs atomic.Pointer[map[rid.PartitionID]*[imrs.NumOrigins]imrs.Queue]
 }
 
 // NewQueueSet returns an empty set.
 func NewQueueSet() *QueueSet {
-	return &QueueSet{qs: make(map[rid.PartitionID]*[imrs.NumOrigins]imrs.Queue)}
+	s := &QueueSet{}
+	s.qs.Store(&map[rid.PartitionID]*[imrs.NumOrigins]imrs.Queue{})
+	return s
 }
 
 // For returns the queue for (part, origin), creating it on first use.
 func (s *QueueSet) For(part rid.PartitionID, origin imrs.Origin) *imrs.Queue {
-	s.mu.RLock()
-	trio, ok := s.qs[part]
-	s.mu.RUnlock()
+	trio, ok := (*s.qs.Load())[part]
 	if !ok {
 		s.mu.Lock()
-		if trio, ok = s.qs[part]; !ok {
+		if trio, ok = (*s.qs.Load())[part]; !ok {
 			trio = new([imrs.NumOrigins]imrs.Queue)
-			s.qs[part] = trio
+			m := maps.Clone(*s.qs.Load())
+			m[part] = trio
+			s.qs.Store(&m)
 		}
 		s.mu.Unlock()
 	}
@@ -55,16 +62,16 @@ func (s *QueueSet) Remove(e *imrs.Entry) {
 // must have unlinked or invalidated any queued entries first.
 func (s *QueueSet) DropPartition(part rid.PartitionID) {
 	s.mu.Lock()
-	delete(s.qs, part)
+	m := maps.Clone(*s.qs.Load())
+	delete(m, part)
+	s.qs.Store(&m)
 	s.mu.Unlock()
 }
 
 // PartitionQueues returns the three queues of a partition (nil if the
 // partition has never enqueued anything).
 func (s *QueueSet) PartitionQueues(part rid.PartitionID) *[imrs.NumOrigins]imrs.Queue {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.qs[part]
+	return (*s.qs.Load())[part]
 }
 
 // QueuedRows returns the total queued entries for a partition.

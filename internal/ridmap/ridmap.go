@@ -41,6 +41,20 @@ func (m *Map) shard(r rid.RID) *shard {
 	return &m.shards[h%shards]
 }
 
+// Reserve sizes the map to hold n entries without growing: recovery
+// calls it, while the map is still empty, before its lanes fill it.
+// Shards that already hold entries keep them.
+func (m *Map) Reserve(n int) {
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		if len(s.m) == 0 {
+			s.m = make(map[rid.RID]*imrs.Entry, n/shards+1)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Get returns the IMRS entry for r, or nil when the row is not
 // IMRS-resident.
 func (m *Map) Get(r rid.RID) *imrs.Entry {

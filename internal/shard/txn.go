@@ -155,6 +155,22 @@ func (t *Txn) Update(table string, pk []row.Value, mutate func(row.Row) (row.Row
 	return found, err
 }
 
+// UpdateCols routes a point update through the columns at cols by
+// primary key (see core.Txn.UpdateCols).
+func (t *Txn) UpdateCols(table string, pk []row.Value, cols []int, fn func(row.Row) error) (bool, error) {
+	s, err := t.sub(t.n.r.shardOfKey(pk))
+	if err != nil {
+		return false, err
+	}
+	var found bool
+	err = t.retryWrite(func() error {
+		var uerr error
+		found, uerr = s.UpdateCols(table, pk, cols, fn)
+		return uerr
+	})
+	return found, err
+}
+
 // Delete routes a point delete by primary key.
 func (t *Txn) Delete(table string, pk []row.Value) (bool, error) {
 	s, err := t.sub(t.n.r.shardOfKey(pk))

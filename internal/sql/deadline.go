@@ -59,6 +59,15 @@ func (t *deadlineTxn) Update(table string, pk []btrim.Value, mutate func(btrim.R
 	return t.Txn.Update(table, pk, mutate)
 }
 
+// UpdateCols makes the deadline an updater: the executor's column
+// updates pass through it to the wrapped transaction's.
+func (t *deadlineTxn) UpdateCols(table string, pk []btrim.Value, cols []int, fn func(btrim.Row) error) (bool, error) {
+	if t.expired() {
+		return false, t.err
+	}
+	return updateCols(t.Txn, table, pk, cols, fn)
+}
+
 func (t *deadlineTxn) Set(table string, pk []btrim.Value, newRow btrim.Row) (bool, error) {
 	if t.expired() {
 		return false, t.err

@@ -35,6 +35,32 @@ type projector interface {
 	LookupCols(table, index string, vals []btrim.Value, cols []int, fn func(btrim.Row) bool) error
 }
 
+// updater is the column update of *btrim.Tx. The executor updates
+// through it when the Txn has it; a decorator that implements only Txn
+// is updated through Update instead.
+type updater interface {
+	UpdateCols(table string, pk []btrim.Value, cols []int, fn func(btrim.Row) error) (bool, error)
+}
+
+// updateCols updates the row with primary key pk through the columns
+// at cols (see btrim.Tx.UpdateCols).
+func updateCols(tx Txn, table string, pk []btrim.Value, cols []int, fn func(btrim.Row) error) (bool, error) {
+	if u, ok := tx.(updater); ok {
+		return u.UpdateCols(table, pk, cols, fn)
+	}
+	return tx.Update(table, pk, func(r btrim.Row) (btrim.Row, error) {
+		vals := make(btrim.Row, len(cols))
+		for j, o := range cols {
+			vals[j] = r[o]
+		}
+		err := fn(vals)
+		for j, o := range cols {
+			r[o] = vals[j]
+		}
+		return r, err
+	})
+}
+
 // getCols reads the columns at cols of the row with primary key pk into
 // dst (see btrim.Tx.GetCols).
 func getCols(tx Txn, table string, pk []btrim.Value, cols []int, dst btrim.Row) (bool, error) {

@@ -512,11 +512,14 @@ func (p *insertPlan) run(tx Txn, args []btrim.Value) (*Result, error) {
 	return &Result{Affected: n, Msg: "INSERT"}, nil
 }
 
-// assignSlot is one compiled SET item.
+// assignSlot is one compiled SET item. ord and refOrd index the whole
+// row, at and refAt the plan's setCols.
 type assignSlot struct {
 	ord    int
 	slot   valSlot
 	refOrd int // >= 0 selects the arithmetic read-modify-write form
+	at     int
+	refAt  int
 	neg    bool
 	typ    btrim.ColumnType
 }
@@ -557,42 +560,52 @@ func compileAssigns(m *tableMeta, assigns []Assign) ([]assignSlot, error) {
 	return out, nil
 }
 
-// mutator builds the Update callback over this execution's resolved
-// assign values. The arithmetic form reads the locked current row
+// set applies the SET items to r with the values resolved for this
+// execution (p.avals): r is the whole row, or with projected only the
+// plan's setCols. The arithmetic form reads the locked current row
 // image, so concurrent `SET v = v + 1` sessions never lose increments.
-func mutator(assigns []assignSlot, avals []btrim.Value) func(btrim.Row) (btrim.Row, error) {
-	return func(r btrim.Row) (btrim.Row, error) {
-		for i := range assigns {
-			a := &assigns[i]
-			if a.refOrd < 0 {
-				r[a.ord] = avals[i]
-				continue
-			}
-			if r[a.refOrd].IsNull() || avals[i].IsNull() {
-				return nil, fmt.Errorf("sql: arithmetic on NULL column")
-			}
-			switch a.typ {
-			case btrim.Int64Type:
-				d := avals[i].Int()
-				if a.neg {
-					d = -d
-				}
-				r[a.ord] = btrim.Int64(r[a.refOrd].Int() + d)
-			case btrim.Float64Type:
-				d := avals[i].Float()
-				if a.neg {
-					d = -d
-				}
-				r[a.ord] = btrim.Float64(r[a.refOrd].Float() + d)
-			}
+func (p *writePlan) set(r btrim.Row, projected bool) error {
+	for i := range p.assigns {
+		a := &p.assigns[i]
+		dst, ref := a.ord, a.refOrd
+		if projected {
+			dst, ref = a.at, a.refAt
 		}
-		return r, nil
+		if ref < 0 {
+			r[dst] = p.avals[i]
+			continue
+		}
+		if r[ref].IsNull() || p.avals[i].IsNull() {
+			return fmt.Errorf("sql: arithmetic on NULL column")
+		}
+		switch a.typ {
+		case btrim.Int64Type:
+			d := p.avals[i].Int()
+			if a.neg {
+				d = -d
+			}
+			r[dst] = btrim.Int64(r[ref].Int() + d)
+		case btrim.Float64Type:
+			d := p.avals[i].Float()
+			if a.neg {
+				d = -d
+			}
+			r[dst] = btrim.Float64(r[ref].Float() + d)
+		}
 	}
+	return nil
 }
 
 // writePlan is the shared compiled shape of UPDATE and DELETE: a point
 // path when the WHERE pins the full primary key, a collect-then-mutate
 // scan otherwise.
+//
+// An UPDATE binds its row callbacks once, at compile time, over values
+// it resolves per execution into avals: a plan runs on its session's
+// goroutine, one execution at a time. setCols lists, ascending, the
+// columns its SET items write and read; when none is a primary-key
+// column the update goes through UpdateCols over them (setVals), else
+// through Update over the whole row (setRow).
 type writePlan struct {
 	meta     *tableMeta
 	assigns  []assignSlot // nil for DELETE
@@ -601,6 +614,11 @@ type writePlan struct {
 	pkSlots  []valSlot
 	residual []predSlot
 	verb     string
+
+	avals   []btrim.Value
+	setCols []int
+	setVals func(btrim.Row) error
+	setRow  func(btrim.Row) (btrim.Row, error)
 }
 
 func compileWrite(cat *catalog.Catalog, table string, assigns []Assign, where []Pred, verb string) (func(Txn, []btrim.Value) (*Result, error), error) {
@@ -613,6 +631,7 @@ func compileWrite(cat *catalog.Catalog, table string, assigns []Assign, where []
 		if p.assigns, err = compileAssigns(m, assigns); err != nil {
 			return nil, err
 		}
+		p.bindSet()
 	}
 	preds, err := compilePreds(m, where)
 	if err != nil {
@@ -627,6 +646,29 @@ func compileWrite(cat *catalog.Catalog, table string, assigns []Assign, where []
 	return p.run, nil
 }
 
+// bindSet sizes avals, lists setCols and binds the row callbacks.
+func (p *writePlan) bindSet() {
+	p.avals = make([]btrim.Value, len(p.assigns))
+	p.setRow = func(r btrim.Row) (btrim.Row, error) { return r, p.set(r, false) }
+	for _, a := range p.assigns {
+		p.setCols = append(p.setCols, a.ord, a.refOrd) // refOrd -1 sorts first
+	}
+	slices.Sort(p.setCols)
+	p.setCols = slices.Compact(p.setCols)
+	if p.setCols[0] < 0 {
+		p.setCols = p.setCols[1:]
+	}
+	if slices.ContainsFunc(p.setCols, func(o int) bool { return slices.Contains(p.meta.pkOrds, o) }) {
+		p.setCols = nil // SET v = pk + 1: a read UpdateCols refuses
+		return
+	}
+	for i := range p.assigns {
+		a := &p.assigns[i]
+		a.at, a.refAt = slices.Index(p.setCols, a.ord), slices.Index(p.setCols, a.refOrd)
+	}
+	p.setVals = func(vals btrim.Row) error { return p.set(vals, true) }
+}
+
 func compileUpdate(cat *catalog.Catalog, st *Update) (func(Txn, []btrim.Value) (*Result, error), error) {
 	return compileWrite(cat, st.Table, st.Assigns, st.Where, "UPDATE")
 }
@@ -636,23 +678,21 @@ func compileDelete(cat *catalog.Catalog, st *Delete) (func(Txn, []btrim.Value) (
 }
 
 func (p *writePlan) run(tx Txn, args []btrim.Value) (*Result, error) {
-	var mutate func(btrim.Row) (btrim.Row, error)
-	if p.assigns != nil {
-		avals := make([]btrim.Value, len(p.assigns))
-		for i := range p.assigns {
-			v, err := p.assigns[i].slot.resolve(args)
-			if err != nil {
-				return nil, err
-			}
-			avals[i] = v
+	for i := range p.assigns {
+		v, err := p.assigns[i].slot.resolve(args)
+		if err != nil {
+			return nil, err
 		}
-		mutate = mutator(p.assigns, avals)
+		p.avals[i] = v
 	}
 	apply := func(pk []btrim.Value) (bool, error) {
-		if mutate != nil {
-			return tx.Update(p.meta.name, pk, mutate)
+		switch {
+		case p.assigns == nil:
+			return tx.Delete(p.meta.name, pk...)
+		case p.setCols != nil:
+			return updateCols(tx, p.meta.name, pk, p.setCols, p.setVals)
 		}
-		return tx.Delete(p.meta.name, pk...)
+		return tx.Update(p.meta.name, pk, p.setRow)
 	}
 	var n int64
 	if p.point {

@@ -44,6 +44,11 @@ const (
 	// matching decide is presumed aborted.
 	RecPrepare
 	RecDecide
+	// RecIMRSDelta (sysimrslogs) is an IMRS update logged as the columns
+	// it changed (a row delta, row.Image.AppendDelta) against the row's
+	// previous image, which an earlier record already holds; Aux is the
+	// row origin, as in RecIMRSUpdate.
+	RecIMRSDelta
 )
 
 // String implements fmt.Stringer.
@@ -77,6 +82,8 @@ func (t RecType) String() string {
 		return "prepare"
 	case RecDecide:
 		return "decide"
+	case RecIMRSDelta:
+		return "imrs-delta"
 	default:
 		return fmt.Sprintf("rectype(%d)", uint8(t))
 	}
@@ -93,7 +100,7 @@ type Record struct {
 	CommitTS uint64
 	Aux      uint8  // record-specific detail (e.g. IMRS row origin)
 	Before   []byte // undo image (Heap* only)
-	After    []byte // redo image, or checkpoint metadata blob
+	After    []byte // redo image or row delta, or checkpoint metadata blob
 }
 
 // minBody is the length of the smallest body encode emits: the fixed
