@@ -52,12 +52,15 @@ test-commit:
 # crashed at every record and the delta without a base), the WAL frame
 # scanner (block reads, torn tails, mid-log corruption) and the delta
 # record's golden file, the node's concurrent shard recovery and its
-# rolled-up stats under the race detector on one, two and four cores.
+# rolled-up stats under the race detector on one, two and four cores,
+# and one run of the phase-timed 200 k-row restart benchmark, so that it
+# keeps building and running.
 test-recovery:
 	$(GO) test -race -cpu 1,2,4 ./internal/wal/ -run 'Repair|Torn|Reader|Scan|Zero|Golden'
 	$(GO) test -race -cpu 1,2,4 ./internal/core/ -run 'Recovery|Checkpoint|Compaction|Crash|Halt|DeltaChain'
 	$(GO) test -race -cpu 1,2,4 ./internal/shard/ -run 'Recovery|InDoubt|Restart|Open'
 	$(GO) test -race -cpu 1,2,4 ./btrim/ -run 'TestNodeRecoveryStats'
+	$(GO) test -run '^$$' -bench RecoverOnePartition -benchtime 1x ./internal/core/
 
 # IMRS-GC and allocator correctness under the race detector on one,
 # two and four cores: the reclamation rule (a reader registered before

@@ -28,7 +28,15 @@ func openEngine(t *testing.T, mut func(*Config)) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = e.Close() })
+	t.Cleanup(func() {
+		// A failed test may still hold a transaction, whose checkpoint
+		// lock Close's final checkpoint would wait for: halt instead.
+		if t.Failed() {
+			_ = e.Halt()
+			return
+		}
+		_ = e.Close()
+	})
 	return e
 }
 

@@ -637,14 +637,6 @@ func (e *Engine) replayIMRSLog(sysWinners map[uint64]uint64) (maxTS uint64, work
 		return 0, 1, err
 	}
 	workers = max(e.cfg.RecoveryThreads, 1)
-	// Size the RID map once, before the lanes fill it: every insert
-	// record may make an entry, but no more entries of the inserts'
-	// mean size fit the IMRS. A map sized for every insert of a table
-	// that cycles through the IMRS would spread a few live entries over
-	// a table many times their size.
-	if n, bytes := e.imrslog.Walked(wal.RecIMRSInsert); n > 0 {
-		e.rmap.Reserve(int(min(n, e.cfg.IMRSCacheBytes/(bytes/n))))
-	}
 	errs := make([]error, workers)
 	splices := make([]splice, workers)
 	var failed atomic.Bool

@@ -227,6 +227,7 @@ func rejectOverCapacity(conn net.Conn) {
 // handle runs one connection's request loop.
 func (s *Server) handle(c *session) {
 	defer s.wg.Done()
+	reaped := false
 	defer func() {
 		// A handler panic must not take the whole server down: recover,
 		// count it, and fall through to the connection teardown below.
@@ -245,6 +246,10 @@ func (s *Server) handle(c *session) {
 		s.mu.Lock()
 		delete(s.sessions, c.id)
 		s.mu.Unlock()
+		// Counted after the session left s.sessions: Stats reads both.
+		if reaped {
+			s.idleReaps.Add(1)
+		}
 	}()
 
 	br := bufio.NewReaderSize(c.conn, 64<<10)
@@ -265,9 +270,7 @@ func (s *Server) handle(c *session) {
 			req = nil
 		default:
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.idleReaps.Add(1)
-			}
+			reaped = errors.As(err, &ne) && ne.Timeout()
 			return // EOF, client reset, idle reap, or drain closing the conn
 		}
 

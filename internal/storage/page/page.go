@@ -58,6 +58,9 @@ const (
 // MaxRecordSize is the largest record a single page can hold.
 const MaxRecordSize = disk.PageSize - headerSize - slotSize
 
+// MaxSlots bounds a page's slot count: each takes a directory entry.
+const MaxSlots = (disk.PageSize - headerSize) / slotSize
+
 // Page wraps a raw page buffer with slotted accessors. It performs no
 // locking; callers hold the owning buffer frame's latch.
 type Page struct {

@@ -63,10 +63,6 @@ type Log struct {
 
 	stats LogStats
 
-	// walked counts, by record type, the valid frames the last
-	// RepairTail walked and their body bytes (Walked).
-	walked [256]struct{ n, bytes int64 }
-
 	// Group-commit state (groupcommit.go). gcMu guards the plain fields,
 	// but syncEnd, which the leader of the round in flight writes.
 	gcMu      sync.Mutex
@@ -280,9 +276,7 @@ func (l *Log) poison(cause error) {
 // after it. A torn frame followed by a valid frame is mid-log
 // corruption rather than a tail tear; RepairTail refuses to repair it.
 // It returns the number of bytes discarded and must run before the log
-// accepts appends (Open/recovery time). It counts the valid frames it
-// walks and their bytes by record type (Walked), which recovery sizes
-// tables from.
+// accepts appends (Open/recovery time).
 func (l *Log) RepairTail() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -291,16 +285,11 @@ func (l *Log) RepairTail() (int64, error) {
 	}
 	size := l.base
 	s := &scanner{backend: l.backend, end: size}
-	l.walked = [256]struct{ n, bytes int64 }{}
 	torn := int64(-1) // offset of the first torn frame
 	for s.off < size {
 		// Past a tear, keep walking the claimed frame extents: a valid
 		// frame there means the tear is not at the tail.
-		body, next, err := s.frame()
-		if err == nil {
-			l.walked[body[0]].n++
-			l.walked[body[0]].bytes += int64(len(body))
-		}
+		_, next, err := s.frame()
 		switch {
 		case err == nil && torn >= 0:
 			return 0, fmt.Errorf("wal: torn frame at offset %d precedes a valid frame at %d: mid-log corruption, not a tail tear", torn, s.off)
@@ -321,14 +310,6 @@ func (l *Log) RepairTail() (int64, error) {
 	l.nextLSN.Store(uint64(torn) + 1)
 	l.flushedLSN.Store(uint64(torn))
 	return size - torn, nil
-}
-
-// Walked returns how many records of type t the last RepairTail found
-// in the log, and their body bytes (0 before one has run).
-func (l *Log) Walked(t RecType) (n, bytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.walked[t].n, l.walked[t].bytes
 }
 
 // SetRetrier installs the transient-failure retrier used by Flush.
