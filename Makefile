@@ -99,13 +99,16 @@ test-chaos-server:
 	$(GO) test -race ./internal/shard/ -run 'Resolver|Journal'
 	$(GO) test -race ./internal/server/ -run 'Limits|Deadline|MaxConns|IdleReap|Panic|Oversized|GoroutineLeak'
 
-# Node tests under the race detector: the router/2PC/in-doubt recovery
-# and fan-out suite, the public API on one and on three shards (with the
-# directory-layout checks) and the engine-level prepare/decide/resolve
-# tests. The shard-halt chaos scenario runs in test-chaos.
+# Node tests under the race detector on one and two cores: the
+# router/2PC/in-doubt recovery and fan-out suite, the public API on one
+# and on three shards (with the directory-layout checks), the SQL
+# SELECTs that route to one shard or fan out with a shard down, and the
+# engine-level prepare/decide/resolve tests. The shard-halt chaos
+# scenario runs in test-chaos.
 test-shard:
-	$(GO) test -race ./internal/shard/ ./btrim/
-	$(GO) test -race ./internal/core/ -run 'Prepare|InDoubt|TwoPC|LocalOutcome'
+	$(GO) test -race -cpu 1,2 ./internal/shard/ ./btrim/
+	$(GO) test -race -cpu 1,2 ./internal/sql/ -run 'ShardDown'
+	$(GO) test -race -cpu 1,2 ./internal/core/ -run 'Prepare|InDoubt|TwoPC|LocalOutcome'
 
 # SQL front end, wire server, and shell tests under the race detector:
 # lexer/parser/planner/executor suites, the protocol round-trip and

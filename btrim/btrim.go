@@ -166,8 +166,9 @@ func (cfg Config) coreConfig() core.Config {
 
 // ErrLayoutMismatch reports a Dir whose contents do not match the
 // configuration: a different shard count than Config.Shards asks for,
-// or the single-engine layout of earlier versions. Open returns it
-// before creating or writing anything.
+// the single-engine layout of earlier versions, or several shards
+// routed by the whole primary key as earlier versions did. Open returns
+// it before creating or writing anything.
 var ErrLayoutMismatch = shard.ErrLayoutMismatch
 
 // DB is an open database: a node of NumShards independent engines —

@@ -138,7 +138,8 @@ func (t *Tx) IndexScan(table, index string, from []Value, fn func(Row) bool) err
 // LookupAll returns the rows whose index columns equal vals (prefix
 // equality on non-unique indexes), concatenated over shards: it is
 // LookupCols over every column, each row copied out. With a shard down
-// it returns the healthy shards' rows and ErrPartialResult.
+// it returns the healthy shards' rows and ErrPartialResult, unless the
+// lookup reads one shard (see LookupCols).
 func (t *Tx) LookupAll(table, index string, vals ...Value) ([]Row, error) {
 	var out []Row
 	var a row.Arena
@@ -161,7 +162,11 @@ func (t *Tx) LookupAll(table, index string, vals ...Value) ([]Row, error) {
 // row. fn runs during the index scan, which holds no latch while it
 // yields: rows fn itself writes to the scanned index may or may not be
 // visited later in the same scan. With a shard down, the healthy
-// shards' rows reach fn once each and ErrPartialResult comes back.
+// shards' rows reach fn once each and ErrPartialResult comes back. A
+// lookup on an index led by the table's leading primary-key column
+// that binds it reads only the shard that value routes to, where every
+// match lives: it fails with ErrShardDown if that shard is down, and
+// no other shard matters.
 func (t *Tx) LookupCols(table, index string, vals []Value, cols []int, fn func(Row) bool) error {
 	return t.tx.LookupCols(table, index, vals, cols, fn)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/row"
+	"repro/internal/shard"
 )
 
 // state is one acceptable durable state of a key.
@@ -104,7 +105,7 @@ func chaosRow(key, qty int64) row.Row {
 
 func pk(key int64) []row.Value { return []row.Value{row.Int64(key)} }
 
-// shardOf mirrors the node's router (fixed-seed primary-key hash).
+// shardOf is the shard the node's router sends key to.
 func (h *harness) shardOf(key int64) int {
-	return int(row.HashValues(row.HashSeed, pk(key)) % uint64(len(h.media)))
+	return shard.ShardOf(row.Int64(key), len(h.media))
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/metrics"
@@ -81,10 +82,29 @@ func (f *Fragment) Bytes() []byte { return f.buf[:f.used] }
 func (f *Fragment) Size() int { return len(f.buf) }
 
 type allocShard struct {
-	mu    sync.Mutex
-	free  [][]*Fragment // per class free lists
-	slab  []byte
-	slabP int
+	mu sync.Mutex
+	// nonEmpty has bit c set while free[c] holds a fragment (there are
+	// fewer than 64 classes). It is written under mu and sits beside
+	// it; another shard's steal reads it without the lock, so a steal
+	// reads one word per shard and locks only a shard with a fragment.
+	nonEmpty atomic.Uint64
+	free     [][]*Fragment // per class free lists
+	slab     []byte
+	slabP    int
+}
+
+// pop takes a free fragment of class idx, or returns nil. s.mu is held.
+func (s *allocShard) pop(idx int) *Fragment {
+	n := len(s.free[idx])
+	if n == 0 {
+		return nil
+	}
+	f := s.free[idx][n-1]
+	s.free[idx] = s.free[idx][:n-1]
+	if n == 1 {
+		s.nonEmpty.Store(s.nonEmpty.Load() &^ (1 << idx))
+	}
+	return f
 }
 
 // Allocator is the fragment memory manager. It accounts used bytes
@@ -135,9 +155,12 @@ func shardHint() int {
 func noescape(b *byte) *byte { return b }
 
 // grab reserves size bytes of capacity and returns a fragment of class
-// idx, reusing a free-listed one when possible. Callers fill f.buf and
-// set f.used.
-func (a *Allocator) grab(idx, size int) (*Fragment, error) {
+// idx for a caller on shard si: a free one of si, else one carved from
+// si's slab, else, before it takes a new slab, a free one another shard
+// holds. Fragments are freed to the shard that carved them, not to the
+// one that allocates next; taking them before a new slab keeps the
+// slabs near the capacity. Callers fill f.buf and set f.used.
+func (a *Allocator) grab(si, idx, size int) (*Fragment, error) {
 	// Reserve capacity first; roll back on failure.
 	if a.used.Load()+int64(size) > a.capacity {
 		return nil, ErrCacheFull
@@ -148,19 +171,17 @@ func (a *Allocator) grab(idx, size int) (*Fragment, error) {
 		return nil, ErrCacheFull
 	}
 
-	si := shardHint()
 	s := &a.shards[si]
 	s.mu.Lock()
-	var f *Fragment
-	if n := len(s.free[idx]); n > 0 {
-		f = s.free[idx][n-1]
-		s.free[idx] = s.free[idx][:n-1]
-	} else {
-		if len(s.slab)-s.slabP < size {
+	f := s.pop(idx)
+	if f == nil && len(s.slab)-s.slabP < size {
+		if f = a.steal(si, idx); f == nil {
 			s.slab = make([]byte, slabSize)
 			s.slabP = 0
 			a.SlabGrabs.Inc()
 		}
+	}
+	if f == nil {
 		f = &Fragment{buf: s.slab[s.slabP : s.slabP+size : s.slabP+size], class: int16(idx), shard: int16(si)}
 		s.slabP += size
 	}
@@ -169,13 +190,34 @@ func (a *Allocator) grab(idx, size int) (*Fragment, error) {
 	return f, nil
 }
 
+// steal moves a free fragment of class idx from another shard to shard
+// si, or returns nil. It reads the other shards' nonEmpty without their
+// locks and only tries the lock of one that has such a fragment, so a
+// miss everywhere (the recovery replay only allocates) takes no lock.
+// TryLock never waits, so holding si's lock meanwhile cannot deadlock.
+func (a *Allocator) steal(si, idx int) *Fragment {
+	for k := 1; k < allocShards; k++ {
+		o := &a.shards[(si+k)%allocShards]
+		if o.nonEmpty.Load()&(1<<idx) == 0 || !o.mu.TryLock() {
+			continue
+		}
+		f := o.pop(idx)
+		o.mu.Unlock()
+		if f != nil {
+			f.shard = int16(si)
+			return f
+		}
+	}
+	return nil
+}
+
 // Alloc returns a fragment holding a copy of data, or ErrCacheFull.
 func (a *Allocator) Alloc(data []byte) (*Fragment, error) {
 	idx, size, err := classFor(len(data))
 	if err != nil {
 		return nil, err
 	}
-	f, err := a.grab(idx, size)
+	f, err := a.grab(shardHint(), idx, size)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +237,7 @@ func (a *Allocator) AllocFunc(n int, fill func(dst []byte) []byte) (*Fragment, e
 	if err != nil {
 		return nil, err
 	}
-	f, err := a.grab(idx, size)
+	f, err := a.grab(shardHint(), idx, size)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +262,9 @@ func (a *Allocator) Free(f *Fragment) {
 	}
 	s := &a.shards[f.shard]
 	s.mu.Lock()
+	if len(s.free[f.class]) == 0 {
+		s.nonEmpty.Store(s.nonEmpty.Load() | 1<<f.class)
+	}
 	s.free[f.class] = append(s.free[f.class], f)
 	s.mu.Unlock()
 	a.used.Add(-int64(len(f.buf)))

@@ -186,3 +186,62 @@ func TestAllocatorUsedExactUnderPressure(t *testing.T) {
 		t.Fatalf("Used() = %d after freeing everything", used)
 	}
 }
+
+// TestAllocatorCrossShardFreeReuse: fragments are freed on shards that
+// no longer allocate. In each phase every worker allocates on one shard
+// that no phase used before, and frees its oldest fragments, which
+// earlier phases allocated on other shards. The free fragments must be
+// taken before new slabs are carved, so the slabs stay near the live
+// set rather than growing by a live set per phase.
+func TestAllocatorCrossShardFreeReuse(t *testing.T) {
+	const (
+		capacity = 32 << 20
+		workers  = 4
+		window   = 800 // live fragments per worker, about half the capacity in all
+		limit    = capacity * 3 / 2
+	)
+	if len(sizeClasses) > 64 {
+		t.Fatalf("%d size classes do not fit allocShard.nonEmpty", len(sizeClasses))
+	}
+	a := NewAllocator(capacity)
+	slabBytes := func() int64 { return a.SlabGrabs.Load() * slabSize }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			live := make([]*Fragment, 0, window)
+			for si := 0; si < allocShards; si++ {
+				for i := 0; i < window; i++ {
+					if slabBytes() > limit {
+						return
+					}
+					idx, size, err := classFor(2048 + rng.Intn(6144))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					f, err := a.grab(si, idx, size)
+					if err != nil {
+						t.Errorf("shard %d: %v", si, err)
+						return
+					}
+					if len(live) == window {
+						a.Free(live[0])
+						live = append(live[:0], live[1:]...)
+					}
+					live = append(live, f)
+				}
+			}
+			for _, f := range live {
+				a.Free(f)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := slabBytes(); got > limit {
+		t.Fatalf("slabs hold %d MiB for a %d MiB allocator, want at most %d MiB",
+			got>>20, capacity>>20, limit>>20)
+	}
+}

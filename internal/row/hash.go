@@ -35,13 +35,3 @@ func (v Value) Hash64(h uint64) uint64 {
 	}
 	return h
 }
-
-// HashValues hashes vals in order starting from seed (normally
-// HashSeed). Zero-allocation; the sharded router's hot path.
-func HashValues(seed uint64, vals []Value) uint64 {
-	h := seed
-	for _, v := range vals {
-		h = v.Hash64(h)
-	}
-	return h
-}

@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -61,4 +65,66 @@ func TestOpenShardFailureClosesOthers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestLayoutRoutingMark: a node directory records its routing rule. A
+// multi-shard directory without the mark (written when the whole key
+// was hashed) or with another rule is refused with ErrLayoutMismatch,
+// unchanged; a fresh directory is marked, and a one-shard directory,
+// whose rows cannot be misrouted, opens without the mark.
+func TestLayoutRoutingMark(t *testing.T) {
+	open := func(dir string, shards int) (*Node, error) {
+		base := core.DefaultConfig()
+		base.IMRSCacheBytes = 4 << 20
+		base.BufferPoolPages = 64
+		return Open(Config{Shards: shards, Dir: dir, Base: base, ResolveInterval: -1})
+	}
+	mark := func(dir string) string { return filepath.Join(dir, routingMark) }
+	reopen := func(dir string, shards int) {
+		t.Helper()
+		n, err := open(dir, shards)
+		if err != nil {
+			t.Fatalf("open %s with %d shards: %v", dir, shards, err)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(mark(dir)); err != nil || string(b) != routingRule {
+			t.Fatalf("mark after open = %q, %v; want %q", b, err, routingRule)
+		}
+	}
+
+	// A fresh directory is marked and reopens.
+	multi := t.TempDir()
+	reopen(multi, 2)
+	reopen(multi, 0)
+
+	// Without the mark, or with another rule, it is refused unchanged.
+	for _, content := range []string{"", "fnv1a(primary key)\n"} {
+		_ = os.Remove(mark(multi))
+		if content != "" {
+			if err := os.WriteFile(mark(multi), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, shards := range []int{0, 2} {
+			if n, err := open(multi, shards); !errors.Is(err, ErrLayoutMismatch) {
+				if err == nil {
+					n.Close()
+				}
+				t.Fatalf("2-shard directory with mark %q opened with Shards=%d: %v, want ErrLayoutMismatch", content, shards, err)
+			}
+		}
+		if b, _ := os.ReadFile(mark(multi)); string(b) != content {
+			t.Fatalf("refused open changed the mark to %q", b)
+		}
+	}
+
+	// A one-shard directory needs no mark, and gets one.
+	single := t.TempDir()
+	reopen(single, 1)
+	if err := os.Remove(mark(single)); err != nil {
+		t.Fatal(err)
+	}
+	reopen(single, 0)
 }

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -209,7 +211,9 @@ func TestResolverJournalCommitAtRestart(t *testing.T) {
 // parks recoverable ReadOnly because the outcome is still in flight;
 // the commit then lands, and the next resolver pass must learn it from
 // the journal and restart the shard — a commit cannot be applied to a
-// recovery that replayed the transaction as a loser.
+// recovery that replayed the transaction as a loser. The restart runs
+// on the committing goroutine, so the commit cannot settle while the
+// restart waits for it: the wait runs out (restartCrossWait) first.
 func TestResolverCommitRequiresRestart(t *testing.T) {
 	media := newMedia(4)
 	n, err := Open(resolverConfig(media, wal.NewMemBackend()))
@@ -258,6 +262,73 @@ func TestResolverCommitRequiresRestart(t *testing.T) {
 	for _, id := range keys {
 		if rw, ok, err := tx.Get("items", pk(id)); err != nil || !ok || rw[2].Int() != id {
 			t.Fatalf("committed key %d: ok=%v err=%v rw=%v", id, ok, err, rw)
+		}
+	}
+}
+
+// TestRestartWaitsForLiveCoordinator: a participant crashed after the
+// decide of one transaction restarts while it also holds the prepare of
+// another, whose live coordinator has not decided yet (held at
+// StagePrepared by the hook). The restart must wait for that decision
+// and come back healthy with both transactions committed, not park
+// ReadOnly on a decision moments away.
+func TestRestartWaitsForLiveCoordinator(t *testing.T) {
+	media := newMedia(4)
+	n, err := Open(resolverConfig(media, wal.NewMemBackend()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	createItems(t, n)
+	// Held: coordinator 0 with participant 2. Crashed: coordinator 1
+	// with participant 2.
+	keys := keysOnDistinctShards(n.r, 0, 2, 1, 2)
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseHeld := sync.OnceFunc(func() { close(release) })
+	defer releaseHeld()
+	n.SetCommitHook(func(stage CommitStage, coord int, gid uint64, writers []int) {
+		switch {
+		case stage == StagePrepared && coord == 0:
+			close(held)
+			<-release
+		case stage == StageDecided && coord == 1:
+			_ = n.HaltShard(2)
+		}
+	})
+	defer n.SetCommitHook(nil)
+	insert := func(ids ...int64) error {
+		tx := n.Begin()
+		for _, id := range ids {
+			if err := tx.Insert("items", itemRow(id, id)); err != nil {
+				tx.Abort()
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+	heldErr := make(chan error, 1)
+	go func() { heldErr <- insert(keys[0], keys[1]) }()
+	<-held
+	if err := insert(keys[2], keys[3]); err != nil {
+		t.Fatalf("commit decided before the crash = %v, want nil", err)
+	}
+
+	time.AfterFunc(20*time.Millisecond, releaseHeld)
+	if err := n.RestartShard(2); err != nil {
+		t.Fatal(err)
+	}
+	if h := n.Engine(2).Health(); h.State != core.StateHealthy {
+		t.Fatalf("participant health after restart = %+v, unresolved %+v; want healthy",
+			h, n.Engine(2).UnresolvedInDoubt())
+	}
+	if err := <-heldErr; err != nil {
+		t.Fatalf("held commit = %v, want nil", err)
+	}
+	tx := n.Begin()
+	defer tx.Abort()
+	for _, id := range keys {
+		if _, ok, err := tx.Get("items", pk(id)); err != nil || !ok {
+			t.Fatalf("committed key %d: ok=%v err=%v", id, ok, err)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package shard implements a sharded multi-engine node: N independent
 // core engines (each with its own data device, dual WALs, GC, pack and
-// health state) behind a hash-partitioned primary-key router. A
-// transaction that stays on one shard commits exactly as on a
-// standalone engine; a transaction spanning shards commits with two-
-// phase commit layered on the per-shard group-commit pipelines
-// (DESIGN.md §12). The win is per-shard logs: group commit amortizes
+// health state) behind a router that hashes each row's leading
+// primary-key column. A transaction that stays on one shard commits
+// exactly as on a standalone engine; a transaction spanning shards
+// commits with two-phase commit layered on the per-shard group-commit
+// pipelines (DESIGN.md §12). The win is per-shard logs: group commit amortizes
 // sync latency but not log bandwidth, so with a single log device
 // write throughput caps at device-bandwidth / bytes-per-txn no matter
 // how many committers coalesce — independent per-shard log devices
@@ -42,8 +42,8 @@ var ErrShardDown = errors.New("shard: target shard is halted")
 
 // ErrLayoutMismatch reports a data directory whose contents do not
 // match the configuration: a different number of shard-NNN directories
-// than Config.Shards asks for, or a single engine's files at the top
-// level.
+// than Config.Shards asks for, a single engine's files at the top
+// level, or several shards without the routing mark (router.go).
 var ErrLayoutMismatch = errors.New("shard: data directory layout does not match the configuration")
 
 // Config configures a Node.
@@ -53,9 +53,9 @@ type Config struct {
 	// that disagrees with Dir fails Open with ErrLayoutMismatch.
 	Shards int
 
-	// Dir, when set, stores each shard under Dir/shard-NNN and the
-	// decision journal in Dir/decisions.log. Ignored fields of Base.Dir
-	// are overridden per shard.
+	// Dir, when set, stores each shard under Dir/shard-NNN, the
+	// decision journal in Dir/decisions.log and the routing rule in
+	// Dir/routing. Ignored fields of Base.Dir are overridden per shard.
 	Dir string
 
 	// Base is the per-shard engine configuration (copied per shard).
@@ -92,6 +92,31 @@ type Config struct {
 // tableMeta is the routing metadata for one table.
 type tableMeta struct {
 	pkOrds []int
+	// routed names the indexes led by the table's leading primary-key
+	// column: a lookup that binds it reads one shard (Txn.LookupCols).
+	routed []string
+}
+
+// metaOf derives a table's routing metadata from its catalog entry.
+func metaOf(tb *catalog.Table) *tableMeta {
+	tm := &tableMeta{pkOrds: tb.PKOrds}
+	for _, ix := range tb.Indexes {
+		if len(ix.ColOrds) > 0 && ix.ColOrds[0] == tb.PKOrds[0] {
+			tm.routed = append(tm.routed, ix.Name)
+		}
+	}
+	return tm
+}
+
+// routes reports whether a lookup on index that binds its first column
+// reads one shard.
+func (tm *tableMeta) routes(index string) bool {
+	for _, name := range tm.routed {
+		if name == index {
+			return true
+		}
+	}
+	return false
 }
 
 // Node is a sharded database node.
@@ -257,9 +282,10 @@ func shardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 // reading dir without changing it: the number of shard-NNN directories
 // it holds, or max(want, 1) when it holds none (or dir is empty or
 // missing). It fails with ErrLayoutMismatch when want is positive and
-// disagrees with the directories found, and when dir holds a single
-// engine's files at the top level — opening either would route keys to
-// the wrong shard.
+// disagrees with the directories found, when dir holds a single
+// engine's files at the top level, and when dir holds several shards
+// but not the mark of this router's rule — opening any of them would
+// route keys to the wrong shard.
 func ResolveShards(dir string, want int) (int, error) {
 	found := 0
 	if dir != "" {
@@ -281,6 +307,8 @@ func ResolveShards(dir string, want int) (int, error) {
 		return max(want, 1), nil
 	case want > 0 && want != found:
 		return 0, fmt.Errorf("%w: %s holds %d shards, configuration asks for %d", ErrLayoutMismatch, dir, found, want)
+	case found > 1 && !routedByThisRule(dir):
+		return 0, fmt.Errorf("%w: %s holds %d shards without the %q mark of routing by the leading primary-key column", ErrLayoutMismatch, dir, found, routingMark)
 	}
 	return found, nil
 }
@@ -295,6 +323,11 @@ func Open(cfg Config) (*Node, error) {
 	nShards, err := ResolveShards(cfg.Dir, cfg.Shards)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Dir != "" {
+		if err := markRouting(cfg.Dir); err != nil {
+			return nil, err
+		}
 	}
 	confs := make([]core.Config, nShards)
 	for i := range confs {
@@ -346,7 +379,7 @@ func Open(cfg Config) (*Node, error) {
 		nShards: nShards,
 		confs:   confs,
 		slots:   make([]atomic.Pointer[core.Engine], nShards),
-		r:       router{n: uint64(nShards)},
+		r:       router{n: nShards},
 		journal: journal,
 	}
 	engines := make([]*core.Engine, nShards)
@@ -391,7 +424,7 @@ func Open(cfg Config) (*Node, error) {
 	// authoritative; DDL applies to every shard in the same order).
 	m := make(map[string]*tableMeta)
 	for _, tb := range n.engine(0).Catalog().Tables() {
-		m[tb.Name] = &tableMeta{pkOrds: tb.PKOrds}
+		m[tb.Name] = metaOf(tb)
 	}
 	n.meta.Store(&m)
 
@@ -472,6 +505,19 @@ func (n *Node) crossInFlight(coord uint32, gid uint64) bool {
 	return ok
 }
 
+// restartCrossWait bounds how long RestartShard waits for live
+// coordinators to settle the transactions its shard holds in doubt.
+const restartCrossWait = time.Second
+
+// awaitCross waits until the cross-shard commit (coord, gid) is no
+// longer in flight, or until deadline. It polls: it runs only while a
+// shard restarts, and the commit path stays as it is.
+func (n *Node) awaitCross(coord uint32, gid uint64, deadline time.Time) {
+	for n.crossInFlight(coord, gid) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // probeDecision is the runtime 2PC outcome lookup shared by the
 // background resolver and RestartShard's recovery resolver: own
 // pre-scanned decisions (nil for the background path), then the node
@@ -541,6 +587,10 @@ func (n *Node) probeDecision(gid uint64, coord uint32, own *decisionSet, self in
 // running node, and how the resolver applies a learned commit decision
 // (recovery must replay it — a commit cannot be applied in place).
 //
+// A transaction the shard holds in doubt whose live coordinator is
+// still committing is waited for, up to restartCrossWait in all, so
+// the shard does not park ReadOnly on a decision about to be made.
+//
 // Only meaningful on durable storage (Dir or explicit crash-surviving
 // media): a shard whose config names no device would restart blank.
 func (n *Node) RestartShard(i int) error {
@@ -563,7 +613,12 @@ func (n *Node) RestartShard(i int) error {
 	}
 	cfg := n.confs[i]
 	own := scanDecisions(&cfg)
+	deadline := time.Now().Add(restartCrossWait)
 	cfg.TwoPCResolver = func(gid uint64, coord uint32) core.TwoPCOutcome {
+		// A transaction this shard prepared may belong to a live
+		// coordinator that has not decided yet. Its outcome is moments
+		// away: wait for it rather than park the shard ReadOnly on it.
+		n.awaitCross(coord, gid, deadline)
 		return n.probeDecision(gid, coord, &own, i)
 	}
 	e, err := core.Open(cfg)
@@ -585,20 +640,20 @@ func (n *Node) CreateTable(name string, schema *row.Schema, pkCols []string,
 	spec catalog.PartitionSpec, indexes []catalog.IndexSpec) error {
 	n.ddlMu.Lock()
 	defer n.ddlMu.Unlock()
-	var pkOrds []int
+	var tm *tableMeta
 	for i := 0; i < n.nShards; i++ {
 		t, err := n.engine(i).CreateTable(name, schema, pkCols, spec, indexes)
 		if err != nil {
 			return fmt.Errorf("shard %d: create table %q: %w", i, name, err)
 		}
-		pkOrds = t.PKOrds
+		tm = metaOf(t)
 	}
 	old := *n.meta.Load()
 	m := make(map[string]*tableMeta, len(old)+1)
 	for k, v := range old {
 		m[k] = v
 	}
-	m[name] = &tableMeta{pkOrds: pkOrds}
+	m[name] = tm
 	n.meta.Store(&m)
 	return nil
 }

@@ -95,21 +95,48 @@ func keysOnDistinctShards(r router, shards ...int) []int64 {
 	return out
 }
 
+// linesSchema is a table keyed by (w, id): w leads, as a TPC-C
+// warehouse id does.
+func linesSchema() *row.Schema {
+	return row.MustSchema(
+		row.Column{Name: "w", Kind: row.KindInt64},
+		row.Column{Name: "id", Kind: row.KindInt64},
+		row.Column{Name: "qty", Kind: row.KindInt64},
+	)
+}
+
+// createLines creates a (w, id)-keyed table with one index led by w and
+// one that is not.
+func createLines(t *testing.T, n *Node, name string) {
+	t.Helper()
+	if err := n.CreateTable(name, linesSchema(), []string{"w", "id"}, catalog.PartitionSpec{},
+		[]catalog.IndexSpec{{Name: name + "_wq", Cols: []string{"w", "qty"}}, {Name: name + "_qty", Cols: []string{"qty"}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func lineRow(w, id, qty int64) row.Row { return row.Row{row.Int64(w), row.Int64(id), row.Int64(qty)} }
+
+func linePK(w, id int64) []row.Value { return []row.Value{row.Int64(w), row.Int64(id)} }
+
 func TestRoutingStableAcrossRestart(t *testing.T) {
 	media := newMedia(4)
 	n := openNode(t, media)
-	createItems(t, n)
+	createLines(t, n, "lines")
 	tx := n.Begin()
-	for i := int64(1); i <= 200; i++ {
-		if err := tx.Insert("items", itemRow(i, i)); err != nil {
-			t.Fatal(err)
+	for w := int64(1); w <= 20; w++ {
+		for id := int64(1); id <= 10; id++ {
+			if err := tx.Insert("lines", lineRow(w, id, w*100+id)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Per-shard row totals must sum to 200 and be spread (hash, 4
-	// shards, 200 keys: every shard gets some).
+	// Per-shard row totals must sum to 200 and be spread (hash of 20
+	// leading values, 4 shards: every shard gets some), and a leading
+	// value's rows all sit on the shard it routes to.
 	var total int64
 	for i := 0; i < 4; i++ {
 		rows := n.Engine(i).Store().Rows()
@@ -121,6 +148,15 @@ func TestRoutingStableAcrossRestart(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("rows across shards = %d, want 200", total)
 	}
+	for w := int64(1); w <= 20; w++ {
+		etx := n.Engine(ShardOf(row.Int64(w), 4)).Begin()
+		for id := int64(1); id <= 10; id++ {
+			if _, ok, err := etx.Get("lines", linePK(w, id)); err != nil || !ok {
+				t.Fatalf("row (%d, %d) not on shard %d: ok=%v err=%v", w, id, ShardOf(row.Int64(w), 4), ok, err)
+			}
+		}
+		etx.Abort()
+	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +167,12 @@ func TestRoutingStableAcrossRestart(t *testing.T) {
 	defer n2.Close()
 	tx2 := n2.Begin()
 	defer tx2.Abort()
-	for i := int64(1); i <= 200; i++ {
-		rw, ok, err := tx2.Get("items", pk(i))
-		if err != nil || !ok || rw[2].Int() != i {
-			t.Fatalf("key %d after restart: ok=%v err=%v rw=%v", i, ok, err, rw)
+	for w := int64(1); w <= 20; w++ {
+		for id := int64(1); id <= 10; id++ {
+			rw, ok, err := tx2.Get("lines", linePK(w, id))
+			if err != nil || !ok || rw[2].Int() != w*100+id {
+				t.Fatalf("key (%d, %d) after restart: ok=%v err=%v rw=%v", w, id, ok, err, rw)
+			}
 		}
 	}
 }
@@ -150,9 +188,116 @@ func TestRouterZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { _ = r.shardOfRow(rw, ords) }); n != 0 {
 		t.Fatalf("shardOfRow allocs/op = %v, want 0", n)
 	}
-	// Key order must produce identical routing through both entry points.
-	if r.shardOfKey([]row.Value{row.Int64(7), row.String("abc")}) != r.shardOfRow(rw, ords) {
-		t.Fatal("shardOfKey and shardOfRow disagree")
+	if n := testing.AllocsPerRun(1000, func() { _ = ShardOf(key[0], 8) }); n != 0 {
+		t.Fatalf("ShardOf allocs/op = %v, want 0", n)
+	}
+	// A composite key routes by its leading column through both entry
+	// points, whatever the columns after it hold.
+	want := ShardOf(row.Int64(7), 8)
+	for _, tail := range []string{"abc", "xyz", ""} {
+		if got := r.shardOfKey([]row.Value{row.Int64(7), row.String(tail)}); got != want {
+			t.Fatalf("shardOfKey(7, %q) = %d, want %d", tail, got, want)
+		}
+		if got := r.shardOfRow(row.Row{row.Int64(7), row.String(tail), row.Int64(1)}, ords); got != want {
+			t.Fatalf("shardOfRow(7, %q) = %d, want %d", tail, got, want)
+		}
+	}
+	// Swapped key order: the row's leading key column is the one named
+	// first, not the row's first column.
+	if r.shardOfRow(rw, []int{1, 0}) != ShardOf(row.String("abc"), 8) {
+		t.Fatal("shardOfRow did not route by the leading key column")
+	}
+}
+
+// TestLeadingKeyTransactionsCommitOnOneShard: a transaction that writes
+// rows sharing a leading key value across three tables touches one
+// shard and commits without two-phase commit.
+func TestLeadingKeyTransactionsCommitOnOneShard(t *testing.T) {
+	n := openNode(t, newMedia(4))
+	defer n.Close()
+	tables := []string{"districts", "orders", "lines"}
+	for _, name := range tables {
+		createLines(t, n, name)
+	}
+	for w := int64(1); w <= 16; w++ {
+		tx := n.Begin()
+		for k, name := range tables {
+			for id := int64(1); id <= 3; id++ {
+				if err := tx.Insert(name, lineRow(w, id, int64(k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := n.Counters()
+	if c.SingleShardCommits != 16 || c.CrossShardCommits != 0 {
+		t.Fatalf("counters = %+v, want 16 single-shard commits and no cross-shard one", c)
+	}
+	for i := 0; i < 4; i++ {
+		if p := n.Engine(i).Stats().TwoPC.Prepares; p != 0 {
+			t.Fatalf("shard %d prepared %d times, want 0", i, p)
+		}
+	}
+}
+
+// TestRoutedLookupReadsOneShard: a lookup on an index led by the
+// leading key column that binds it reads only the shard the value routes
+// to, so it returns every match with the other shards halted; a lookup
+// on any other index reads every shard and reports them down.
+func TestRoutedLookupReadsOneShard(t *testing.T) {
+	n := openNode(t, newMedia(3))
+	defer n.Close()
+	createLines(t, n, "lines")
+	tx := n.Begin()
+	for w := int64(1); w <= 12; w++ {
+		for id := int64(1); id <= 5; id++ {
+			if err := tx.Insert("lines", lineRow(w, id, id%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const w = 4
+	home := ShardOf(row.Int64(w), 3)
+	for i := 0; i < 3; i++ {
+		if i != home {
+			if err := n.HaltShard(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tx = n.Begin()
+	defer tx.Abort()
+	for _, c := range []struct {
+		index string
+		vals  []row.Value
+		want  int
+	}{
+		{"lines_pk", []row.Value{row.Int64(w)}, 5},
+		{"lines_wq", []row.Value{row.Int64(w)}, 5},
+		{"lines_wq", []row.Value{row.Int64(w), row.Int64(1)}, 3},
+	} {
+		got := 0
+		err := tx.LookupCols("lines", c.index, c.vals, nil, func(r row.Row) bool {
+			if r[0].Int() != w {
+				t.Errorf("%s lookup of %v yielded %v", c.index, c.vals, r)
+			}
+			got++
+			return true
+		})
+		if err != nil || got != c.want {
+			t.Fatalf("%s lookup of %v with shard %d alone up: %d rows, %v; want %d rows, no error", c.index, c.vals, home, got, err, c.want)
+		}
+	}
+	err := tx.LookupCols("lines", "lines_qty", []row.Value{row.Int64(1)}, nil, func(row.Row) bool { return true })
+	var pe *PartialResultError
+	if !errors.As(err, &pe) || len(pe.Down) != 2 {
+		t.Fatalf("lines_qty lookup with two shards down: %v, want a partial result naming both", err)
 	}
 }
 

@@ -103,7 +103,7 @@ func recoverableReadOnly(err error) bool {
 	return errors.As(err, &roe) && roe.Recoverable
 }
 
-// Insert routes the row by its primary-key columns.
+// Insert routes the row by its leading primary-key column.
 func (t *Txn) Insert(table string, rw row.Row) error {
 	tm, err := t.n.tableMetaFor(table)
 	if err != nil {
@@ -250,12 +250,24 @@ func (t *Txn) IndexScan(table, index string, from []row.Value, fn func(row.Row) 
 	})
 }
 
-// LookupCols streams every shard's matches to fn (secondary indexes are
-// local to each shard; a non-PK key can match rows on any shard), as
-// core.Txn.LookupCols does, until fn returns false. A shard that is
-// down is skipped, and the typed partial-result error comes back after
-// the healthy shards' rows; each row reaches fn once.
+// LookupCols streams the matches of vals under index to fn, as
+// core.Txn.LookupCols does, until fn returns false. When the index is
+// led by the table's leading primary-key column and vals binds it,
+// every match lives on the shard that value routes to, and only that
+// shard is read. Any other lookup reads every shard (indexes are local
+// to each shard): a shard that is down is skipped, and the typed
+// partial-result error comes back after the healthy shards' rows; each
+// row reaches fn once.
 func (t *Txn) LookupCols(table, index string, vals []row.Value, cols []int, fn func(row.Row) bool) error {
+	if len(vals) > 0 && t.n.nShards > 1 {
+		if tm, err := t.n.tableMetaFor(table); err == nil && tm.routes(index) {
+			s, err := t.sub(t.n.r.shardOfKey(vals))
+			if err != nil {
+				return err
+			}
+			return s.LookupCols(table, index, vals, cols, fn)
+		}
+	}
 	return t.fanOut(func(s *core.Txn) (bool, error) {
 		more := true
 		err := s.LookupCols(table, index, vals, cols, func(r row.Row) bool { more = fn(r); return more })

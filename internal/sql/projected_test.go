@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/btrim"
+	"repro/internal/shard"
 )
 
 // TestIndexSelectShardDown: with one of two shards down, an index
@@ -81,6 +82,68 @@ func TestIndexSelectShardDown(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrefixSelectRoutedShardDown: a SELECT whose index equality binds
+// the table's leading key column reads only the shard that value routes
+// to. With the other shard halted it returns its full result and no
+// partial-result warning, through the primary key's prefix and through
+// a secondary index led by that column alike.
+func TestPrefixSelectRoutedShardDown(t *testing.T) {
+	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: 16 << 20, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	if err := db.CreateTable(btrim.TableSpec{
+		Name: "lines",
+		Columns: []btrim.Column{
+			{Name: "w", Type: btrim.Int64Type}, {Name: "id", Type: btrim.Int64Type}, {Name: "name", Type: btrim.StringType},
+		},
+		PrimaryKey: []string{"w", "id"},
+		Indexes:    []btrim.IndexSpec{{Name: "lines_name", Columns: []string{"w", "name"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(Wrap(db))
+	defer s.Close()
+	for w := 1; w <= 6; w++ {
+		for id := 1; id <= 5; id++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO lines VALUES (%d, %d, 'n%d')", w, id, id%2))
+		}
+	}
+	// A leading value on each shard: the one on shard 0 is read below.
+	var home, away int64
+	for w := int64(1); home == 0 || away == 0; w++ {
+		if shard.ShardOf(btrim.Int64(w), 2) == 0 {
+			home = w
+		} else {
+			away = w
+		}
+	}
+	if err := db.HaltShard(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		want int
+	}{
+		{fmt.Sprintf("SELECT id, name FROM lines WHERE w = %d", home), 5},
+		{fmt.Sprintf("SELECT id FROM lines WHERE w = %d AND name = 'n1'", home), 3},
+	} {
+		res, err := s.Exec(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if len(res.Rows) != c.want || res.Warning != "" {
+			t.Fatalf("%s with shard 1 down: %d rows, warning %q; want %d rows and no warning", c.q, len(res.Rows), res.Warning, c.want)
+		}
+	}
+	// A value that routes to the halted shard fails outright: every row
+	// it could match is there.
+	if _, err := s.Exec(fmt.Sprintf("SELECT id FROM lines WHERE w = %d", away)); !errors.Is(err, btrim.ErrShardDown) {
+		t.Fatalf("SELECT routed to the halted shard: %v, want ErrShardDown", err)
 	}
 }
 
